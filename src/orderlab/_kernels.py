@@ -4,8 +4,8 @@ Two sweeps dominate the exhaustive verification suites: the inequality scan
 over every coefficient m up to a factorially large bound, and the
 probe-mask scan over all depth-d clopens.  Both are flat integer loops, so
 they carry @njit kernels; setting ORDERLAB_PURE_NUMPY=1 (or a failed numba
-import) selects the vectorised numpy path instead.  benchmarks/ compares
-the two lanes.
+import) selects the vectorised numpy path instead.  The benchmark's sweep
+workload times both kernels.
 """
 
 from __future__ import annotations

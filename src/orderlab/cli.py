@@ -318,7 +318,7 @@ def main(argv=None):
         "check-all": _cmd_check_all,
     }
     digests = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         if args.command == "forcing":
             if args.forcing_command == "generic":
@@ -335,7 +335,7 @@ def main(argv=None):
         [args.forcing_command] if args.command == "forcing" else []),
         "inputs": digests, "checks": results, "ok": ok}
     report.update(body)
-    print(f"elapsed: {time.time() - t0:.2f}s", file=sys.stderr)
+    print(f"elapsed: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return _emit(report, ok, args.pretty)
 
 

@@ -93,25 +93,34 @@ def extends(ground: Poset, p: Condition, q: Condition) -> bool:
     coordinates new to q are monotone on every related pair of q's domain."""
     if not (p.domain >= q.domain and p.depth >= q.depth):
         return False
-    for a in q.domain:
-        if p.seq(a)[:q.depth] != q.seq(a):
+    pf, lo, hi = p._f, q.depth, p.depth
+    for a, s in q._f.items():
+        if pf[a][:lo] != s:
             return False
-    for a in q.domain:
-        for b in q.domain:
-            if a != b and ground.leq(a, b):
-                pa, pb = p.seq(a), p.seq(b)
-                if any(pa[j] > pb[j] for j in range(q.depth, p.depth)):
+    if lo == hi:
+        return True
+    dom = q.domain
+    for a, b in ground.strict_pairs():
+        if a in dom and b in dom:
+            pa, pb = pf[a], pf[b]
+            for j in range(lo, hi):
+                if pa[j] > pb[j]:
                     return False
     return True
 
 
-def _max_rule(ground, f, domain, a, j):
-    """max of f[b][j] over b in domain below a (0 when none)."""
-    best = 0
-    for b in domain:
-        if ground.leq(b, a) and f[b][j] > best:
-            best = f[b][j]
-    return best
+def _max_pad(ground, f, domain, a, lo, hi):
+    """Per coordinate j in lo..hi-1, the max of f[b][j] over b in domain at
+    or below a (0 when none)."""
+    below = [f[b] for b in domain if ground.leq(b, a)]
+    pad = []
+    for j in range(lo, hi):
+        best = 0
+        for s in below:
+            if s[j] > best:
+                best = s[j]
+        pad.append(best)
+    return tuple(pad)
 
 
 def amalgamate(ground: Poset, parts, root) -> Condition:
@@ -151,9 +160,7 @@ def amalgamate(ground: Poset, parts, root) -> Condition:
             if p.depth == depth:
                 f[a] = p.seq(a)
             else:
-                pad = tuple(_max_rule(ground, f, root, a, j)
-                            for j in range(p.depth, depth))
-                f[a] = p.seq(a) + pad
+                f[a] = p.seq(a) + _max_pad(ground, f, root, a, p.depth, depth)
     q = Condition(frozenset().union(*(p.domain for p in parts)), depth, f)
     for p in parts:
         if not extends(ground, q, p):
@@ -176,14 +183,10 @@ def extend_into_D(ground: Poset, p: Condition, n: int, a) -> Condition:
     if a in p.domain and p.depth >= n:
         return p
     depth = max(p.depth, n)
-    f = {}
-    for b in p.domain:
-        f[b] = p.seq(b) + (0,) * (depth - p.depth)
+    zeros = (0,) * (depth - p.depth)
+    f = {b: s + zeros for b, s in p._f.items()}
     if a not in p.domain:
-        vals = tuple(_max_rule(ground, {b: p.seq(b) for b in p.domain},
-                               p.domain, a, j)
-                     for j in range(p.depth))
-        f[a] = vals + (0,) * (depth - p.depth)
+        f[a] = _max_pad(ground, p._f, p.domain, a, 0, p.depth) + zeros
     return Condition(p.domain | {a}, depth, f)
 
 
@@ -198,17 +201,22 @@ def extend_into_E(ground: Poset, p: Condition, n: int, a, b) -> Condition:
     """
     if ground.leq(b, a):
         raise PreconditionError("defined only when b is not below a")
-    q = extend_into_D(ground, extend_into_D(ground, p, 0, a), 0, b)
-    if any(q.seq(a)[k] < q.seq(b)[k] for k in range(n, q.depth)):
-        return q
-    dom = sorted(q.domain)
-    k = max(n, q.depth, len(dom) + 2)
-    ranks = {e: r for r, e in enumerate(linear_extension(ground, dom, before=(a, b)))}
-    f = {}
-    for e in dom:
-        tail = tuple(ranks[e] if j >= len(dom) else 0
-                     for j in range(q.depth, k + 1))
-        f[e] = q.seq(e) + tail
+    q = p
+    for e in (a, b):
+        if e not in q.domain:
+            q = extend_into_D(ground, q, 0, e)
+    qa, qb = q._f[a], q._f[b]
+    for k in range(n, q.depth):
+        if qa[k] < qb[k]:
+            return q
+    size = len(q.domain)
+    k = max(n, q.depth, size + 2)
+    # coordinates q.depth..k: zero below size, where a rank may not fit the
+    # bound, and the rank from size on
+    zeros = (0,) * max(0, size - q.depth)
+    width = k + 1 - max(q.depth, size)
+    order = linear_extension(ground, q.domain, before=(a, b))
+    f = {e: q._f[e] + zeros + (r,) * width for r, e in enumerate(order)}
     return Condition(q.domain, k + 1, f)
 
 
@@ -255,12 +263,17 @@ def default_schedule(ground: Poset, budget: int):
     """Domain/depth requests first, then strict-witness requests, each in
     lexicographic (n, elements) order."""
     reqs = [("D", n, a) for n in range(budget + 1) for a in ground.elements]
-    for n in range(budget + 1):
-        for a in ground.elements:
-            for b in ground.elements:
-                if a != b and not ground.leq(b, a):
-                    reqs.append(("E", n, a, b))
+    pairs = _witness_pairs(ground)
+    reqs.extend(("E", n, a, b) for n in range(budget + 1) for a, b in pairs)
     return reqs
+
+
+def _witness_pairs(ground: Poset):
+    """Ordered pairs (a, b) with a != b and b not below a, lexicographic."""
+    below = set(ground.strict_pairs())
+    els = ground.elements
+    return [(a, b) for a in els for b in els
+            if a != b and (b, a) not in below]
 
 
 def generic_build(ground: Poset, budget: int, schedule=None) -> GenericEmbedding:
@@ -274,41 +287,38 @@ def generic_build(ground: Poset, budget: int, schedule=None) -> GenericEmbedding
     """
     if schedule is None:
         schedule = default_schedule(ground, budget)
+    els = frozenset(ground.elements)
     p = EMPTY_CONDITION
     entry_depth = {}
     for req in schedule:
         kind = req[0]
         if kind == "D":
             _, n, a = req
-            if a not in ground:
-                raise ScheduleError(f"element {a!r} not in the ground order")
-            p = extend_into_D(ground, p, n, a)
+            p = extend_into_D(ground, p, n, a)  # ScheduleError outside ground
             entry_depth.setdefault(a, p.depth)
         elif kind == "E":
             _, n, a, b = req
-            if a not in ground or b not in ground:
+            if a not in els or b not in els:
                 raise ScheduleError("strict-witness request outside the ground order")
             p = extend_into_E(ground, p, n, a, b)
             entry_depth.setdefault(a, p.depth)
             entry_depth.setdefault(b, p.depth)
         else:
             raise ScheduleError(f"unknown request kind {kind!r}")
-    missing = set(ground.elements) - p.domain
+    missing = els - p.domain
     if missing:
         raise ScheduleError(f"schedule never introduced elements {sorted(missing)}")
-    values = {a: position_seq(p.seq(a)) for a in ground.elements}
+    f = p._f
+    values = {a: position_seq(f[a]) for a in ground.elements}
     thresholds = {}
     for a in ground.elements:
         for b in ground.elements:
             if a < b:
                 thresholds[frozenset((a, b))] = max(entry_depth[a], entry_depth[b])
     witnesses = {}
-    for a in ground.elements:
-        for b in ground.elements:
-            if a != b and not ground.leq(b, a):
-                ws = tuple(k for k in range(p.depth)
-                           if p.seq(a)[k] < p.seq(b)[k])
-                witnesses[(a, b)] = ws
+    for a, b in _witness_pairs(ground):
+        fa, fb = f[a], f[b]
+        witnesses[(a, b)] = tuple(k for k in range(p.depth) if fa[k] < fb[k])
     return GenericEmbedding(ground, budget, values, thresholds, witnesses)
 
 

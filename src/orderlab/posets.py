@@ -18,10 +18,14 @@ class Poset:
 
     ``rows[i]`` has bit ``j`` set iff ``elements[i] < elements[j]``.  The
     relation is transitively closed, irreflexive and (hence) antisymmetric.
-    Instances are immutable and safe to share.
+    Instances are immutable and safe to share; ``strict_pairs``, the
+    up-sets and the down-set bitsets are computed on first use and cached
+    on the instance.
     """
 
-    __slots__ = ("elements", "_index", "_rows")
+    # the three cache slots stay unset until first use, so construction
+    # pays nothing for them
+    __slots__ = ("elements", "_index", "_rows", "_pairs", "_ups", "_downs")
 
     def __init__(self, elements, rows, _validated=False):
         self.elements = tuple(sorted(elements))
@@ -65,7 +69,11 @@ class Poset:
         return a in self._index
 
     def lt(self, a, b):
-        return bool(self._rows[self.index_of(a)] >> self.index_of(b) & 1)
+        index = self._index
+        try:
+            return bool(self._rows[index[a]] >> index[b] & 1)
+        except KeyError as e:
+            raise DomainError(f"element {e.args[0]!r} not in poset") from None
 
     def leq(self, a, b):
         return a == b or self.lt(a, b)
@@ -81,6 +89,14 @@ class Poset:
                 row &= row - 1
         return out
 
+    def strict_pairs(self):
+        """``pairs()`` as a tuple, computed on first use and cached."""
+        try:
+            return self._pairs
+        except AttributeError:
+            self._pairs = tuple(self.pairs())
+            return self._pairs
+
     def down_set(self, a):
         """Elements strictly below a."""
         i = self.index_of(a)
@@ -88,9 +104,29 @@ class Poset:
                          if self._rows[j] >> i & 1)
 
     def up_set(self, a):
-        i = self.index_of(a)
-        row = self._rows[i]
-        return frozenset(e for j, e in enumerate(self.elements) if row >> j & 1)
+        """Elements strictly above a; cached per instance."""
+        try:
+            ups = self._ups
+        except AttributeError:
+            els = self.elements
+            ups = self._ups = tuple(
+                frozenset(e for j, e in enumerate(els) if row >> j & 1)
+                for row in self._rows)
+        return ups[self.index_of(a)]
+
+    def _down_rows(self):
+        """Per index i, the bitset of indices strictly below it; cached."""
+        try:
+            return self._downs
+        except AttributeError:
+            downs = [0] * len(self.elements)
+            for i, row in enumerate(self._rows):
+                while row:
+                    low = row & -row
+                    downs[low.bit_length() - 1] |= 1 << i
+                    row ^= low
+            self._downs = tuple(downs)
+            return self._downs
 
     def matrix(self):
         n = len(self.elements)
@@ -296,37 +332,36 @@ def linear_extension(p: Poset, subset=None, before=None):
 
     Deterministic: smallest available id first.
     """
-    elems = sorted(subset) if subset is not None else list(p.elements)
-    succ = {a: set() for a in elems}
-    indeg = {a: 0 for a in elems}
-    eset = set(elems)
-    for a in elems:
-        for b in p.up_set(a):
-            if b in eset:
-                succ[a].add(b)
-                indeg[b] += 1
+    if subset is None:
+        idx = range(len(p.elements))
+    else:
+        idx = [p.index_of(e) for e in subset]
+    left = 0
+    for i in idx:
+        left |= 1 << i
+    below = p._down_rows()
     if before is not None:
         a, b = before
         if p.lt(b, a) or a == b:
             raise CycleError("requested pair contradicts the order")
-        if b not in succ[a]:
-            succ[a].add(b)
-            indeg[b] += 1
+        ia, ib = p._index[a], p._index[b]
+        if not (left >> ia & 1 and left >> ib & 1):
+            raise DomainError("requested pair lies outside the subset")
+        below = list(below)
+        below[ib] |= 1 << ia
     out = []
-    avail = sorted(a for a in elems if indeg[a] == 0)
-    while avail:
-        a = avail.pop(0)
-        out.append(a)
-        changed = False
-        for b in succ[a]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                avail.append(b)
-                changed = True
-        if changed:
-            avail.sort()
-    if len(out) != len(elems):
-        raise CycleError("no linear extension exists")
+    while left:
+        # the smallest element with nothing left below it comes next
+        r = left
+        while r:
+            low = r & -r
+            if not below[low.bit_length() - 1] & left:
+                break
+            r ^= low
+        else:
+            raise CycleError("no linear extension exists")
+        out.append(p.elements[low.bit_length() - 1])
+        left ^= low
     return out
 
 

@@ -16,7 +16,7 @@ import itertools
 from functools import reduce
 
 from .errors import ArityError, BudgetError, FilterError, FormulaError
-from .fol import Atom, FiniteStructure, Not, eval_pair, pair_sorts
+from .fol import Atom, FiniteStructure, Not, eval_pair, eval_qf, pair_sorts
 
 
 class FilterFamily:
@@ -209,17 +209,25 @@ EXACT_SEARCH_BOUND = 10_000
 
 
 def _strict_pair_digraph(s: FiniteStructure, phi):
-    xs, _ = pair_sorts(phi)
+    xs, ys = pair_sorts(phi)
     k = len(xs)
+    if len(ys) != k:
+        raise ArityError("tuple length differs from the formula sort")
     tuples = list(itertools.product(s.universe, repeat=k))
     if len(tuples) > EXACT_SEARCH_BOUND:
         raise BudgetError(f"{len(tuples)} tuples exceed the exact-search bound")
+
+    def holds(left, right):
+        assignment = dict(zip(xs, left))
+        assignment.update(zip(ys, right))
+        return eval_qf(s, phi, assignment)
+
     above = [0] * len(tuples)
     for i, a in enumerate(tuples):
         for j in range(i + 1, len(tuples)):
             b = tuples[j]
-            ab = eval_pair(s, phi, a, b)
-            ba = eval_pair(s, phi, b, a)
+            ab = holds(a, b)
+            ba = holds(b, a)
             if ab and not ba:
                 above[i] |= 1 << j
             elif ba and not ab:

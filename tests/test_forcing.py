@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from orderlab.checks import random_condition, random_extension, random_root_family
+from orderlab.checks import (_enumerate_conditions, random_condition,
+                             random_extension, random_root_family)
 from orderlab.errors import (AgreementError, AmalgamationError,
                              ChainTooShortError, DepthError, HypothesisError,
                              PreconditionError, RootError, ScheduleError)
@@ -14,7 +17,8 @@ from orderlab.forcing import (Condition, EMPTY_CONDITION,
                               quotient_member, split_project, SplitInstance,
                               verify_generic_embedding)
 from orderlab.fol import linear_order_structure, parse_formula
-from orderlab.posets import make_poset
+from orderlab.posets import (enumerate_poset_isotypes, linear_extension,
+                             make_poset)
 from orderlab.seqspace import eta, leq_from
 
 
@@ -294,3 +298,107 @@ def test_split_density_suites():
 def test_condition_json_round_trip():
     p = Condition({0, 2}, 3, {0: (0, 0, 1), 2: (0, 0, 0)})
     assert Condition.from_json_dict(p.to_json_dict()) == p
+
+
+# --- reference oracles: the per-element implementations the index-native
+# --- condition calculus replaced
+
+def ref_extends(ground, p, q):
+    if not (p.domain >= q.domain and p.depth >= q.depth):
+        return False
+    for a in q.domain:
+        if p.seq(a)[:q.depth] != q.seq(a):
+            return False
+    for a in q.domain:
+        for b in q.domain:
+            if a != b and ground.leq(a, b):
+                pa, pb = p.seq(a), p.seq(b)
+                if any(pa[j] > pb[j] for j in range(q.depth, p.depth)):
+                    return False
+    return True
+
+
+def ref_max_rule(ground, f, domain, a, j):
+    best = 0
+    for b in domain:
+        if ground.leq(b, a) and f[b][j] > best:
+            best = f[b][j]
+    return best
+
+
+def ref_extend_into_D(ground, p, n, a):
+    if a in p.domain and p.depth >= n:
+        return p
+    depth = max(p.depth, n)
+    f = {b: p.seq(b) + (0,) * (depth - p.depth) for b in p.domain}
+    if a not in p.domain:
+        vals = tuple(ref_max_rule(ground, {b: p.seq(b) for b in p.domain},
+                                  p.domain, a, j) for j in range(p.depth))
+        f[a] = vals + (0,) * (depth - p.depth)
+    return Condition(p.domain | {a}, depth, f)
+
+
+def ref_extend_into_E(ground, p, n, a, b):
+    q = ref_extend_into_D(ground, ref_extend_into_D(ground, p, 0, a), 0, b)
+    if any(q.seq(a)[k] < q.seq(b)[k] for k in range(n, q.depth)):
+        return q
+    dom = sorted(q.domain)
+    k = max(n, q.depth, len(dom) + 2)
+    ranks = {e: r for r, e in enumerate(linear_extension(ground, dom, before=(a, b)))}
+    f = {}
+    for e in dom:
+        tail = tuple(ranks[e] if j >= len(dom) else 0
+                     for j in range(q.depth, k + 1))
+        f[e] = q.seq(e) + tail
+    return Condition(q.domain, k + 1, f)
+
+
+def test_extends_matches_reference_on_small_grids():
+    # depth 3 is the first depth at which a coordinate takes two values, so
+    # the monotonicity clause can fail
+    verdicts = {True: 0, False: 0}
+    for n in range(1, 4):
+        for ground in enumerate_poset_isotypes(n):
+            conds = list(_enumerate_conditions(ground, 3))
+            for p in conds:
+                for q in conds:
+                    want = ref_extends(ground, p, q)
+                    assert extends(ground, p, q) == want, (ground, p, q)
+                    verdicts[want] += 1
+    assert min(verdicts.values()) > 1000
+
+
+def test_entry_operations_match_reference_on_small_grids():
+    for n in range(1, 4):
+        for ground in enumerate_poset_isotypes(n):
+            els = ground.elements
+            for p in _enumerate_conditions(ground, 3):
+                for m in range(5):
+                    for a in els:
+                        assert extend_into_D(ground, p, m, a) == \
+                            ref_extend_into_D(ground, p, m, a)
+                        for b in els:
+                            if a != b and not ground.leq(b, a):
+                                assert extend_into_E(ground, p, m, a, b) == \
+                                    ref_extend_into_E(ground, p, m, a, b)
+
+
+# sha256 of the read-off of generic_build for every isotype with n <= 5 at
+# budget 8, recorded from the per-element implementation of the calculus
+GENERIC_BUILD_DIGEST = "fcd39e49fd1c9f55f7ff5c2fc7aa75a2d2aed94d6c27f09733e04c6bded444f4"
+
+
+def test_generic_build_output_is_pinned():
+    records = []
+    for n in range(6):
+        for idx, g in enumerate(enumerate_poset_isotypes(n)):
+            ge = generic_build(g, 8)
+            records.append([
+                n, idx,
+                sorted([a, list(v.vals)] for a, v in ge.values.items()),
+                sorted([sorted(k), t] for k, t in ge.thresholds.items()),
+                sorted([list(k), list(w)] for k, w in ge.strict_witnesses.items()),
+            ])
+    assert len(records) == 1 + 1 + 2 + 5 + 16 + 63
+    blob = json.dumps(records, separators=(",", ":"), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == GENERIC_BUILD_DIGEST

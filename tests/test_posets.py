@@ -154,3 +154,109 @@ def test_json_round_trip():
     p = make_poset(range(5), {(0, 3), (3, 4), (1, 2)})
     again = Poset.from_json_dict(p.to_json_dict())
     assert again == p
+
+
+# --- reference oracles: the dict-based queries the bitset code replaced ------
+
+def ref_lt(p, a, b):
+    return bool(p._rows[p.index_of(a)] >> p.index_of(b) & 1)
+
+
+def ref_leq(p, a, b):
+    return a == b or ref_lt(p, a, b)
+
+
+def ref_up_set(p, a):
+    row = p._rows[p.index_of(a)]
+    return frozenset(e for j, e in enumerate(p.elements) if row >> j & 1)
+
+
+def ref_linear_extension(p, subset=None, before=None):
+    elems = sorted(subset) if subset is not None else list(p.elements)
+    succ = {a: set() for a in elems}
+    indeg = {a: 0 for a in elems}
+    eset = set(elems)
+    for a in elems:
+        for b in ref_up_set(p, a):
+            if b in eset:
+                succ[a].add(b)
+                indeg[b] += 1
+    if before is not None:
+        a, b = before
+        if ref_lt(p, b, a) or a == b:
+            raise CycleError("requested pair contradicts the order")
+        if b not in succ[a]:
+            succ[a].add(b)
+            indeg[b] += 1
+    out = []
+    avail = sorted(a for a in elems if indeg[a] == 0)
+    while avail:
+        a = avail.pop(0)
+        out.append(a)
+        changed = False
+        for b in succ[a]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                avail.append(b)
+                changed = True
+        if changed:
+            avail.sort()
+    if len(out) != len(elems):
+        raise CycleError("no linear extension exists")
+    return out
+
+
+def relabelled_isotypes(max_n):
+    """Every isotype up to max_n, once as is and once over the sparse ids
+    3, 7, 11, ... so that element ids differ from row indices."""
+    for n in range(max_n + 1):
+        for p in enumerate_poset_isotypes(n):
+            yield p
+            ids = [3 + 4 * i for i in range(n)][::-1]
+            yield make_poset(ids, [(ids[a], ids[b]) for a, b in p.pairs()])
+
+
+def test_queries_match_reference():
+    for p in relabelled_isotypes(4):
+        for a in p.elements:
+            assert p.up_set(a) == ref_up_set(p, a)
+            for b in p.elements:
+                assert p.lt(a, b) == ref_lt(p, a, b)
+                assert p.leq(a, b) == ref_leq(p, a, b)
+        assert p.strict_pairs() == tuple(
+            (a, b) for a in p.elements for b in p.elements if ref_lt(p, a, b))
+
+
+def test_linear_extension_matches_reference():
+    checked = 0
+    for p in relabelled_isotypes(4):
+        assert linear_extension(p) == ref_linear_extension(p)
+        for r in range(len(p) + 1):
+            for sub in itertools.combinations(p.elements, r):
+                assert linear_extension(p, sub) == ref_linear_extension(p, sub)
+                for a in sub:
+                    for b in sub:
+                        if a == b or p.lt(b, a):
+                            continue
+                        got = linear_extension(p, sub, before=(a, b))
+                        assert got == ref_linear_extension(p, sub, before=(a, b))
+                        checked += 1
+    assert checked > 1000
+
+
+def test_caches_fill_on_first_use():
+    p = make_poset(range(4), {(0, 1), (1, 3)})
+    assert not any(hasattr(p, s) for s in ("_pairs", "_ups", "_downs"))
+    assert p.strict_pairs() is p.strict_pairs()
+    assert p.up_set(0) is p.up_set(0) == frozenset({1, 3})
+
+
+def test_out_of_poset_elements_raise_domain_error():
+    p = make_poset(range(3), {(0, 1)})
+    for call in (lambda: p.lt(0, 9), lambda: p.lt(9, 0),
+                 lambda: p.leq(0, 9), lambda: p.leq(9, 0),
+                 lambda: p.up_set(9),
+                 lambda: linear_extension(p, [0, 9]),
+                 lambda: linear_extension(p, [0, 1], before=(0, 2))):
+        with pytest.raises(DomainError):
+            call()
