@@ -192,7 +192,6 @@ def check_salient(n_max=12):
     t0 = time.perf_counter()
     failures = []
     cases = 0
-    lane = _kernels.ACTIVE_LANE
     for n in range(1, n_max + 1):
         e = eta(n)
         s = sum(j * eta(j) for j in range(n))
@@ -204,7 +203,7 @@ def check_salient(n_max=12):
         cases += m_max + 1
         if bad:
             failures.append({"n": n, "violations": bad})
-    return _result("salient-inequality", failures, cases, t0, lane=lane)
+    return _result("salient-inequality", failures, cases, t0)
 
 
 def check_universal_witness(universe=13, max_size=5):

@@ -13,8 +13,8 @@ m: a comparison holds from m iff it holds at every coordinate m <= j < N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ProfileError
 
@@ -77,17 +77,15 @@ def position_seq(vals):
     return SeqFun(position_profile(len(vals)), tuple(vals))
 
 
-@lru_cache(maxsize=None)
 def eta(n):
     """The recursion eta(0) = 1, eta(n+1) = sum_{j<=n} j*eta(j) + 1.
 
-    Grows factorially; plain Python integers keep it exact.
+    Consecutive terms differ by n*eta(n), so eta(n+1) = (n+1)*eta(n) and
+    eta(n) = n!; the factorial is exact on plain Python integers.
     """
     if n < 0:
         raise ValueError("eta is defined on n >= 0")
-    if n == 0:
-        return 1
-    return sum(j * eta(j) for j in range(n)) + 1
+    return math.factorial(n)
 
 
 def eta_table(n):

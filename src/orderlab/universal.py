@@ -11,13 +11,16 @@ chosen images, images of chains grow like towers of 3: a five-element chain
 already outruns any materialised bignum.  SparseNat keeps such numbers
 exact as sparse base-3 supports whose positions are again sparse numbers;
 all operations here accept plain ints and SparseNats interchangeably and
-return plain ints whenever the value fits.
+return plain ints whenever the value fits.  Values below 2^63 travel as
+plain ints: a SparseNat without a small form is at least 2^63, so the two
+are compared without converting either side.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import total_ordering
+import sys
+from functools import cmp_to_key, total_ordering
 
 from .errors import DisjointnessError
 from .posets import OrderMap, RelStructure
@@ -30,6 +33,14 @@ class Rel(enum.Enum):
 
 
 _SMALL_LIMIT = 1 << 63
+# witness() adds plain powers of 3 when every position is an int below
+# this: the sum stays below 3^40, and one of 2^63 or more goes the sparse way
+_INT_POSITIONS = 40
+_HASH_MODULUS = sys.hash_info.modulus
+# direction of (m, n) by the digit of the larger at the smaller's position,
+# when m is the smaller and when m is the larger
+_DIRS_UP = (Rel.UNRELATED, Rel.FORWARD, Rel.BACKWARD)
+_DIRS_DOWN = (Rel.UNRELATED, Rel.BACKWARD, Rel.FORWARD)
 
 
 @total_ordering
@@ -38,7 +49,8 @@ class SparseNat:
 
     ``support`` holds (position, digit) pairs with digit in {1, 2}, sorted
     by descending position; positions are ints or SparseNats.  Zero is the
-    empty support.
+    empty support.  ``small()`` is the plain-int value exactly when it is
+    below 2^63.
     """
 
     __slots__ = ("support", "_small")
@@ -48,9 +60,11 @@ class SparseNat:
         for pos, d in sup:
             if d not in (1, 2):
                 raise ValueError("digits must be 1 or 2")
-        self.support = tuple(sorted(sup, key=lambda it: _PosKey(it), reverse=True))
+            if not isinstance(pos, SparseNat) and pos < 0:
+                raise ValueError("naturals only")
+        self.support = tuple(sorted(sup, key=_POS_KEY, reverse=True))
         for (p, _), (q, _) in zip(self.support, self.support[1:]):
-            if _pos_eq(p, q):
+            if _compare(p, q) == 0:
                 raise ValueError("duplicate positions in the support")
         self._small = self._compute_small()
 
@@ -84,7 +98,7 @@ class SparseNat:
 
     def digit_at(self, pos):
         for q, d in self.support:
-            if _pos_eq(q, pos):
+            if _compare(q, pos) == 0:
                 return d
         return 0
 
@@ -93,7 +107,7 @@ class SparseNat:
         without overflowing a digit (carries handled)."""
         cur = self.digit_at(pos)
         total = cur + digit
-        rest = [(q, d) for q, d in self.support if not _pos_eq(q, pos)]
+        rest = [(q, d) for q, d in self.support if _compare(q, pos) != 0]
         if total <= 2:
             return SparseNat(rest + [(pos, total)])
         # carry: digit 3 -> 0 carry 1, digit 4 -> 1 carry 1
@@ -105,21 +119,24 @@ class SparseNat:
         return self.add_power(0, 1)
 
     def __eq__(self, other):
-        other = as_nat(other)
-        if self._small is not None and other._small is not None:
-            return self._small == other._small
-        return _cmp(self, other) == 0
+        if not isinstance(other, (int, SparseNat)):
+            return NotImplemented
+        return _compare(self, other) == 0
 
     def __lt__(self, other):
-        other = as_nat(other)
-        if self._small is not None and other._small is not None:
-            return self._small < other._small
-        return _cmp(self, other) < 0
+        if not isinstance(other, (int, SparseNat)):
+            return NotImplemented
+        return _compare(self, other) < 0
 
     def __hash__(self):
         if self._small is not None:
             return hash(self._small)
-        return hash(tuple((hash(as_nat(p)), d) for p, d in self.support))
+        if all(_small_of(p) is not None for p, _ in self.support):
+            # a plain int may hold this value: hash as Python hashes it
+            return sum(d * pow(3, _small_of(p), _HASH_MODULUS)
+                       for p, d in self.support) % _HASH_MODULUS
+        # at least 3^(2^63), beyond any plain int
+        return hash(tuple((hash(p), d) for p, d in self.support))
 
     def __int__(self):
         if self._small is None:
@@ -141,37 +158,33 @@ class SparseNat:
                         for pos, d in self.support]}
 
 
-class _PosKey:
-    """Sort key wrapper so int and SparseNat positions order together."""
-
-    __slots__ = ("pos",)
-
-    def __init__(self, item):
-        self.pos = item[0]
-
-    def __lt__(self, other):
-        return _pos_lt(self.pos, other.pos)
-
-    def __eq__(self, other):
-        return _pos_eq(self.pos, other.pos)
-
-
 def as_nat(x):
     if isinstance(x, SparseNat):
         return x
     return SparseNat.from_int(x)
 
 
-def _pos_eq(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    return as_nat(a) == as_nat(b)
+def _small_of(x):
+    """x as a plain int when it is below 2^63, else None."""
+    if isinstance(x, SparseNat):
+        return x._small
+    return x if x < _SMALL_LIMIT else None
 
 
-def _pos_lt(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return a < b
-    return as_nat(a) < as_nat(b)
+def _compare(a, b):
+    """-1, 0 or 1 as a is below, equal to or above b, for ints and
+    SparseNats alike.  Only two values of at least 2^63 are walked."""
+    if type(a) is int and type(b) is int:
+        return (a > b) - (a < b)
+    sa, sb = _small_of(a), _small_of(b)
+    if sa is not None and sb is not None:
+        return (sa > sb) - (sa < sb)
+    if sa is not None or sb is not None:
+        return -1 if sa is not None else 1
+    return _cmp(as_nat(a), as_nat(b))
+
+
+_POS_KEY = cmp_to_key(lambda x, y: _compare(x[0], y[0]))
 
 
 def _succ(pos):
@@ -185,8 +198,9 @@ def _cmp(a: SparseNat, b: SparseNat):
     """Base-3 comparison of sparse supports, top position first."""
     sa, sb = a.support, b.support
     for (pa, da), (pb, db) in zip(sa, sb):
-        if not _pos_eq(pa, pb):
-            return 1 if _pos_lt(pb, pa) else -1
+        c = _compare(pa, pb)
+        if c:
+            return c
         if da != db:
             return 1 if da > db else -1
     if len(sa) != len(sb):
@@ -202,33 +216,43 @@ def _as_small_or_nat(x):
     return x
 
 
+def _require_naturals(*xs):
+    for x in xs:
+        if not isinstance(x, SparseNat) and x < 0:
+            raise ValueError("naturals only")
+
+
 def ternary_digit(n, m):
     """Digit of n at base-3 position m."""
-    if isinstance(n, int) and isinstance(m, int):
-        if m >= n.bit_length():  # 3^m > 2^m > n
-            return 0
-        return (n // 3 ** m) % 3
-    return as_nat(n).digit_at(m if isinstance(m, int) else as_nat(m))
+    _require_naturals(n, m)
+    n, m = _as_small_or_nat(n), _as_small_or_nat(m)
+    if isinstance(n, SparseNat):
+        return n.digit_at(m)
+    if isinstance(m, SparseNat):
+        return 0  # m is at least 2^63, so 3^m exceeds any plain int n
+    if m >= n.bit_length():  # 3^m > 2^m > n
+        return 0
+    return n // 3 ** m % 3
 
 
 def rel(m, n) -> Rel:
     """Direction of the pair (m, n); Unrelated when m == n."""
-    if isinstance(m, int) and isinstance(n, int):
-        if m == n:
-            return Rel.UNRELATED
+    if type(m) is int and type(n) is int:
+        if m < 0 or n < 0:
+            raise ValueError("naturals only")
+        # the digit read inline, as in ternary_digit: this is the hot call
         if m < n:
-            d = ternary_digit(n, m)
-            return (Rel.UNRELATED, Rel.FORWARD, Rel.BACKWARD)[d]
-        d = ternary_digit(m, n)
-        return (Rel.UNRELATED, Rel.BACKWARD, Rel.FORWARD)[d]
-    a, b = as_nat(m), as_nat(n)
-    if a == b:
+            return _DIRS_UP[n // 3 ** m % 3] if m < n.bit_length() else Rel.UNRELATED
+        if n < m:
+            return _DIRS_DOWN[m // 3 ** n % 3] if n < m.bit_length() else Rel.UNRELATED
         return Rel.UNRELATED
-    if a < b:
-        d = b.digit_at(_as_small_or_nat(a))
-        return (Rel.UNRELATED, Rel.FORWARD, Rel.BACKWARD)[d]
-    d = a.digit_at(_as_small_or_nat(b))
-    return (Rel.UNRELATED, Rel.BACKWARD, Rel.FORWARD)[d]
+    _require_naturals(m, n)
+    c = _compare(m, n)
+    if c == 0:
+        return Rel.UNRELATED
+    if c < 0:
+        return _DIRS_UP[ternary_digit(n, m)]
+    return _DIRS_DOWN[ternary_digit(m, n)]
 
 
 def witness(f_set, g_set):
@@ -236,9 +260,18 @@ def witness(f_set, g_set):
     g_set, and unrelated to every other smaller number: digit 1 at the
     f-positions and digit 2 at the g-positions."""
     f_set, g_set = list(f_set), list(g_set)
+    if all(type(x) is int and 0 <= x < _INT_POSITIONS for x in f_set + g_set):
+        fs, gs = set(f_set), set(g_set)
+        if fs & gs:
+            raise DisjointnessError("the two prescribed sets overlap")
+        if len(fs) < len(f_set) or len(gs) < len(g_set):
+            raise ValueError("duplicate positions in the support")
+        n = sum(3 ** x for x in fs) + 2 * sum(3 ** x for x in gs)
+        if n < _SMALL_LIMIT:
+            return n
     for x in f_set:
         for y in g_set:
-            if as_nat(x) == as_nat(y):
+            if _compare(x, y) == 0:
                 raise DisjointnessError("the two prescribed sets overlap")
     out = SparseNat([(_as_small_or_nat(x), 1) for x in f_set]
                     + [(_as_small_or_nat(x), 2) for x in g_set])
@@ -250,15 +283,17 @@ def witness_above(f_set, g_set, bound):
     position above both bound and the prescribed sets (that position is
     never itself prescribed, so the digit pattern survives and the result
     exceeds bound)."""
-    base = as_nat(witness(f_set, g_set))
-    items = [as_nat(x) for x in list(f_set) + list(g_set)]
-    top = as_nat(bound)
-    for x in items:
-        if top < x:
+    _require_naturals(bound)
+    f_set, g_set = list(f_set), list(g_set)
+    base = witness(f_set, g_set)
+    top = bound
+    for x in f_set + g_set:
+        if _compare(top, x) < 0:
             top = x
     p = _succ(_as_small_or_nat(top))
-    out = base.add_power(p, 1)
-    return _as_small_or_nat(out)
+    if type(base) is int and type(p) is int and p < _INT_POSITIONS:
+        return base + 3 ** p  # base < 3^p, so the sum is below 2 * 3^39
+    return _as_small_or_nat(as_nat(base).add_power(p, 1))
 
 
 def embed_structure(s: RelStructure) -> OrderMap:
@@ -283,7 +318,7 @@ def embed_structure(s: RelStructure) -> OrderMap:
 
 def verify_embedding(s: RelStructure, om: OrderMap) -> bool:
     """Exact roundtrip: the induced relation on the images equals s."""
-    imgs = [as_nat(om.images[x]) for x in s.universe]
+    imgs = [om.images[x] for x in s.universe]
     for i, a in enumerate(imgs):
         for b in imgs[i + 1:]:
             if a == b:

@@ -1,8 +1,7 @@
 """The blocked numpy inequality sweep against the plain-integer oracle.
 
-The numpy lane is tested directly, so these run whether or not numba is
-installed.  With e <= s every coefficient violates, so a coefficient
-dropped or counted twice at a block edge changes the count.
+With e <= s every coefficient violates, so a coefficient dropped or
+counted twice at a block edge changes the count.
 """
 
 import pytest
@@ -25,6 +24,6 @@ BLOCK = _kernels.SWEEP_BLOCK
 ])
 def test_blocked_sweep_matches_bigint(width, e, s, all_violate):
     m_max = width - 1
-    got = _kernels.salient_violations_numpy(e, s, m_max)
+    got = _kernels.salient_violations(e, s, m_max)
     assert got == _kernels.salient_violations_bigint(e, s, m_max)
     assert got == (width if all_violate else 0)

@@ -10,10 +10,13 @@ from orderlab.seqspace import (BoundProfile, SeqFun, eta, eta_profile,
                                position_profile, position_seq, salient_check)
 
 
-def eta_oracle(n):
-    # independent evaluation through the closed form: the recursion
-    # telescopes to the factorial for n >= 1
-    return 1 if n == 0 else math.factorial(n)
+def eta_recursion(n_max):
+    # the defining recursion eta(0) = 1, eta(n+1) = sum_{j<=n} j*eta(j) + 1,
+    # independent of the closed form the package uses
+    vals = [1]
+    for n in range(n_max - 1):
+        vals.append(sum(j * v for j, v in enumerate(vals)) + 1)
+    return vals
 
 
 def test_eta_frozen_values():
@@ -21,11 +24,15 @@ def test_eta_frozen_values():
     assert eta(2) == 2
     assert eta(4) == 24
     assert eta_table(5) == [1, 1, 2, 6, 24]
+    with pytest.raises(ValueError):
+        eta(-1)
 
 
 def test_eta_matches_independent_oracle():
-    for n in range(14):
-        assert eta(n) == eta_oracle(n)
+    # the salient inequality then reads n! > n! - 1
+    for n, want in enumerate(eta_recursion(60)):
+        assert eta(n) == want == math.factorial(n)
+        assert sum(j * eta(j) for j in range(n)) == math.factorial(n) - 1
 
 
 def test_salient_examples_and_small_exhaustion():
