@@ -72,9 +72,9 @@ def _cmd_walk(args, digests):
         lx = inst.level(args.x)
         ascending = lx == min(s)
         start = args.x if ascending else args.y
-        reach = frontier_sweep(inst, sorted(s), [start], ascending)
-        body = {"walk": None,
-                "frontier": [sorted(level.keys()) for level in reach]}
+        reach = frontier_sweep(inst, sorted(set(s)),
+                               1 << inst.order.index_of(start), ascending)
+        body = {"walk": None, "frontier": [inst.members(m) for m in reach]}
         return body, [{"name": "walk-search", "ok": True, "found": False}]
     body = {"walk": {"s": list(walk.s), "direction": walk.direction,
                      "steps": {str(k): v for k, v in walk.steps.items()}}}

@@ -6,9 +6,11 @@ The depleted relation over an index subset s keeps x <= y only when it is
 witnessed inside a single part, through a core interpolant, or by a walk
 stepping through every fiber of s between the endpoint levels.
 
-Walks are found by layered reachability: propagate a frontier of fiber
-elements level by level, following the ambient order upward (ascending) or
-downward (descending).
+Walks are found by layered reachability over bitsets: the instance keeps
+its core and each fiber as a mask over the order's element indices, and
+``frontier_sweep`` propagates a frontier mask level by level, following the
+ambient order upward (ascending) or downward (descending).  Every walk
+question below is answered by that one routine.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ class DepletionInstance:
     exactly; at least two labels are required.
     """
 
-    __slots__ = ("labels", "core", "fibers", "order", "_level")
+    __slots__ = ("labels", "core", "fibers", "order", "_level",
+                 "_core_mask", "_fiber_masks")
 
     def __init__(self, labels, core, fibers, order: Poset):
         self.labels = tuple(sorted(labels))
@@ -39,14 +42,24 @@ class DepletionInstance:
         self.core = frozenset(core)
         self.fibers = {xi: frozenset(fibers[xi]) for xi in self.labels}
         self.order = order
+        # the bitset view: the core and each fiber as a mask over the
+        # order's element indices
+        index = order._index
         self._level = {}
-        for x in self.core:
-            self._level[x] = None
-        for xi in self.labels:
-            for x in self.fibers[xi]:
+        self._core_mask = 0
+        self._fiber_masks = {}
+        for xi, part in [(None, self.core)] + [(xi, self.fibers[xi]) for xi in self.labels]:
+            mask = 0
+            for x in part:
                 if x in self._level:
                     raise MembershipError(f"element {x!r} occurs in two parts")
                 self._level[x] = xi
+                if x in index:  # otherwise the carrier check below fails
+                    mask |= 1 << index[x]
+            if xi is None:
+                self._core_mask = mask
+            else:
+                self._fiber_masks[xi] = mask
         if set(self._level) != set(order.elements):
             raise MembershipError("order carrier differs from the union of parts")
 
@@ -64,8 +77,18 @@ class DepletionInstance:
             out |= self.fibers[xi]
         return frozenset(out)
 
+    def members(self, mask):
+        """The elements whose order indices are set in mask, ascending."""
+        els = self.order.elements
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(els[low.bit_length() - 1])
+            mask ^= low
+        return out
+
     def _check_subset(self, s):
-        s = tuple(sorted(s))
+        s = tuple(sorted(set(s)))
         for xi in s:
             if xi not in self.fibers:
                 raise IndexLabelError(f"unknown index label {xi!r}")
@@ -129,33 +152,47 @@ def restrict_walk(walk: Walk, s) -> Walk:
     return Walk(s, {xi: walk.steps[xi] for xi in s}, walk.direction)
 
 
-def frontier_sweep(inst, levels, starts, ascending):
-    """Reachable fiber elements per level, with parents for reconstruction."""
-    leq = inst.order.leq
-    reach = [dict.fromkeys(starts)]  # element -> parent in previous level
+def frontier_sweep(inst, levels, start, ascending):
+    """Layered reachability: one frontier bitset per level.
+
+    The first frontier is the start mask; each next one holds the elements
+    of the next level's fiber lying above (ascending) or below (descending)
+    some element of the current frontier.
+    """
+    rows = inst.order._rows if ascending else inst.order._down_rows()
+    fibers = inst._fiber_masks
+    cur = start
+    out = [cur]
     for xi in levels[1:]:
-        nxt = {}
-        for y in inst.fibers[xi]:
-            for x in reach[-1]:
-                ok = leq(x, y) if ascending else leq(y, x)
-                if ok:
-                    nxt[y] = x
-                    break
-        reach.append(nxt)
-    return reach
+        reach = 0
+        while cur:
+            low = cur & -cur
+            reach |= rows[low.bit_length() - 1]
+            cur ^= low
+        cur = reach & fibers[xi]
+        out.append(cur)
+    return out
 
 
 def _walk_between(inst, levels, x, y, ascending):
-    """A walk along all of levels from x (first level) to y (last), or None."""
-    reach = frontier_sweep(inst, levels, [x], ascending)
-    if y not in reach[-1]:
+    """A walk along all of levels from x (first level) to y (last), or None.
+
+    The path is rebuilt backwards from the frontiers; each step takes the
+    first element, in the previous fiber's iteration order, of the previous
+    frontier that is related to the current one.
+    """
+    index = inst.order._index
+    reach = frontier_sweep(inst, levels, 1 << index[x], ascending)
+    if not reach[-1] >> index[y] & 1:
         return None
+    # the relation back to the previous level, opposite to the sweep
+    back = inst.order._down_rows() if ascending else inst.order._rows
     steps = {levels[-1]: y}
     cur = y
     for pos in range(len(levels) - 1, 0, -1):
-        cur = reach[pos][cur]
+        cand = reach[pos - 1] & back[index[cur]]
+        cur = next(p for p in inst.fibers[levels[pos - 1]] if cand >> index[p] & 1)
         steps[levels[pos - 1]] = cur
-    steps[levels[0]] = cur
     return steps
 
 
@@ -173,33 +210,18 @@ def find_walk(inst: DepletionInstance, s, x, y):
     if lx is None or ly is None or {lx, ly} != {s[0], s[-1]}:
         raise LevelError("endpoints must sit in the extreme fibers of s")
     if lx == s[0]:
-        steps = _walk_between(inst, list(s), x, y, ascending=True)
+        steps = _walk_between(inst, s, x, y, ascending=True)
         return Walk(s, steps, "ascending") if steps is not None else None
     # x at the top level: the walk descends from y's level upward in index,
     # with elements decreasing, ending at x.
-    steps = _walk_between(inst, list(s), y, x, ascending=False)
+    steps = _walk_between(inst, s, y, x, ascending=False)
     return Walk(s, steps, "descending") if steps is not None else None
 
 
 def _walk_exists(inst, levels, ascending):
     """Any-endpoint walk existence along the given consecutive levels."""
-    starts = inst.fibers[levels[0]]
-    if not starts:
-        return False
-    reach = set(starts)
-    leq = inst.order.leq
-    for xi in levels[1:]:
-        nxt = set()
-        for y in inst.fibers[xi]:
-            for x in reach:
-                ok = leq(x, y) if ascending else leq(y, x)
-                if ok:
-                    nxt.add(y)
-                    break
-        reach = nxt
-        if not reach:
-            return False
-    return True
+    start = inst._fiber_masks[levels[0]]
+    return frontier_sweep(inst, levels, start, ascending)[-1] != 0
 
 
 def depletion_rel(inst: DepletionInstance, s, x, y) -> bool:
@@ -207,41 +229,81 @@ def depletion_rel(inst: DepletionInstance, s, x, y) -> bool:
     s = inst._check_subset(s)
     if len(s) < 2:
         raise IndexLabelError("the depletion needs at least two labels")
-    dom = inst.domain(s)
-    if x not in dom or y not in dom:
+    level = inst._level
+    if x not in level or y not in level:
         raise MembershipError("both elements must lie in the core or an s-fiber")
-    if not inst.order.leq(x, y):
+    lx, ly = level[x], level[y]
+    if (lx is not None and lx not in s) or (ly is not None and ly not in s):
+        raise MembershipError("both elements must lie in the core or an s-fiber")
+    if x == y:
+        return True
+    index = inst.order._index
+    ix, iy = index[x], index[y]
+    row = inst.order._rows[ix]
+    if not row >> iy & 1:
         return False
-    lx, ly = inst.level(x), inst.level(y)
     if lx is None or ly is None or lx == ly:
         return True  # same part, or through the core carrier itself
     # distinct fibers: core interpolant or a walk across the s-interval
-    for a in inst.core:
-        if inst.order.leq(x, a) and inst.order.leq(a, y):
-            return True
+    if row & inst._core_mask & inst.order._down_rows()[iy]:
+        return True
     i, j = s.index(lx), s.index(ly)
-    lo, hi = min(i, j), max(i, j)
-    levels = list(s[lo:hi + 1])
     if i < j:
-        return _walk_between(inst, levels, x, y, ascending=True) is not None
-    return _walk_between(inst, levels, y, x, ascending=False) is not None
+        reach = frontier_sweep(inst, s[i:j + 1], 1 << ix, True)
+        return bool(reach[-1] >> iy & 1)
+    reach = frontier_sweep(inst, s[j:i + 1], 1 << iy, False)
+    return bool(reach[-1] >> ix & 1)
 
 
 def depletion_order(inst: DepletionInstance, s) -> Poset:
     """The full depleted relation over s as a strict order.
 
-    The construction validates the result, so any transitivity failure
+    Row x holds its own part and the core above it, the elements reached
+    by the two upward sweeps from x (over the higher labels of s and over
+    the lower ones), and everything above a core element above x.  The
+    construction validates the result, so any transitivity failure
     surfaces as an error rather than being silently closed over.
     """
     s = inst._check_subset(s)
-    dom = sorted(inst.domain(s))
-    idx = {e: i for i, e in enumerate(dom)}
-    rows = [0] * len(dom)
-    for x in dom:
-        for y in dom:
-            if x != y and depletion_rel(inst, s, x, y):
-                rows[idx[x]] |= 1 << idx[y]
-    return Poset.from_closed_rows(dom, rows)
+    if len(s) < 2:
+        raise IndexLabelError("the depletion needs at least two labels")
+    rows = inst.order._rows
+    core = inst._core_mask
+    fibers = inst._fiber_masks
+    dom_mask = core
+    for xi in s:
+        dom_mask |= fibers[xi]
+    dom = inst.members(dom_mask)
+    index = inst.order._index
+    full = [0] * len(dom)
+    for k, x in enumerate(dom):
+        ix = index[x]
+        lx = inst._level[x]
+        if lx is None:
+            full[k] = rows[ix] & dom_mask
+            continue
+        row = rows[ix] & (core | fibers[lx])
+        above_core = rows[ix] & core
+        while above_core:
+            low = above_core & -above_core
+            row |= rows[low.bit_length() - 1] & dom_mask
+            above_core ^= low
+        i = s.index(lx)
+        for levels in (s[i:], s[i::-1]):
+            for frontier in frontier_sweep(inst, levels, 1 << ix, True)[1:]:
+                row |= frontier
+        full[k] = row
+    # from order indices to positions in dom
+    pos = {index[x]: k for k, x in enumerate(dom)}
+    compact = []
+    for row in full:
+        r = 0
+        while row:
+            low = row & -row
+            r |= 1 << pos[low.bit_length() - 1]
+            row ^= low
+        compact.append(r)
+    return Poset.from_closed_rows(dom, compact)
 
 
 def star_condition(inst: DepletionInstance, xi, eta_label, exhaustive=False):

@@ -284,9 +284,12 @@ def bulk_probe_check(td: TieDecomposition):
 
     The mask view is validated against the antichain operations elsewhere;
     this routine only scales the same checks to all 2^(2^d) probes.
-    Returns (checked, violations).
+    Returns (checked, violations).  The kernel holds a probe's cells in 32
+    bits, so depths beyond 5 (2^6 cells) are refused.
     """
     d = td.depth
+    if 1 << d > 32:
+        raise DepthError("probe sweeps cover at most 32 cells (depth <= 5)")
     x_bit = int(td.point.expand(d), 2)
     below = clopen_to_mask(td.below, d)
     above = clopen_to_mask(td.above, d)

@@ -60,8 +60,7 @@ class SparseNat:
         for pos, d in sup:
             if d not in (1, 2):
                 raise ValueError("digits must be 1 or 2")
-            if not isinstance(pos, SparseNat) and pos < 0:
-                raise ValueError("naturals only")
+            _require_naturals(pos)
         self.support = tuple(sorted(sup, key=_POS_KEY, reverse=True))
         for (p, _), (q, _) in zip(self.support, self.support[1:]):
             if _compare(p, q) == 0:
@@ -81,8 +80,7 @@ class SparseNat:
 
     @classmethod
     def from_int(cls, n):
-        if n < 0:
-            raise ValueError("naturals only")
+        _require_naturals(n)
         support = []
         pos = 0
         while n:
@@ -218,7 +216,7 @@ def _as_small_or_nat(x):
 
 def _require_naturals(*xs):
     for x in xs:
-        if not isinstance(x, SparseNat) and x < 0:
+        if not isinstance(x, SparseNat) and not (isinstance(x, int) and x >= 0):
             raise ValueError("naturals only")
 
 
@@ -269,6 +267,7 @@ def witness(f_set, g_set):
         n = sum(3 ** x for x in fs) + 2 * sum(3 ** x for x in gs)
         if n < _SMALL_LIMIT:
             return n
+    _require_naturals(*f_set, *g_set)
     for x in f_set:
         for y in g_set:
             if _compare(x, y) == 0:

@@ -124,6 +124,14 @@ def test_chains_command(tmp_path, capsys):
     assert json.loads(out)["length"] == 3
 
 
+def test_tiepoint_depth_beyond_kernel_exits_two(capsys):
+    # 2^6 cells do not fit the 32-bit probe masks: a named error, exit 2
+    code, out, err = run_cli(capsys, ["tiepoint", "--point", "01^omega",
+                                      "--depth", "6"])
+    assert code == 2 and out == ""
+    assert "DepthError" in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["walk", "--in", "missing.json"])  # missing required flags

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -75,8 +77,22 @@ def test_depletion_rel_reflexive_and_membership():
         assert depletion_rel(inst, (0, 1, 2), x, x)
     with pytest.raises(MembershipError):
         depletion_rel(inst, (0, 1), 2, 0)  # 2 sits in a fiber outside s
+    with pytest.raises(MembershipError):
+        depletion_rel(inst, (0, 1), 0, 99)  # not in the instance at all
     with pytest.raises(IndexLabelError):
         depletion_rel(inst, (0,), 0, 0)
+    with pytest.raises(IndexLabelError):
+        depletion_rel(inst, (0, 7), 0, 0)
+
+
+def test_label_subset_is_a_set_and_needs_two_labels():
+    inst = chain_instance()
+    assert depletion_order(inst, (0, 0, 1, 2, 2)) == depletion_order(inst, (0, 1, 2))
+    w = find_walk(inst, (2, 0, 1, 0), 0, 2)
+    assert w.s == (0, 1, 2) and w.steps == {0: 0, 1: 1, 2: 2}
+    for s in ((0,), (0, 0)):
+        with pytest.raises(IndexLabelError):
+            depletion_order(inst, s)
 
 
 def test_two_label_depletion_is_the_restriction():
@@ -228,3 +244,174 @@ def test_json_round_trip():
     assert inst.to_json_dict() == {
         "I": [0, 1, 2], "A": [], "F": {"0": [0], "1": [1], "2": [2]},
         "edges": [[0, 2]]}
+
+
+# --- the per-pair walk search the bitset layer replaced, kept as an oracle --
+
+def oracle_frontier_sweep(inst, levels, starts, ascending):
+    leq = inst.order.leq
+    reach = [dict.fromkeys(starts)]  # element -> parent in previous level
+    for xi in levels[1:]:
+        nxt = {}
+        for y in inst.fibers[xi]:
+            for x in reach[-1]:
+                ok = leq(x, y) if ascending else leq(y, x)
+                if ok:
+                    nxt[y] = x
+                    break
+        reach.append(nxt)
+    return reach
+
+
+def oracle_walk_between(inst, levels, x, y, ascending):
+    reach = oracle_frontier_sweep(inst, levels, [x], ascending)
+    if y not in reach[-1]:
+        return None
+    steps = {levels[-1]: y}
+    cur = y
+    for pos in range(len(levels) - 1, 0, -1):
+        cur = reach[pos][cur]
+        steps[levels[pos - 1]] = cur
+    steps[levels[0]] = cur
+    return steps
+
+
+def oracle_walk_exists(inst, levels, ascending):
+    starts = inst.fibers[levels[0]]
+    if not starts:
+        return False
+    reach = set(starts)
+    leq = inst.order.leq
+    for xi in levels[1:]:
+        nxt = set()
+        for y in inst.fibers[xi]:
+            for x in reach:
+                ok = leq(x, y) if ascending else leq(y, x)
+                if ok:
+                    nxt.add(y)
+                    break
+        reach = nxt
+        if not reach:
+            return False
+    return True
+
+
+def oracle_rel(inst, s, x, y):
+    """depletion_rel for a sorted label tuple s and x, y in its domain."""
+    if not inst.order.leq(x, y):
+        return False
+    lx, ly = inst.level(x), inst.level(y)
+    if lx is None or ly is None or lx == ly:
+        return True
+    for a in inst.core:
+        if inst.order.leq(x, a) and inst.order.leq(a, y):
+            return True
+    i, j = s.index(lx), s.index(ly)
+    lo, hi = min(i, j), max(i, j)
+    levels = list(s[lo:hi + 1])
+    if i < j:
+        return oracle_walk_between(inst, levels, x, y, ascending=True) is not None
+    return oracle_walk_between(inst, levels, y, x, ascending=False) is not None
+
+
+def oracle_find_walk_steps(inst, s, x, y):
+    if inst.level(x) == s[0]:
+        return "ascending", oracle_walk_between(inst, list(s), x, y, True)
+    return "descending", oracle_walk_between(inst, list(s), y, x, False)
+
+
+def oracle_star(inst, xi, eta_label, exhaustive):
+    lo, hi = min(xi, eta_label), max(xi, eta_label)
+    interval = [l for l in inst.labels if lo <= l <= hi]
+    if exhaustive:
+        middle = [l for l in interval if l not in (lo, hi)]
+        for mask in range(1 << len(middle)):
+            sub = [lo] + [m for b, m in enumerate(middle) if mask >> b & 1] + [hi]
+            if not (oracle_walk_exists(inst, sub, True)
+                    or oracle_walk_exists(inst, sub, False)):
+                return True, tuple(sub)
+        return False, None
+    if oracle_walk_exists(inst, interval, True) or \
+            oracle_walk_exists(inst, interval, False):
+        return False, None
+    return True, tuple(interval)
+
+
+def label_subsets(labels):
+    return [s for r in range(2, len(labels) + 1)
+            for s in itertools.combinations(labels, r)]
+
+
+def test_bitset_layer_matches_per_pair_oracle():
+    rng = random.Random(20)
+    walks = found = 0
+    for _ in range(1000):
+        inst = random_depletion_instance(rng, 10, 5)
+        for s in label_subsets(inst.labels):
+            dom = sorted(inst.domain(s))
+            expected = {(x, y) for x in dom for y in dom
+                        if x != y and oracle_rel(inst, s, x, y)}
+            got = {(x, y) for x in dom for y in dom
+                   if x != y and depletion_rel(inst, s, x, y)}
+            assert got == expected, (inst.to_json_dict(), s)
+            dep = depletion_order(inst, s)
+            assert dep.elements == tuple(dom)
+            assert set(dep.pairs()) == expected, (inst.to_json_dict(), s)
+            for x in inst.fibers[s[0]]:
+                for y in inst.fibers[s[-1]]:
+                    for a, b in ((x, y), (y, x)):
+                        walks += 1
+                        direction, steps = oracle_find_walk_steps(inst, s, a, b)
+                        w = find_walk(inst, s, a, b)
+                        if steps is None:
+                            assert w is None
+                            continue
+                        found += 1
+                        assert w.direction == direction
+                        assert list(w.steps.items()) == list(steps.items())
+        for i, a in enumerate(inst.labels):
+            for b in inst.labels[i + 1:]:
+                for exhaustive in (False, True):
+                    assert star_condition(inst, a, b, exhaustive) == \
+                        oracle_star(inst, a, b, exhaustive)
+                    assert star_condition(inst, b, a, exhaustive) == \
+                        oracle_star(inst, b, a, exhaustive)
+    assert walks > 5000 and 0 < found < walks
+
+
+def cli_transcript_digest(tmp_path, monkeypatch, capsys):
+    """sha256 over exit codes and stdout of depletion, walk and star
+    requests on fixed seeded instances (file names relative to tmp_path,
+    so the input digests in the reports do not depend on it)."""
+    from orderlab.cli import main
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(77)
+    digest = hashlib.sha256()
+    for k in range(60):
+        inst = random_depletion_instance(rng, 10, 5)
+        name = f"inst{k}.json"
+        (tmp_path / name).write_text(json.dumps(inst.to_json_dict()))
+        subsets = label_subsets(inst.labels)
+        argvs = []
+        for s in rng.sample(subsets, min(3, len(subsets))):
+            arg = ",".join(map(str, s))
+            argvs.append(["depletion", "--in", name, "--s", arg])
+            for x in sorted(inst.fibers[s[0]])[:2]:
+                for y in sorted(inst.fibers[s[-1]])[:2]:
+                    for a, b in ((x, y), (y, x)):
+                        argvs.append(["walk", "--in", name, "--s", arg,
+                                      "--x", str(a), "--y", str(b)])
+        argvs.append(["star", "--in", name])
+        argvs.append(["star", "--in", name, "--exhaustive"])
+        a, b = inst.labels[0], inst.labels[-1]
+        argvs.append(["star", "--in", name, "--xi", str(b), "--eta", str(a)])
+        for argv in argvs:
+            code = main(argv)
+            digest.update(f"{' '.join(argv)} -> {code}\n".encode())
+            digest.update(capsys.readouterr().out.encode())
+    return digest.hexdigest()
+
+
+def test_cli_depletion_walk_star_golden(tmp_path, monkeypatch, capsys):
+    assert cli_transcript_digest(tmp_path, monkeypatch, capsys) == \
+        "925a54463cedeca4c0f8e1387c740b70ab14fb565cf320b90fdcf86ac6eb32b4"

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderlab.checks import chain_length_brute, check_poset_invariants
 from orderlab.errors import CycleError, DomainError
 from orderlab.posets import (OrderMap, Poset, RelStructure, converse,
                              enumerate_poset_isotypes, is_order_embedding,
@@ -91,6 +92,23 @@ def test_longest_chain_vs_brute_force():
     for n in (7, 8):
         p = make_poset(range(n), random_dag_edges(rng, n, 0.5))
         assert len(longest_chain(p)) == brute_longest_chain_len(p)
+
+
+def test_chain_dfs_matches_permutation_scan_on_isotypes():
+    for n in range(6):
+        for p in enumerate_poset_isotypes(n):
+            assert chain_length_brute(p) == brute_longest_chain_len(p)
+
+
+def test_poset_invariants_catches_a_short_chain(monkeypatch):
+    assert check_poset_invariants(trials=60)["ok"]
+    import orderlab.posets
+    real = orderlab.posets.longest_chain
+    monkeypatch.setattr(orderlab.posets, "longest_chain",
+                        lambda p: real(p)[:-1])
+    result = check_poset_invariants(trials=60)
+    assert not result["ok"]
+    assert result["failures"][0]["kind"] == "chain-length"
 
 
 def test_longest_chain_lex_tiebreak():

@@ -163,6 +163,17 @@ def test_negative_inputs_rejected():
             call()
 
 
+def test_non_integer_inputs_rejected():
+    for call in (lambda: witness([1.5], []), lambda: witness([], [2, 0.5]),
+                 lambda: witness([1.5], [1.5]), lambda: witness(["1"], []),
+                 lambda: rel(1.0, 4), lambda: rel(4, 1.0), lambda: rel(2.5, 2.5),
+                 lambda: rel(1.5, as_nat(3)), lambda: witness_above([1.5], [], 3),
+                 lambda: witness_above([], [], 2.0), lambda: ternary_digit(5.0, 1),
+                 lambda: SparseNat([(0.5, 1)]), lambda: SparseNat.from_int(1.5)):
+        with pytest.raises(ValueError, match="naturals only"):
+            call()
+
+
 def test_witness_duplicates_and_overlap_on_both_lanes():
     for wrap in (int, SparseNat.from_int):
         with pytest.raises(ValueError, match="duplicate"):
