@@ -148,14 +148,6 @@ def random_structure(rng, max_universe=3, max_rels=2):
     return FiniteStructure(range(n), rels)
 
 
-def random_point(rng, prefix_len=None):
-    if prefix_len is None:
-        prefix_len = rng.randint(0, 4)
-    prefix = "".join(rng.choice("01") for _ in range(prefix_len))
-    period = "".join(rng.choice("01") for _ in range(rng.randint(1, 3)))
-    return Point(prefix, period)
-
-
 # --- acceptance checks -----------------------------------------------------------
 
 def check_phi_strict_increase(n_coords=6):

@@ -10,6 +10,9 @@ same sort.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import groupby
+from operator import and_, itemgetter, or_
 
 from .errors import ArityError, DomainError, FormulaError
 
@@ -155,17 +158,21 @@ def format_formula(phi):
     raise FormulaError(f"not a formula node: {phi!r}")
 
 
-def formula_vars(phi):
+def _atoms(phi):
+    """The atoms of a formula, left to right."""
     if isinstance(phi, Atom):
-        return set(phi.vars)
-    if isinstance(phi, Not):
-        return formula_vars(phi.arg)
-    if isinstance(phi, (And, Or)):
-        out = set()
+        yield phi
+    elif isinstance(phi, Not):
+        yield from _atoms(phi.arg)
+    elif isinstance(phi, (And, Or)):
         for a in phi.args:
-            out |= formula_vars(a)
-        return out
-    raise FormulaError(f"not a formula node: {phi!r}")
+            yield from _atoms(a)
+    else:
+        raise FormulaError(f"not a formula node: {phi!r}")
+
+
+def formula_vars(phi):
+    return {v for atom in _atoms(phi) for v in atom.vars}
 
 
 def eval_qf(s: FiniteStructure, phi, assignment) -> bool:
@@ -199,6 +206,109 @@ def pair_sorts(phi):
     if not set(xs) <= set(want_x) or not set(ys) <= set(want_y):
         raise FormulaError("pair formulas use variables x0..x{k-1}, y0..y{k-1}")
     return tuple(want_x), tuple(want_y)
+
+
+def swap_pair_vars(phi):
+    """The pair formula with every x{k} and y{k} exchanged, so that it holds
+    of (a, b) exactly when ``phi`` holds of (b, a)."""
+    if isinstance(phi, Atom):
+        swap = {"x": "y", "y": "x"}
+        return Atom(phi.name, tuple(swap[v[0]] + v[1:] for v in phi.vars))
+    if isinstance(phi, Not):
+        return Not(swap_pair_vars(phi.arg))
+    if isinstance(phi, (And, Or)):
+        return type(phi)(tuple(swap_pair_vars(a) for a in phi.args))
+    raise FormulaError(f"not a formula node: {phi!r}")
+
+
+def _getter(positions):
+    """Key function giving a relation tuple's values at ``positions``: the
+    value itself at one position, a tuple of values otherwise."""
+    return itemgetter(*positions) if positions else lambda r: ()
+
+
+def pair_rows(s: FiniteStructure, phi, tuples):
+    """Compile a pair formula to bitset rows over ``tuples``.
+
+    Row i has bit j set iff ``phi`` holds with x0..x{k-1} bound to
+    ``tuples[i]`` and y0..y{k-1} to ``tuples[j]``.  Each atom is compiled
+    once from its relation's tuples: those agreeing on the atom's x-values
+    form a group, whose rows (tuples matching the x-values) receive the OR
+    of the group's columns (tuples matching each member's y-values).  The
+    connectives are bit operations on whole rows.
+    """
+    xs, ys = pair_sorts(phi)
+    # the errors eval_qf raises, before any tuple is read
+    for atom in _atoms(phi):
+        arity = s.arity(atom.name)
+        if len(atom.vars) != arity:
+            raise ArityError(f"{atom.name} expects {arity} arguments, got {len(atom.vars)}")
+    tuples = [tuple(t) for t in tuples]
+    if any(len(t) != len(xs) for t in tuples):
+        raise ArityError("tuple length differs from the formula sort")
+    full = (1 << len(tuples)) - 1
+    # masks[p][v]: the tuples whose position p holds value v
+    masks = [{} for _ in xs]
+    for i, t in enumerate(tuples):
+        bit = 1 << i
+        for m, v in zip(masks, t):
+            m[v] = m.get(v, 0) | bit
+
+    def key_mask(coords, key):
+        """The tuples whose positions ``coords`` hold the values ``key``."""
+        if len(coords) == 1:
+            return masks[coords[0]].get(key, 0)
+        out = full
+        for c, v in zip(coords, key):
+            out &= masks[c].get(v, 0)
+        return out
+
+    coord = {v: k for k, v in enumerate(xs)}
+    coord.update((v, k) for k, v in enumerate(ys))
+
+    def atom_rows(atom):
+        first = {}
+        for q, v in enumerate(atom.vars):
+            first.setdefault(v, q)
+        xvars = [v for v in first if v[0] == "x"]
+        yvars = [v for v in first if v[0] == "y"]
+        xcoords = [coord[v] for v in xvars]
+        ycoords = [coord[v] for v in yvars]
+        get_x = _getter([first[v] for v in xvars])
+        get_y = _getter([first[v] for v in yvars])
+        rel = s.relations[atom.name][1]
+        # a repeated variable needs equal values at each of its positions
+        repeats = [(q, first[v]) for q, v in enumerate(atom.vars) if first[v] != q]
+        if repeats:
+            rel = [r for r in rel if all(r[q] == r[p] for q, p in repeats)]
+        col = {yk: key_mask(ycoords, yk) for yk in set(map(get_y, rel))}
+        rows = [0] * len(tuples)
+        # one group per x-key: its rows take the OR of its members' columns
+        for xk, group in groupby(sorted(rel, key=get_x), key=get_x):
+            m = key_mask(xcoords, xk)
+            cols = reduce(or_, map(col.__getitem__, map(get_y, group)))
+            while m:
+                low = m & -m
+                rows[low.bit_length() - 1] |= cols
+                m ^= low
+        return rows
+
+    compiled = {}
+
+    def compile_rows(node):
+        if isinstance(node, Atom):
+            if node not in compiled:
+                compiled[node] = atom_rows(node)
+            return compiled[node]
+        if isinstance(node, Not):
+            return [full ^ r for r in compile_rows(node.arg)]
+        op = and_ if isinstance(node, And) else or_
+        rows = compile_rows(node.args[0])
+        for a in node.args[1:]:
+            rows = list(map(op, rows, compile_rows(a)))
+        return rows
+
+    return compile_rows(phi)
 
 
 def eval_pair(s: FiniteStructure, phi, left, right) -> bool:

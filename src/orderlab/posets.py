@@ -217,27 +217,36 @@ def converse(p: Poset) -> Poset:
 def longest_chain(p: Poset):
     """A maximum-length strictly increasing sequence; ties broken by the
     lexicographically least id sequence."""
-    n = len(p.elements)
+    return [p.elements[i] for i in longest_chain_indices(p._rows)]
+
+
+def longest_chain_indices(rows):
+    """A maximum-length chain of the strict order whose ``rows[i]`` is the
+    bitset of the indices above i (transitively closed), as indices; ties
+    broken by the lexicographically least index sequence."""
+    n = len(rows)
     if n == 0:
         return []
-    rows = p._rows
     # transitivity makes ascending successor count a reverse topological
     # order, so chain lengths fill in a single sweep
     length = [1] * n
-    for i in sorted(range(n), key=lambda i: bin(rows[i]).count("1")):
+    for i in sorted(range(n), key=lambda i: rows[i].bit_count()):
         best = 0
         r = rows[i]
         while r:
-            j = (r & -r).bit_length() - 1
-            best = max(best, length[j])
-            r &= r - 1
+            low = r & -r
+            best = max(best, length[low.bit_length() - 1])
+            r ^= low
         length[i] = 1 + best
-    total = max(length)
-    cur = min(i for i in range(n) if length[i] == total)
-    chain = [p.elements[cur]]
-    for need in range(total - 1, 0, -1):
-        cur = min(j for j in range(n) if rows[cur] >> j & 1 and length[j] == need)
-        chain.append(p.elements[cur])
+    # level[h]: the indices whose longest chain upward has h elements
+    level = [0] * (max(length) + 1)
+    for i, h in enumerate(length):
+        level[h] |= 1 << i
+    m = level[-1]
+    chain = [(m & -m).bit_length() - 1]
+    for need in range(len(level) - 2, 0, -1):
+        m = rows[chain[-1]] & level[need]
+        chain.append((m & -m).bit_length() - 1)
     return chain
 
 

@@ -16,7 +16,9 @@ import itertools
 from functools import reduce
 
 from .errors import ArityError, BudgetError, FilterError, FormulaError
-from .fol import Atom, FiniteStructure, Not, eval_pair, eval_qf, pair_sorts
+from .fol import (Atom, FiniteStructure, Not, eval_pair, pair_rows, pair_sorts,
+                  swap_pair_vars)
+from .posets import longest_chain_indices
 
 
 class FilterFamily:
@@ -209,30 +211,25 @@ EXACT_SEARCH_BOUND = 10_000
 
 
 def _strict_pair_digraph(s: FiniteStructure, phi):
-    xs, ys = pair_sorts(phi)
-    k = len(xs)
-    if len(ys) != k:
-        raise ArityError("tuple length differs from the formula sort")
-    tuples = list(itertools.product(s.universe, repeat=k))
+    xs, _ = pair_sorts(phi)
+    tuples = list(itertools.product(s.universe, repeat=len(xs)))
     if len(tuples) > EXACT_SEARCH_BOUND:
         raise BudgetError(f"{len(tuples)} tuples exceed the exact-search bound")
+    ab = pair_rows(s, phi, tuples)
+    ba = pair_rows(s, swap_pair_vars(phi), tuples)
+    return tuples, [f & ~b for f, b in zip(ab, ba)]
 
-    def holds(left, right):
-        assignment = dict(zip(xs, left))
-        assignment.update(zip(ys, right))
-        return eval_qf(s, phi, assignment)
 
-    above = [0] * len(tuples)
-    for i, a in enumerate(tuples):
-        for j in range(i + 1, len(tuples)):
-            b = tuples[j]
-            ab = holds(a, b)
-            ba = holds(b, a)
-            if ab and not ba:
-                above[i] |= 1 << j
-            elif ba and not ab:
-                above[j] |= 1 << i
-    return tuples, above
+def _is_transitive(rows):
+    for r in rows:
+        outside = ~r
+        rr = r
+        while rr:
+            low = rr & -rr
+            if rows[low.bit_length() - 1] & outside:
+                return False
+            rr ^= low
+    return True
 
 
 def longest_op_chain(s: FiniteStructure, phi):
@@ -244,42 +241,8 @@ def longest_op_chain(s: FiniteStructure, phi):
     candidate-set search runs.
     """
     tuples, above = _strict_pair_digraph(s, phi)
-    n = len(tuples)
-    transitive = True
-    for i in range(n):
-        r = above[i]
-        rr = r
-        while rr:
-            j = (rr & -rr).bit_length() - 1
-            if above[j] & ~above[i]:
-                transitive = False
-                break
-            rr &= rr - 1
-        if not transitive:
-            break
-    if transitive:
-        if n == 0:
-            return []
-        # in a transitive digraph, fewer successors means closer to a sink,
-        # so sweeping by ascending successor count is a reverse topological
-        # order and the chain lengths fill in one pass
-        length = [1] * n
-        order = sorted(range(n), key=lambda i: bin(above[i]).count("1"))
-        for i in order:
-            best = 0
-            r = above[i]
-            while r:
-                j = (r & -r).bit_length() - 1
-                best = max(best, length[j])
-                r &= r - 1
-            length[i] = 1 + best
-        total = max(length)
-        cur = min(i for i in range(n) if length[i] == total)
-        chain = [cur]
-        for need in range(total - 1, 0, -1):
-            cur = min(j for j in range(n) if above[cur] >> j & 1 and length[j] == need)
-            chain.append(cur)
-        return [tuples[i] for i in chain]
+    if _is_transitive(above):
+        return [tuples[i] for i in longest_chain_indices(above)]
 
     # exhaustive: each extension must sit strictly above every chain member,
     # so candidate sets shrink by intersection and every chain is visited
@@ -290,7 +253,7 @@ def longest_op_chain(s: FiniteStructure, phi):
         nonlocal best_chain
         if len(chain) > len(best_chain):
             best_chain = list(chain)
-        if len(chain) + bin(cand).count("1") <= len(best_chain):
+        if len(chain) + cand.bit_count() <= len(best_chain):
             return
         c = cand
         while c:
@@ -300,5 +263,6 @@ def longest_op_chain(s: FiniteStructure, phi):
             extend(chain, cand & above[j])
             chain.pop()
 
-    extend([], (1 << n) - 1 if n else 0)
+    n = len(tuples)
+    extend([], (1 << n) - 1)
     return [tuples[i] for i in best_chain]

@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
@@ -122,6 +125,90 @@ def test_chains_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["chains", "--in", task])
     assert code == 0
     assert json.loads(out)["length"] == 3
+
+
+
+@pytest.mark.parametrize("formula,error", [("(S x0 y0)", "FormulaError"),
+                                           ("(R x0)", "ArityError")])
+def test_chains_bad_formula_on_one_element_exits_two(tmp_path, capsys,
+                                                      formula, error):
+    task = write(tmp_path, "chains.json", {
+        "structure": {"universe": [0],
+                      "relations": {"R": {"arity": 2, "tuples": []}}},
+        "formula": formula})
+    code, out, err = run_cli(capsys, ["chains", "--in", task])
+    assert code == 2 and out == ""
+    assert error in err and "Traceback" not in err
+
+
+CHAIN_FORMULAS = {
+    1: ["(R x0 y0)", "(R y0 x0)", "(not (R y0 x0))",
+        "(and (R x0 y0) (not (P y0)))",
+        "(or (R x0 y0) (and (P x0) (not (P y0))))",
+        "(and (or (R x0 y0) (T x0 y0 y0)) (not (R y0 x0)))",
+        "(or (T x0 x0 y0) (and (P y0) (not (P x0))))"],
+    2: ["(and (R x0 y0) (R x1 y1))", "(and (R x0 y1) (not (R y0 x1)))",
+        "(or (and (R x0 y0) (P x1)) (and (R x1 y1) (not (P y0))))",
+        "(and (T x0 y0 y1) (not (T y0 x0 x1)))",
+        "(or (R x0 y0) (and (R x1 y1) (P x1) (not (P y0))))"],
+}
+# bad formulas on universes of two or more elements, where every version
+# of the search reaches the bad atom
+CHAIN_BAD_FORMULAS = ["(S x0 y0)", "(R x0)", "(and (R x0 y0) (P x0 y0))",
+                      "(R x0 y0"]
+
+
+def chain_structure(rng, n, transitive):
+    """R is a random strict order (transitive, swept) or a random digraph
+    (exhaustive search); P and T are random unary and ternary relations."""
+    if transitive:
+        order = list(range(n))
+        rng.shuffle(order)
+        pairs = {(order[i], order[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.4}
+        changed = True
+        while changed:
+            extra = {(a, d) for a, b in pairs for c, d in pairs if b == c}
+            changed = not extra <= pairs
+            pairs |= extra
+        r = sorted(pairs)
+    else:
+        r = [t for t in itertools.product(range(n), repeat=2) if rng.random() < 0.35]
+    return {"universe": list(range(n)), "relations": {
+        "R": {"arity": 2, "tuples": [list(t) for t in r]},
+        "P": {"arity": 1, "tuples": [[a] for a in range(n) if rng.random() < 0.5]},
+        "T": {"arity": 3, "tuples": [
+            list(t) for t in itertools.product(range(n), repeat=3)
+            if rng.random() < 0.2]}}}
+
+
+def chains_transcript_digest(tmp_path, monkeypatch, capsys):
+    """sha256 over exit codes and stdout of 104 seeded chains requests:
+    formulas over one and two coordinates, strict orders and random
+    digraphs, and bad formulas that exit 2."""
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(606)
+    digest = hashlib.sha256()
+    for k in range(104):
+        if k % 13 == 12:
+            n, formula = rng.randint(2, 5), rng.choice(CHAIN_BAD_FORMULAS)
+        else:
+            sort = 1 if k % 3 else 2
+            n = rng.randint(0, 8) if sort == 1 else rng.randint(0, 3)
+            formula = rng.choice(CHAIN_FORMULAS[sort])
+        name = f"chains{k}.json"
+        (tmp_path / name).write_text(json.dumps({
+            "structure": chain_structure(rng, n, k % 2 == 0),
+            "formula": formula}))
+        code = main(["chains", "--in", name])
+        digest.update(f"{name} {formula} -> {code}\n".encode())
+        digest.update(capsys.readouterr().out.encode())
+    return digest.hexdigest()
+
+
+def test_chains_golden(tmp_path, monkeypatch, capsys):
+    assert chains_transcript_digest(tmp_path, monkeypatch, capsys) == \
+        "72e263a94f2cfb744d2e0c3cb1baf42810ad4423c717eb04b237d237a6e46e43"
 
 
 def test_tiepoint_depth_beyond_kernel_exits_two(capsys):

@@ -168,7 +168,9 @@ def test_shrink_monotonicity_and_convex_agreement():
 def test_walk_restriction_stays_a_walk():
     rng = random.Random(8)
     done = 0
-    while done < 60:
+    # a fixed number of instances, so a find_walk that finds nothing fails
+    # the count below instead of looping forever
+    for _ in range(166):
         inst = random_depletion_instance(rng, 10, 5)
         t = tuple(inst.labels)
         lows = sorted(inst.fibers[t[0]])
@@ -186,6 +188,7 @@ def test_walk_restriction_stays_a_walk():
                     for mid in itertools.combinations(t[1:-1], ks - 2):
                         s = (t[0],) + mid + (t[-1],)
                         assert verify_walk(inst, restrict_walk(w, s))
+    assert done >= 60
 
 
 def test_star_condition_examples():

@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orderlab.errors import ArityError, DomainError, FormulaError
-from orderlab.fol import (And, Atom, FiniteStructure, Not, eval_pair,
+from orderlab.fol import (And, Atom, FiniteStructure, Not, Or, eval_pair,
                           eval_qf, format_formula, linear_order_structure,
-                          pair_sorts, parse_formula)
+                          pair_rows, pair_sorts, parse_formula, swap_pair_vars)
 
 
 def edge_structure():
@@ -74,3 +78,104 @@ def test_structure_json_round_trip():
     s = edge_structure()
     assert FiniteStructure.from_json_dict(s.to_json_dict()).to_json_dict() \
         == s.to_json_dict()
+
+
+def assert_rows_match_eval_pair(s, phi):
+    """pair_rows over all k-tuples agrees with eval_pair pair by pair, and
+    no row has a bit outside the tuple range."""
+    xs, _ = pair_sorts(phi)
+    tuples = list(itertools.product(s.universe, repeat=len(xs)))
+    rows = pair_rows(s, phi, tuples)
+    assert len(rows) == len(tuples)
+    for row, a in zip(rows, tuples):
+        assert 0 <= row < 1 << len(tuples)
+        for j, b in enumerate(tuples):
+            assert bool(row >> j & 1) == eval_pair(s, phi, a, b)
+
+
+def tournament(rng, n):
+    edges = [(i, j) if rng.random() < 0.5 else (j, i)
+             for i in range(n) for j in range(i + 1, n)]
+    return FiniteStructure(range(n), {"R": (2, edges)})
+
+
+def test_pair_rows_matches_eval_pair_on_fixed_structures():
+    rng = random.Random(3)
+    structures = [edge_structure(), linear_order_structure(4),
+                  linear_order_structure(3),
+                  FiniteStructure([0, 1, 2], {"R": (2, [])}),
+                  FiniteStructure(range(2), {"R": (2, [(0, 1)])}),
+                  FiniteStructure([], {"R": (2, [])})]
+    structures += [tournament(rng, 6) for _ in range(5)]
+    formulas = ["(R x0 y0)", "(R y0 x0)", "(and (R x0 y0) (not (R y0 x0)))",
+                "(or (R x0 y0) (R y0 x0))", "(not (R x0 y0))",
+                "(R x0 x0)", "(R y0 y0)", "(and (R x0 x0) (not (R x0 y0)))",
+                "(and (R x0 y0) (R x1 y1))", "(or (R x0 y1) (not (R y0 x1)))",
+                "(and (R x1 x0) (R y0 y1))"]
+    for s in structures:
+        for text in formulas:
+            assert_rows_match_eval_pair(s, parse_formula(text))
+
+
+def test_swap_pair_vars():
+    phi = parse_formula("(and (R x0 y1) (not (R y0 x1)))")
+    assert format_formula(swap_pair_vars(phi)) == \
+        "(and (R y0 x1) (not (R x0 y1)))"
+    assert swap_pair_vars(swap_pair_vars(phi)) == phi
+
+
+def test_pair_rows_errors_before_any_tuple():
+    s = edge_structure()
+    for tuples in ([], [(0,)], [(0,), (1,)]):
+        with pytest.raises(FormulaError):
+            pair_rows(s, parse_formula("(S x0 y0)"), tuples)
+        with pytest.raises(ArityError):
+            pair_rows(s, parse_formula("(or (R x0 y0) (R x0))"), tuples)
+    with pytest.raises(ArityError):
+        pair_rows(s, parse_formula("(R x0 y0)"), [(0, 1)])
+
+
+@st.composite
+def structure_and_formula(draw):
+    """A structure with universe of at most 4 elements and relations of
+    arity 1 to 3, and a pair formula over it of depth at most 3 whose atoms
+    mix x- and y-variables, repeat them or use one side only."""
+    n = draw(st.integers(0, 4))
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    rels = {}
+    for r, arity in enumerate(arities):
+        every = list(itertools.product(range(n), repeat=arity))
+        rels[f"R{r}"] = (arity, draw(st.lists(st.sampled_from(every), max_size=20))
+                         if every else [])
+    k = draw(st.integers(1, 2))
+    pool = [f"{side}{i}" for side in "xy" for i in range(k)]
+    atoms = st.sampled_from(sorted(rels)).flatmap(
+        lambda name: st.lists(st.sampled_from(pool), min_size=rels[name][0],
+                              max_size=rels[name][0]).map(
+            lambda vs: Atom(name, tuple(vs))))
+
+    def formulas(depth):
+        if depth == 0:
+            return atoms
+        sub = formulas(depth - 1)
+        return st.one_of(
+            atoms, sub.map(Not),
+            st.lists(sub, min_size=1, max_size=3).map(lambda a: And(tuple(a))),
+            st.lists(sub, min_size=1, max_size=3).map(lambda a: Or(tuple(a))))
+
+    return FiniteStructure(range(n), rels), draw(formulas(3))
+
+
+@settings(deadline=None, max_examples=200)
+@given(structure_and_formula())
+def test_pair_rows_matches_eval_pair_property(case):
+    s, phi = case
+    try:
+        pair_sorts(phi)
+    except FormulaError:
+        # the variables skip a coordinate (x1 without x0): no sort
+        with pytest.raises(FormulaError):
+            pair_rows(s, phi, [])
+        return
+    assert_rows_match_eval_pair(s, phi)
+    assert_rows_match_eval_pair(s, swap_pair_vars(phi))

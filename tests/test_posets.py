@@ -115,6 +115,9 @@ def test_longest_chain_lex_tiebreak():
     # two maximum chains: [0, 2] and [1, 2]; the lexicographically least wins
     p = make_poset({0, 1, 2}, {(0, 2), (1, 2)})
     assert longest_chain(p) == [0, 2]
+    # the tie after the first element: [0, 1] and [0, 2]
+    q = make_poset({0, 1, 2}, {(0, 1), (0, 2)})
+    assert longest_chain(q) == [0, 1]
 
 
 def test_longest_chain_beyond_recursion_limit():

@@ -220,3 +220,16 @@ def test_budget_error():
     big = FiniteStructure(range(10001), {"R": (2, [])})
     with pytest.raises(BudgetError):
         longest_op_chain(big, parse_formula("(R x0 y0)"))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_bad_formula_rejected_on_every_universe(n):
+    # the relation and arity are checked before any pair is compared, so
+    # universes too small to compare a pair reject the formula too
+    s = FiniteStructure(range(n), {"R": (2, [])})
+    with pytest.raises(FormulaError):
+        longest_op_chain(s, parse_formula("(S x0 y0)"))
+    with pytest.raises(ArityError):
+        longest_op_chain(s, parse_formula("(R x0)"))
+    with pytest.raises(ArityError):
+        longest_op_chain(s, parse_formula("(and (R x0 y0) (not (R x0 y0 y0)))"))
