@@ -24,7 +24,7 @@ from .forcing import (Condition, amalgamate, extend_into_D,
                       verify_generic_embedding)
 from .posets import Poset, enumerate_poset_isotypes, make_poset
 from .redprod import FilterFamily, atomic_los_check, reduced_product
-from .seqspace import eta, phi, position_seq
+from .seqspace import eta, phi, position_profile, position_seq
 from .tiepoint import (Clopen, Point, bulk_probe_check,
                        decomposition_invariant_failures, expansion_axiom_check,
                        mask_to_clopen, tie_decompose, true_tie_check)
@@ -388,17 +388,37 @@ def check_amalgamation(trials=1000, seed=3, max_elems=6):
     return _result("amalgamation", failures, trials, t0)
 
 
-def _enumerate_conditions(ground: Poset, max_depth):
-    elems = list(ground.elements)
-    per_depth = {}
-    for d in range(max_depth + 1):
-        per_depth[d] = [tuple(v) for v in itertools.product(
-            *[range(max(k, 1)) for k in range(d)])]
-    for r in range(len(elems) + 1):
-        for dom in itertools.combinations(elems, r):
-            for d in range(max_depth + 1):
-                for combo in itertools.product(per_depth[d], repeat=r):
-                    yield Condition(dom, d, dict(zip(dom, combo)))
+def _conditions(ground: Poset, carrier, depth, base=None, fixed=None):
+    """Every condition at the given depth whose domain lies in carrier, by
+    domain size, then domain, then assignment in product order.
+
+    Element a takes fixed[a][:depth] when fixed names it.  With a base, the
+    domain contains base's domain, base's elements keep their values below
+    base.depth, and only the extensions of base are yielded.
+    """
+    fixed = fixed or {}
+    known = base.domain if base is not None else frozenset()
+    bounds = position_profile(depth).bounds
+    free = list(itertools.product(*map(range, bounds)))
+    tails = list(itertools.product(
+        *map(range, bounds[base.depth if base is not None else depth:])))
+    must = sorted(known)
+    rest = [a for a in sorted(carrier) if a not in known]
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            dom = must + list(extra)
+            pools = []
+            for a in dom:
+                if a in fixed:
+                    pools.append([fixed[a][:depth]])
+                elif a in known:
+                    pools.append([base.seq(a) + t for t in tails])
+                else:
+                    pools.append(free)
+            for combo in itertools.product(*pools):
+                q = Condition(dom, depth, dict(zip(dom, combo)))
+                if base is None or extends(ground, q, base):
+                    yield q
 
 
 def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
@@ -431,8 +451,9 @@ def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
 
     for n in range(1, exhaustive_n + 1):
         for ground in enumerate_poset_isotypes(n):
-            for p in _enumerate_conditions(ground, max_depth):
-                try_entries(ground, p, max_depth)
+            for d in range(max_depth + 1):
+                for p in _conditions(ground, ground.elements, d):
+                    try_entries(ground, p, max_depth)
     rng = random.Random(seed)
     for t in range(trials):
         ground = random_poset(rng, rng.randint(1, 6))
@@ -481,18 +502,17 @@ def check_reduction(exhaustive_n=4, max_depth=3, trials=1000, seed=5):
         for ground in enumerate_poset_isotypes(n):
             subsets = [frozenset(c) for r in range(n + 1)
                        for c in itertools.combinations(ground.elements, r)]
-            for p in _enumerate_conditions(ground, max_depth):
-                for sub in subsets:
-                    pi = projection(sub, p)
-                    if not extends(ground, p, pi):
-                        failures.append({"kind": "projection-not-weaker",
-                                         "p": p.to_json_dict(), "sub": sorted(sub)})
-                    for dq in range(pi.depth, max_depth + 1):
-                        extra_pool = sorted(frozenset(sub) - pi.domain)
-                        for r in range(len(extra_pool) + 1):
-                            for extra in itertools.combinations(extra_pool, r):
-                                for q in _extensions_at(ground, pi, extra, dq):
-                                    check_pair(ground, sub, p, q)
+            for d in range(max_depth + 1):
+                for p in _conditions(ground, ground.elements, d):
+                    for sub in subsets:
+                        pi = projection(sub, p)
+                        if not extends(ground, p, pi):
+                            failures.append({"kind": "projection-not-weaker",
+                                             "p": p.to_json_dict(),
+                                             "sub": sorted(sub)})
+                        for dq in range(pi.depth, max_depth + 1):
+                            for q in _conditions(ground, sub, dq, base=pi):
+                                check_pair(ground, sub, p, q)
     rng = random.Random(seed)
     for t in range(trials):
         ground = random_poset(rng, rng.randint(1, 6))
@@ -504,24 +524,6 @@ def check_reduction(exhaustive_n=4, max_depth=3, trials=1000, seed=5):
         q = random_extension(rng, ground, pi, extra)
         check_pair(ground, sub, p, q)
     return _result("projection-reduction", failures, cases, t0)
-
-
-def _extensions_at(ground, base: Condition, extra, depth):
-    """All extensions of base with the given fresh elements and depth."""
-    elems = sorted(base.domain) + list(extra)
-    tail_space = [range(max(j, 1)) for j in range(base.depth, depth)]
-    full_space = [range(max(j, 1)) for j in range(depth)]
-    choices = []
-    for a in elems:
-        if a in base.domain:
-            opts = [base.seq(a) + t for t in itertools.product(*tail_space)]
-        else:
-            opts = [tuple(v) for v in itertools.product(*full_space)]
-        choices.append(opts)
-    for combo in itertools.product(*choices):
-        q = Condition(elems, depth, dict(zip(elems, combo)))
-        if extends(ground, q, base):
-            yield q
 
 
 def check_generic_embedding(max_n=6, budget=16):
@@ -868,38 +870,11 @@ def check_split_density_exhaustive(depth_cap=4):
         up_depth = min(len(v) for v in upsilon.values())
         cap = min(depth_cap, up_depth)
 
-        def member_conditions(carrier, base=None, depth=None):
-            """All conditions over the carrier at the given depth whose
-            overlap part follows the embedding, extending base if given."""
-            carrier = sorted(carrier)
-            must = sorted(base.domain) if base is not None else []
-            rest = [a for a in carrier if a not in must]
-            out = []
-            for r in range(len(rest) + 1):
-                for extra in itertools.combinations(rest, r):
-                    dom = must + list(extra)
-                    pools = []
-                    for a in dom:
-                        if a in inst.overlap:
-                            pools.append([tuple(upsilon[a][k] for k in range(depth))])
-                        elif base is not None and a in base.domain:
-                            tails = itertools.product(
-                                *[range(max(j, 1)) for j in range(base.depth, depth)])
-                            pools.append([base.seq(a) + t for t in tails])
-                        else:
-                            pools.append([tuple(v) for v in itertools.product(
-                                *[range(max(j, 1)) for j in range(depth)])])
-                    for combo in itertools.product(*pools):
-                        q = Condition(dom, depth, dict(zip(dom, combo)))
-                        if base is None or extends(ground, q, base):
-                            out.append(q)
-            return out
-
-        for p in member_conditions(ground.elements, depth=cap - 1):
+        for p in _conditions(ground, ground.elements, cap - 1, fixed=upsilon):
             pa = projection(inst.left, p)
             pb = projection(inst.right, p)
-            us = member_conditions(inst.left, base=pa, depth=cap)
-            vs = member_conditions(inst.right, base=pb, depth=cap)
+            us = list(_conditions(ground, inst.left, cap, base=pa, fixed=upsilon))
+            vs = list(_conditions(ground, inst.right, cap, base=pb, fixed=upsilon))
             if len(us) * len(vs) > 4000:
                 us, vs = us[:60], vs[:60]
             for u in us:

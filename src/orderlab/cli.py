@@ -249,8 +249,6 @@ def main(argv=None):
         description="finite order-combinatorics laboratory: depletions, "
                     "sequence-space embeddings, reduced products, condition "
                     "calculus, tie points")
-    parser.add_argument("--json", action="store_true",
-                        help="compact JSON report on stdout (the default)")
     parser.add_argument("--pretty", action="store_true",
                         help="indent the JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -258,33 +256,40 @@ def main(argv=None):
     p = sub.add_parser("depletion", help="depleted order matrix over an index subset")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--s", required=True, help="comma-separated index labels")
+    p.set_defaults(handler=_cmd_depletion)
 
     p = sub.add_parser("walk", help="find a walk between two fiber elements")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--s", required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
+    p.set_defaults(handler=_cmd_walk)
 
     p = sub.add_parser("star", help="no-walk condition per label pair")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--xi", type=int)
     p.add_argument("--eta", type=int)
     p.add_argument("--exhaustive", action="store_true")
+    p.set_defaults(handler=_cmd_star)
 
     p = sub.add_parser("phi", help="weighted-digit lift of a bounded sequence")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--g", help="second sequence for the strict-increase certificate")
     p.add_argument("--m", type=int, default=0, help="domination threshold")
+    p.set_defaults(handler=_cmd_phi)
 
     p = sub.add_parser("universal-embed",
                        help="embed an asymmetric structure into the digit relation")
     p.add_argument("--in", dest="infile", required=True)
+    p.set_defaults(handler=_cmd_universal_embed)
 
     p = sub.add_parser("product", help="reduced product and literal double-checks")
     p.add_argument("--in", dest="infile", required=True)
+    p.set_defaults(handler=_cmd_product)
 
     p = sub.add_parser("chains", help="longest strict-comparison chain in a structure")
     p.add_argument("--in", dest="infile", required=True)
+    p.set_defaults(handler=_cmd_chains)
 
     pf = sub.add_parser("forcing", help="condition-calculus builds")
     fsub = pf.add_subparsers(dest="forcing_command", required=True)
@@ -292,41 +297,28 @@ def main(argv=None):
     p.add_argument("--poset", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--seed", type=int, help="shuffle the request schedule")
+    p.set_defaults(handler=_cmd_forcing_generic)
     p = fsub.add_parser("pipeline", help="compose through chain factors")
     p.add_argument("--poset", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--chains", help="chain factor description (default: exact lengths)")
+    p.set_defaults(handler=_cmd_forcing_pipeline)
 
     p = sub.add_parser("tiepoint", help="decompose around a point of Cantor space")
     p.add_argument("--point", required=True, help='e.g. "01^omega" or "1(10)^omega"')
     p.add_argument("--depth", type=int, required=True)
+    p.set_defaults(handler=_cmd_tiepoint)
 
     p = sub.add_parser("check-all", help="run every verification suite")
     p.add_argument("--budget", choices=sorted(checksuite.BUDGETS), default="small")
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(handler=_cmd_check_all)
 
     args = parser.parse_args(argv)
-    handlers = {
-        "depletion": _cmd_depletion,
-        "walk": _cmd_walk,
-        "star": _cmd_star,
-        "phi": _cmd_phi,
-        "universal-embed": _cmd_universal_embed,
-        "product": _cmd_product,
-        "chains": _cmd_chains,
-        "tiepoint": _cmd_tiepoint,
-        "check-all": _cmd_check_all,
-    }
     digests = {}
     t0 = time.perf_counter()
     try:
-        if args.command == "forcing":
-            if args.forcing_command == "generic":
-                body, results = _cmd_forcing_generic(args, digests)
-            else:
-                body, results = _cmd_forcing_pipeline(args, digests)
-        else:
-            body, results = handlers[args.command](args, digests)
+        body, results = args.handler(args, digests)
     except (OrderlabError, OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

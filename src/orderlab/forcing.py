@@ -21,12 +21,7 @@ from .errors import (AgreementError, AmalgamationError, ChainTooShortError,
                      ScheduleError)
 from .fol import FiniteStructure, eval_pair
 from .posets import Poset, linear_extension
-from .seqspace import eta, leq_from, phi, position_seq
-
-
-def coord_bound(k):
-    """Value bound at coordinate k: max(k, 1)."""
-    return k if k > 1 else 1
+from .seqspace import eta, leq_from, phi, position_profile, position_seq
 
 
 class Condition:
@@ -79,11 +74,12 @@ def is_condition(ground: Poset, p: Condition) -> bool:
     coordinate bounds, sequences of the declared depth."""
     if not all(a in ground for a in p.domain):
         return False
+    bounds = position_profile(p.depth).bounds
     for a in p.domain:
         seq = p.seq(a)
         if len(seq) != p.depth:
             return False
-        if any(not 0 <= seq[k] < coord_bound(k) for k in range(p.depth)):
+        if any(not 0 <= v < b for v, b in zip(seq, bounds)):
             return False
     return True
 

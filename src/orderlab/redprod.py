@@ -41,13 +41,12 @@ class FilterFamily:
             for b in mems:
                 if a & b not in mems:
                     raise FilterError("family not closed under intersection")
-        for a in mems:
-            for up in map(frozenset, itertools.chain.from_iterable(
-                    itertools.combinations(full - a, r) for r in range(len(full - a) + 1))):
-                if a | up not in mems:
-                    raise FilterError("family not upward closed")
+        # the core is a member now, so every member lies among its supersets
+        core = reduce(frozenset.__and__, mems)
+        if len(mems) != 1 << (self.ground - len(core)):
+            raise FilterError("family not upward closed")
         self.members = mems
-        self.core = reduce(frozenset.__and__, mems)
+        self.core = core
 
     @classmethod
     def principal(cls, ground, core):

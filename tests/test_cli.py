@@ -58,6 +58,16 @@ def test_determinism_byte_identical(tmp_path, capsys):
     assert out_seeded == out_seeded2
 
 
+def test_forcing_subcommands_reach_their_builds(tmp_path, capsys):
+    e = write(tmp_path, "E.json", {"elements": [0, 1, 2], "edges": [[0, 1]]})
+    for name, field in (("generic", "Y"), ("pipeline", "positions")):
+        code, out, _ = run_cli(capsys, ["forcing", name, "--poset", e,
+                                        "--depth", "3"])
+        rep = json.loads(out)
+        assert code == 0 and rep["command"] == ["forcing", name]
+        assert field in rep and rep["checks"][0]["ok"]
+
+
 def test_walk_and_depletion_commands(tmp_path, capsys):
     inst = write(tmp_path, "inst.json",
                  {"I": [0, 1, 2], "A": [], "F": {"0": [0], "1": [1], "2": [2]},
@@ -222,6 +232,10 @@ def test_tiepoint_depth_beyond_kernel_exits_two(capsys):
 def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["walk", "--in", "missing.json"])  # missing required flags
+    assert e.value.code == 2
+    f = write(tmp_path, "f.json", {"bounds": [1], "vals": [0]})
+    with pytest.raises(SystemExit) as e:
+        main(["--json", "phi", "--in", f])  # no such flag
     assert e.value.code == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

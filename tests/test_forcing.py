@@ -1,11 +1,13 @@
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
-from orderlab.checks import (_enumerate_conditions, random_condition,
-                             random_extension, random_root_family)
+from orderlab.checks import (_conditions, check_dense_entries, check_reduction,
+                             random_condition, random_extension,
+                             random_root_family)
 from orderlab.errors import (AgreementError, AmalgamationError,
                              ChainTooShortError, DepthError, HypothesisError,
                              PreconditionError, RootError, ScheduleError)
@@ -292,7 +294,14 @@ def test_split_density_suites():
     r = check_split_density(trials=20)
     assert r["ok"], r
     r2 = check_split_density_exhaustive()
-    assert r2["ok"] and r2["cases"] > 1000, r2
+    assert r2["ok"] and r2["cases"] == 4550, r2
+
+
+def test_exhaustive_suite_case_counts():
+    entry = check_dense_entries(3, 4, trials=0)
+    assert entry["ok"] and entry["cases"] == 75420, entry
+    reduction = check_reduction(3, 3, trials=0)
+    assert reduction["ok"] and reduction["cases"] == 12077, reduction
 
 
 def test_condition_json_round_trip():
@@ -351,6 +360,127 @@ def ref_extend_into_E(ground, p, n, a, b):
                      for j in range(q.depth, k + 1))
         f[e] = q.seq(e) + tail
     return Condition(q.domain, k + 1, f)
+
+
+def _enumerate_conditions(ground, max_depth):
+    """Every condition with depth at most max_depth, grouped by domain."""
+    elems = list(ground.elements)
+    per_depth = {}
+    for d in range(max_depth + 1):
+        per_depth[d] = [tuple(v) for v in itertools.product(
+            *[range(max(k, 1)) for k in range(d)])]
+    for r in range(len(elems) + 1):
+        for dom in itertools.combinations(elems, r):
+            for d in range(max_depth + 1):
+                for combo in itertools.product(per_depth[d], repeat=r):
+                    yield Condition(dom, d, dict(zip(dom, combo)))
+
+
+def ref_extensions_at(ground, base, extra, depth):
+    """All extensions of base with the given fresh elements and depth."""
+    elems = sorted(base.domain) + list(extra)
+    tail_space = [range(max(j, 1)) for j in range(base.depth, depth)]
+    full_space = [range(max(j, 1)) for j in range(depth)]
+    choices = []
+    for a in elems:
+        if a in base.domain:
+            opts = [base.seq(a) + t for t in itertools.product(*tail_space)]
+        else:
+            opts = [tuple(v) for v in itertools.product(*full_space)]
+        choices.append(opts)
+    for combo in itertools.product(*choices):
+        q = Condition(elems, depth, dict(zip(elems, combo)))
+        if extends(ground, q, base):
+            yield q
+
+
+def ref_member_conditions(ground, upsilon, carrier, base=None, depth=None):
+    """All conditions over the carrier at the given depth whose overlap part
+    follows upsilon, extending base if given."""
+    carrier = sorted(carrier)
+    must = sorted(base.domain) if base is not None else []
+    rest = [a for a in carrier if a not in must]
+    out = []
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            dom = must + list(extra)
+            pools = []
+            for a in dom:
+                if a in upsilon:
+                    pools.append([tuple(upsilon[a][k] for k in range(depth))])
+                elif base is not None and a in base.domain:
+                    tails = itertools.product(
+                        *[range(max(j, 1)) for j in range(base.depth, depth)])
+                    pools.append([base.seq(a) + t for t in tails])
+                else:
+                    pools.append([tuple(v) for v in itertools.product(
+                        *[range(max(j, 1)) for j in range(depth)])])
+            for combo in itertools.product(*pools):
+                q = Condition(dom, depth, dict(zip(dom, combo)))
+                if base is None or extends(ground, q, base):
+                    out.append(q)
+    return out
+
+
+def keys(conds):
+    return [q.key() for q in conds]
+
+
+def test_conditions_give_the_dense_grid():
+    for n in range(1, 4):
+        for ground in enumerate_poset_isotypes(n):
+            want = keys(_enumerate_conditions(ground, 4))
+            got = keys(p for d in range(5)
+                       for p in _conditions(ground, ground.elements, d))
+            assert len(got) == len(set(got)) == len(want)
+            assert set(got) == set(want)
+
+
+def test_conditions_give_the_reduction_sequence():
+    total = 0
+    for n in range(1, 4):
+        for ground in enumerate_poset_isotypes(n):
+            subsets = [frozenset(c) for r in range(n + 1)
+                       for c in itertools.combinations(ground.elements, r)]
+            for p in _enumerate_conditions(ground, 3):
+                for sub in subsets:
+                    pi = projection(sub, p)
+                    for dq in range(pi.depth, 4):
+                        pool = sorted(sub - pi.domain)
+                        want = keys(
+                            q for r in range(len(pool) + 1)
+                            for extra in itertools.combinations(pool, r)
+                            for q in ref_extensions_at(ground, pi, extra, dq))
+                        assert keys(_conditions(ground, sub, dq, base=pi)) == want
+                        total += len(want)
+    assert total == 12077
+
+
+def test_conditions_give_the_split_density_sequence():
+    # the two frozen instances of check_split_density_exhaustive
+    total = 0
+    for n in (3, 4):
+        ground = make_poset(range(n), {(i, i + 1) for i in range(n - 1)})
+        inst = SplitInstance(ground, frozenset(range(n - 1)),
+                             frozenset(range(1, n)))
+        overlap = sorted(inst.overlap)
+        ups = generic_build(ground.restrict(overlap), 4)
+        upsilon = {a: ups.values[a] for a in overlap}
+        cap = min(4, min(len(v) for v in upsilon.values()))
+        ps = ref_member_conditions(ground, upsilon, ground.elements,
+                                   depth=cap - 1)
+        assert keys(_conditions(ground, ground.elements, cap - 1,
+                                fixed=upsilon)) == keys(ps)
+        for p in ps:
+            for side in (inst.left, inst.right):
+                base = projection(side, p)
+                want = keys(ref_member_conditions(ground, upsilon, side,
+                                                  base=base, depth=cap))
+                got = keys(_conditions(ground, side, cap, base=base,
+                                       fixed=upsilon))
+                assert got == want
+                total += len(want)
+    assert total == 864
 
 
 def test_extends_matches_reference_on_small_grids():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import reduce
 
 import pytest
 
@@ -17,6 +18,49 @@ F_EDGE = rel_factor([(0, 1)])
 F_NONE = rel_factor([])
 
 
+def ref_filter_family(ground, members):
+    """The filter checks with upward closure tested superset by superset:
+    the error message, or the members and the core."""
+    full = frozenset(range(ground))
+    mems = frozenset(frozenset(m) for m in members)
+    if full not in mems:
+        return "the ground set must belong to the filter"
+    if frozenset() in mems:
+        return "a proper filter excludes the empty set"
+    for m in mems:
+        if not m <= full:
+            return "member outside the ground set"
+    for a in mems:
+        for b in mems:
+            if a & b not in mems:
+                return "family not closed under intersection"
+    for a in mems:
+        for up in map(frozenset, itertools.chain.from_iterable(
+                itertools.combinations(full - a, r) for r in range(len(full - a) + 1))):
+            if a | up not in mems:
+                return "family not upward closed"
+    return mems, reduce(frozenset.__and__, mems)
+
+
+def test_filter_family_matches_superset_oracle():
+    # every family of subsets of every ground set of size at most 4
+    families = 0
+    for ground in range(5):
+        subsets = [frozenset(c) for r in range(ground + 1)
+                   for c in itertools.combinations(range(ground), r)]
+        for pick in range(1 << len(subsets)):
+            members = [m for i, m in enumerate(subsets) if pick >> i & 1]
+            want = ref_filter_family(ground, members)
+            try:
+                filt = FilterFamily(ground, members)
+                got = filt.members, filt.core
+            except FilterError as e:
+                got = str(e)
+            assert got == want, (ground, members)
+            families += 1
+    assert families == 65814
+
+
 def test_filter_validation():
     with pytest.raises(FilterError):
         FilterFamily(2, [frozenset()])  # empty set present
@@ -25,6 +69,8 @@ def test_filter_validation():
     with pytest.raises(FilterError):
         FilterFamily(3, [frozenset({0, 1, 2}), frozenset({0, 1}),
                          frozenset({1, 2})])  # not meet-closed
+    with pytest.raises(FilterError, match="not upward closed"):
+        FilterFamily(3, [{0, 1, 2}, {0}])
     filt = FilterFamily.principal(3, {1})
     assert frozenset({1}) in filt and frozenset({0, 2}) not in filt
     assert filt.is_ultra and filt.core == frozenset({1})
