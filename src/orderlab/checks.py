@@ -22,13 +22,15 @@ from .forcing import (Condition, amalgamate, extend_into_D,
                       extend_into_E, extends, generic_build, pipeline_embed,
                       projection, quotient_member, split_project, SplitInstance,
                       verify_generic_embedding)
-from .posets import Poset, enumerate_poset_isotypes, make_poset
+from .posets import (Poset, RelStructure, converse, enumerate_poset_isotypes,
+                     longest_chain, make_poset)
 from .redprod import FilterFamily, atomic_los_check, reduced_product
 from .seqspace import eta, phi, position_profile, position_seq
-from .tiepoint import (Clopen, Point, bulk_probe_check,
-                       decomposition_invariant_failures, expansion_axiom_check,
-                       mask_to_clopen, tie_decompose, true_tie_check)
-from .universal import Rel, rel, witness
+from .tiepoint import (Clopen, Point, bulk_probe_check, clopen_to_mask,
+                       complement, decomposition_invariant_failures,
+                       expansion_axiom_check, join, leq, mask_to_clopen, meet,
+                       tie_decompose, true_tie_check)
+from .universal import Rel, embed_structure, rel, verify_embedding, witness
 
 
 def _result(name, failures, cases, t0, **extra):
@@ -69,16 +71,29 @@ def random_depletion_instance(rng, max_elems=10, max_labels=5):
     return DepletionInstance(labels, core, fibers, order)
 
 
-def random_seq_vals(rng, depth):
-    return tuple(rng.randrange(max(k, 1)) for k in range(depth))
+def _draw(rng, domain, depth, base=None, fixed=None):
+    """A random condition at the given depth on domain, by the rule of
+    ``_conditions``: element a takes fixed[a][:depth] when fixed names it;
+    an element of base keeps base's values and draws the coordinates past
+    base.depth; every other element draws every coordinate.  Coordinate k
+    is uniform under its position bound, and the draws follow the iteration
+    order of domain.  The result need not extend base."""
+    fixed = fixed or {}
+    bounds = position_profile(depth).bounds
+    f = {}
+    for a in domain:
+        if a in fixed:
+            f[a] = fixed[a][:depth]
+        elif base is not None and a in base.domain:
+            f[a] = base.seq(a) + tuple(rng.randrange(b) for b in bounds[base.depth:])
+        else:
+            f[a] = tuple(rng.randrange(b) for b in bounds)
+    return Condition(domain, depth, f)
 
 
-def random_condition(rng, ground: Poset, max_depth=5, domain=None):
-    if domain is None:
-        k = rng.randint(0, len(ground))
-        domain = rng.sample(list(ground.elements), k)
-    depth = rng.randint(0, max_depth)
-    return Condition(domain, depth, {a: random_seq_vals(rng, depth) for a in domain})
+def random_condition(rng, ground: Poset, max_depth=5):
+    domain = rng.sample(list(ground.elements), rng.randint(0, len(ground)))
+    return _draw(rng, domain, rng.randint(0, max_depth))
 
 
 def random_extension(rng, ground: Poset, p: Condition, extra_elems=(),
@@ -88,13 +103,11 @@ def random_extension(rng, ground: Poset, p: Condition, extra_elems=(),
     if new_depth is None:
         new_depth = p.depth + rng.randint(0, 3)
     domain = set(p.domain) | set(extra_elems)
-    f = {}
-    for a in p.domain:
-        f[a] = list(p.seq(a))
-    for a in domain - p.domain:
-        f[a] = [rng.randrange(max(k, 1)) for k in range(p.depth)]
+    fresh = _draw(rng, domain - p.domain, p.depth)
+    f = {a: list(c.seq(a)) for c in (p, fresh) for a in c.domain}
+    bounds = position_profile(new_depth).bounds
     for j in range(p.depth, new_depth):
-        vals = {a: rng.randrange(max(j, 1)) for a in domain}
+        vals = {a: rng.randrange(bounds[j]) for a in domain}
         for a in sorted(domain):
             for b in p.domain:
                 if b != a and a in p.domain and ground.leq(b, a):
@@ -117,7 +130,7 @@ def random_root_family(rng, max_elems=6):
     root = elems[:root_size]
     free = elems[root_size:]
     n0 = rng.randint(0, 3)
-    r0 = Condition(root, n0, {a: random_seq_vals(rng, n0) for a in root})
+    r0 = _draw(rng, root, n0)
     n_max = n0 + rng.randint(0, 3)
     template = random_extension(rng, ground, r0, (), n_max)
     m = rng.randint(2, min(4, max(2, len(free) + 2)))
@@ -126,15 +139,17 @@ def random_root_family(rng, max_elems=6):
         b = rng.randrange(m + 1)
         if b < m:
             buckets[b].append(x)
-    parts = []
-    for i in range(m):
-        n_i = rng.randint(n0, n_max)
-        trunc = Condition(root, n_i, {a: template.seq(a)[:n_i] for a in root})
-        f = {a: trunc.seq(a) for a in root}
-        for x in buckets[i]:
-            f[x] = random_seq_vals(rng, n_i)
-        parts.append(Condition(set(root) | set(buckets[i]), n_i, f))
+    on_root = {a: template.seq(a) for a in root}
+    parts = [_draw(rng, root + bucket, rng.randint(n0, n_max), fixed=on_root)
+             for bucket in buckets]
     return ground, parts, frozenset(root)
+
+
+def random_tuples(rng, n, arity):
+    """Each arity-tuple over range(n), in product order, kept with
+    probability 0.4."""
+    return [t for t in itertools.product(range(n), repeat=arity)
+            if rng.random() < 0.4]
 
 
 def random_structure(rng, max_universe=3, max_rels=2):
@@ -142,9 +157,7 @@ def random_structure(rng, max_universe=3, max_rels=2):
     rels = {}
     for r in range(rng.randint(1, max_rels)):
         arity = rng.randint(1, 2)
-        tuples = [t for t in itertools.product(range(n), repeat=arity)
-                  if rng.random() < 0.4]
-        rels[f"R{r}"] = (arity, tuples)
+        rels[f"R{r}"] = (arity, random_tuples(rng, n, arity))
     return FiniteStructure(range(n), rels)
 
 
@@ -156,8 +169,7 @@ def check_phi_strict_increase(n_coords=6):
     forces strict domination of the lifted sequences past it; and every
     single strict coordinate n >= 1 lifts to a strict step at n+1."""
     t0 = time.perf_counter()
-    space = [tuple(v) for v in itertools.product(
-        *[range(max(k, 1)) for k in range(n_coords)])]
+    space = list(itertools.product(*map(range, position_profile(n_coords).bounds)))
     lifted = {v: phi(position_seq(v)).vals for v in space}
     failures = []
     cases = 0
@@ -428,51 +440,44 @@ def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
     failures = []
     cases = 0
 
-    def try_entries(ground, p, budget):
+    def entry(ground, p, req):
+        """Apply ("D", n, a) or ("E", n, a, b) to p and check the result."""
         nonlocal cases
-        for n in range(budget + 1):
-            for a in ground.elements:
-                q = extend_into_D(ground, p, n, a)
-                cases += 1
-                if not (extends(ground, q, p) and q.depth >= n and a in q.domain):
-                    failures.append({"poset": ground.to_json_dict(),
-                                     "p": p.to_json_dict(), "req": ["D", n, a]})
-            for a in ground.elements:
-                for b in ground.elements:
-                    if a == b or ground.leq(b, a):
-                        continue
-                    q = extend_into_E(ground, p, n, a, b)
-                    cases += 1
-                    strict = any(q.seq(a)[k] < q.seq(b)[k]
-                                 for k in range(n, q.depth))
-                    if not (extends(ground, q, p) and strict):
-                        failures.append({"poset": ground.to_json_dict(),
-                                         "p": p.to_json_dict(), "req": ["E", n, a, b]})
+        cases += 1
+        if req[0] == "D":
+            _, n, a = req
+            q = extend_into_D(ground, p, n, a)
+            landed = q.depth >= n and a in q.domain
+        else:
+            _, n, a, b = req
+            q = extend_into_E(ground, p, n, a, b)
+            landed = any(q.seq(a)[k] < q.seq(b)[k] for k in range(n, q.depth))
+        if not (extends(ground, q, p) and landed):
+            failures.append({"poset": ground.to_json_dict(),
+                             "p": p.to_json_dict(), "req": list(req)})
 
-    for n in range(1, exhaustive_n + 1):
-        for ground in enumerate_poset_isotypes(n):
+    for size in range(1, exhaustive_n + 1):
+        for ground in enumerate_poset_isotypes(size):
+            els = ground.elements
             for d in range(max_depth + 1):
-                for p in _conditions(ground, ground.elements, d):
-                    try_entries(ground, p, max_depth)
+                for p in _conditions(ground, els, d):
+                    for n in range(max_depth + 1):
+                        for a in els:
+                            entry(ground, p, ("D", n, a))
+                        for a in els:
+                            for b in els:
+                                if a != b and not ground.leq(b, a):
+                                    entry(ground, p, ("E", n, a, b))
     rng = random.Random(seed)
     for t in range(trials):
         ground = random_poset(rng, rng.randint(1, 6))
         p = random_condition(rng, ground, max_depth=6)
         n = rng.randint(0, 8)
         a = rng.choice(ground.elements)
-        q = extend_into_D(ground, p, n, a)
-        cases += 1
-        if not (extends(ground, q, p) and q.depth >= n and a in q.domain):
-            failures.append({"poset": ground.to_json_dict(),
-                             "p": p.to_json_dict(), "req": ["D", n, a]})
+        entry(ground, p, ("D", n, a))
         b = rng.choice(ground.elements)
         if a != b and not ground.leq(b, a):
-            q = extend_into_E(ground, p, n, a, b)
-            cases += 1
-            strict = any(q.seq(a)[k] < q.seq(b)[k] for k in range(n, q.depth))
-            if not (extends(ground, q, p) and strict):
-                failures.append({"poset": ground.to_json_dict(),
-                                 "p": p.to_json_dict(), "req": ["E", n, a, b]})
+            entry(ground, p, ("E", n, a, b))
     return _result("dense-set-entry", failures, cases, t0)
 
 
@@ -572,13 +577,10 @@ def check_atomic_los(trials=1000, seed=7):
         k = rng.randint(2, 4)
         proto = random_structure(rng)
         sig = {name: arity for name, (arity, _) in proto.relations.items()}
-        factors = []
-        for _ in range(k):
-            n = len(proto)
-            rels = {name: (arity, [tp for tp in itertools.product(range(n), repeat=arity)
-                                   if rng.random() < 0.4])
-                    for name, arity in sig.items()}
-            factors.append(FiniteStructure(range(n), rels))
+        n = len(proto)
+        factors = [FiniteStructure(range(n), {name: (arity, random_tuples(rng, n, arity))
+                                              for name, arity in sig.items()})
+                   for _ in range(k)]
         core = frozenset(rng.sample(range(k), rng.randint(1, k)))
         filt = FilterFamily.principal(k, core)
         ultra = FilterFamily.principal_ultrafilter(k, rng.randrange(k))
@@ -666,7 +668,6 @@ def check_poset_invariants(trials=400, seed=10):
             not (m[i][j] and m[j][i]) for i in range(n) for j in range(n)) and all(
             m[i][k] for i in range(n) for j in range(n) for k in range(n)
             if m[i][j] and m[j][k])
-        from .posets import converse, longest_chain
         if not good or converse(converse(p)) != p:
             failures.append({"poset": p.to_json_dict()})
             continue
@@ -678,8 +679,6 @@ def check_poset_invariants(trials=400, seed=10):
 def check_embed_roundtrip(trials=1000, seed=11, max_size=8):
     """Embedding a random asymmetric structure reproduces its relation
     matrix exactly."""
-    from .posets import RelStructure
-    from .universal import embed_structure, verify_embedding
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
@@ -701,7 +700,6 @@ def check_embed_roundtrip(trials=1000, seed=11, max_size=8):
 def check_clopen_ops(trials=600, seed=12, depth=4):
     """The antichain operations agree with plain cell-set arithmetic, and
     every nonempty clopen strictly contains a nonempty smaller one."""
-    from .tiepoint import clopen_to_mask, complement, join, leq, meet
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
@@ -731,11 +729,8 @@ def check_product_congruence(trials=200, seed=13):
     for _ in range(trials):
         k = rng.randint(2, 4)
         size = rng.randint(1, 3)
-        factors = [FiniteStructure(
-            range(size),
-            {"R": (2, [tp for tp in itertools.product(range(size), repeat=2)
-                       if rng.random() < 0.4])})
-            for _ in range(k)]
+        factors = [FiniteStructure(range(size), {"R": (2, random_tuples(rng, size, 2))})
+                   for _ in range(k)]
         filt = FilterFamily.principal(k, rng.sample(range(k), rng.randint(1, k)))
         rp = reduced_product(factors, filt)
         core = filt.core
@@ -797,19 +792,9 @@ def check_split_density(seed=9, trials=40, cap_extra=1):
         ups = generic_build(ground.restrict(overlap), 3) if overlap else None
         upsilon = {a: ups.values[a] for a in overlap} if ups else {}
         up_depth = len(next(iter(upsilon.values()))) if upsilon else 4
-
-        def upsilon_condition(rngl, domain, depth):
-            f = {}
-            for a in domain:
-                if a in inst.overlap:
-                    f[a] = tuple(upsilon[a][k] for k in range(depth))
-                else:
-                    f[a] = random_seq_vals(rngl, depth)
-            return Condition(domain, depth, f)
-
         depth_p = rng.randint(0, min(3, up_depth))
-        dom_p = [a for a in elems if rngl_coin(rng)]
-        p = upsilon_condition(rng, dom_p, depth_p)
+        dom_p = [a for a in elems if rng.random() < 0.5]
+        p = _draw(rng, dom_p, depth_p, fixed=upsilon)
         pa, pb = split_project(inst, p)
         ext = random_extension(rng, ground, p)
         ea, eb = split_project(inst, ext)
@@ -823,11 +808,11 @@ def check_split_density(seed=9, trials=40, cap_extra=1):
         for _ in range(4):
             du = rng.randint(depth_p, min(depth_p + cap_extra, up_depth))
             dv = rng.randint(depth_p, min(depth_p + cap_extra, up_depth))
-            dom_u = set(pa.domain) | {a for a in inst.left if rngl_coin(rng)}
-            dom_v = set(pb.domain) | {b for b in inst.right if rngl_coin(rng)}
-            u = _upsilon_extension(rng, ground, inst, upsilon, pa, dom_u, du)
-            v = _upsilon_extension(rng, ground, inst, upsilon, pb, dom_v, dv)
-            if u is None or v is None:
+            dom_u = set(pa.domain) | {a for a in inst.left if rng.random() < 0.5}
+            dom_v = set(pb.domain) | {b for b in inst.right if rng.random() < 0.5}
+            u = _draw(rng, dom_u, du, base=pa, fixed=upsilon)
+            v = _draw(rng, dom_v, dv, base=pb, fixed=upsilon)
+            if not (extends(ground, u, pa) and extends(ground, v, pb)):
                 continue
             cases += 1
             if not (quotient_member(inst.overlap, upsilon, u)
@@ -893,27 +878,6 @@ def check_split_density_exhaustive(depth_cap=4):
                                          "v": v.to_json_dict(),
                                          "w": w.to_json_dict()})
     return _result("split-density-exhaustive", failures, cases, t0)
-
-
-def rngl_coin(rng):
-    return rng.random() < 0.5
-
-
-def _upsilon_extension(rng, ground, inst, upsilon, base, domain, depth):
-    """A valid extension of base with the given domain/depth whose overlap
-    part follows the embedding; None when the random draw violates the
-    extension clauses."""
-    f = {}
-    for a in domain:
-        if a in inst.overlap:
-            f[a] = tuple(upsilon[a][k] for k in range(depth))
-        elif a in base.domain:
-            tail = tuple(rng.randrange(max(k, 1)) for k in range(base.depth, depth))
-            f[a] = base.seq(a) + tail
-        else:
-            f[a] = tuple(rng.randrange(max(k, 1)) for k in range(depth))
-    q = Condition(domain, depth, f)
-    return q if extends(ground, q, base) else None
 
 
 # --- suite registry ---------------------------------------------------------------

@@ -303,7 +303,7 @@ def depletion_order(inst: DepletionInstance, s) -> Poset:
             r |= 1 << pos[low.bit_length() - 1]
             row ^= low
         compact.append(r)
-    return Poset.from_closed_rows(dom, compact)
+    return Poset(dom, compact)
 
 
 def star_condition(inst: DepletionInstance, xi, eta_label, exhaustive=False):

@@ -18,14 +18,13 @@ class Poset:
 
     ``rows[i]`` has bit ``j`` set iff ``elements[i] < elements[j]``.  The
     relation is transitively closed, irreflexive and (hence) antisymmetric.
-    Instances are immutable and safe to share; ``strict_pairs``, the
-    up-sets and the down-set bitsets are computed on first use and cached
-    on the instance.
+    Instances are immutable and safe to share; ``strict_pairs`` and the
+    down-set bitsets are computed on first use and cached on the instance.
     """
 
-    # the three cache slots stay unset until first use, so construction
-    # pays nothing for them
-    __slots__ = ("elements", "_index", "_rows", "_pairs", "_ups", "_downs")
+    # the two cache slots stay unset until first use, so construction pays
+    # nothing for them
+    __slots__ = ("elements", "_index", "_rows", "_pairs", "_downs")
 
     def __init__(self, elements, rows, _validated=False):
         self.elements = tuple(sorted(elements))
@@ -35,13 +34,6 @@ class Poset:
             raise DomainError("duplicate element ids")
         if not _validated:
             _check_strict_order(self._rows, len(self.elements))
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_closed_rows(cls, elements, rows):
-        """Build from an already transitively closed strict relation; validates."""
-        return cls(elements, rows, _validated=False)
 
     def __len__(self):
         return len(self.elements)
@@ -96,23 +88,6 @@ class Poset:
         except AttributeError:
             self._pairs = tuple(self.pairs())
             return self._pairs
-
-    def down_set(self, a):
-        """Elements strictly below a."""
-        i = self.index_of(a)
-        return frozenset(e for j, e in enumerate(self.elements)
-                         if self._rows[j] >> i & 1)
-
-    def up_set(self, a):
-        """Elements strictly above a; cached per instance."""
-        try:
-            ups = self._ups
-        except AttributeError:
-            els = self.elements
-            ups = self._ups = tuple(
-                frozenset(e for j, e in enumerate(els) if row >> j & 1)
-                for row in self._rows)
-        return ups[self.index_of(a)]
 
     def _down_rows(self):
         """Per index i, the bitset of indices strictly below it; cached."""

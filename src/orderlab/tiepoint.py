@@ -72,10 +72,6 @@ class Clopen:
     def is_empty(self):
         return not self.antichain
 
-    @property
-    def is_full(self):
-        return self.antichain == frozenset({""})
-
     def depth(self):
         return max((len(w) for w in self.antichain), default=0)
 

@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +248,21 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     missing = str(tmp_path / "nonexistent.json")
     assert main(["phi", "--in", missing]) == 2
     capsys.readouterr()
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "orderlab", *args],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    done = run("tiepoint", "--point", "01^omega", "--depth", "2")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["point"] == "01^omega"
+    assert run().returncode == 2  # a subcommand is required
 
 
 def test_pretty_flag(tmp_path, capsys):

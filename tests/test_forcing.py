@@ -532,3 +532,40 @@ def test_generic_build_output_is_pinned():
     assert len(records) == 1 + 1 + 2 + 5 + 16 + 63
     blob = json.dumps(records, separators=(",", ":"), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == GENERIC_BUILD_DIGEST
+
+
+def generator_records():
+    """Everything the seeded generators and random suites draw: conditions,
+    extensions, root families, the stream position after them, and the
+    random suites' reports (wall time stripped)."""
+    from orderlab.checks import check_split_density, random_poset
+    records = []
+    for s in range(200):
+        rng = random.Random(s)
+        ground = random_poset(rng, rng.randint(1, 5))
+        p = random_condition(rng, ground, 5)
+        extra = [e for e in ground.elements if e not in p.domain and rng.random() < 0.5]
+        q = random_extension(rng, ground, p, extra)
+        r = random_extension(rng, ground, q)
+        fam_ground, parts, root = random_root_family(rng)
+        records.append([ground.to_json_dict(), p.to_json_dict(), q.to_json_dict(),
+                        r.to_json_dict(), fam_ground.to_json_dict(),
+                        [part.to_json_dict() for part in parts], sorted(root),
+                        rng.random()])
+    reports = [check_split_density(seed=s, trials=40) for s in range(20)]
+    reports += [check_dense_entries(0, trials=1000), check_reduction(0, trials=1000)]
+    for rep in reports:
+        rep.pop("elapsed_s")
+        records.append(rep)
+    return records
+
+
+# sha256 of generator_records(), recorded before the random generators were
+# rebuilt on one per-element draw rule; any change to the order or range of
+# a single draw moves it
+GENERATOR_DIGEST = "7e991ee318620e16607427253b5ab3e54e72695301b9d26745e53d46dc3dc87a"
+
+
+def test_generator_draws_are_pinned():
+    blob = json.dumps(generator_records(), separators=(",", ":"), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == GENERATOR_DIGEST
