@@ -46,7 +46,8 @@ def salient_violations(e, s, m_max):
 
 
 def salient_violations_bigint(e, s, m_max):
-    """Plain-integer fallback for values beyond int64; exact but slow."""
+    """Plain-integer reference for the blocked sweep, used by the tests;
+    exact but slow."""
     return sum(1 for m in range(m_max + 1) if (m + 1) * e <= s + m * e)
 
 

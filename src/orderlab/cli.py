@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 import time
 
@@ -21,7 +22,8 @@ from .depletion import (DepletionInstance, depletion_order, find_walk,
 from .errors import OrderlabError
 from .fol import FiniteStructure, parse_formula
 from .forcing import (EtaIntegerChains, ExplicitChainFactor, ExplicitChains,
-                      generic_build, pipeline_embed, verify_generic_embedding)
+                      default_schedule, generic_build, pipeline_embed,
+                      verify_generic_embedding)
 from .posets import Poset, RelStructure
 from .redprod import (FilterFamily, atomic_los_check, longest_op_chain,
                       reduced_product)
@@ -171,14 +173,10 @@ def _cmd_forcing_generic(args, digests):
     ground = Poset.from_json_dict(_load_json(args.poset, digests))
     schedule = None
     if args.seed is not None:
-        import random
-        rng = random.Random(args.seed)
-        from .forcing import default_schedule
         schedule = default_schedule(ground, args.depth)
-        rng.shuffle(schedule)
+        random.Random(args.seed).shuffle(schedule)
         # domain entries must still come first for every element
-        schedule = ([("D", 0, a) for a in ground.elements]
-                    + [r for r in schedule])
+        schedule = [("D", 0, a) for a in ground.elements] + schedule
     ge = generic_build(ground, args.depth, schedule)
     rep = verify_generic_embedding(ge)
     body = {

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexLabelError, LevelError, MembershipError
-from .posets import Poset
+from .posets import Poset, gather, make_poset
 
 
 class DepletionInstance:
@@ -104,13 +104,12 @@ class DepletionInstance:
 
     @classmethod
     def from_json_dict(cls, data):
-        from .posets import make_poset
         labels = [int(x) for x in data["I"]]
         fibers = {int(k): tuple(v) for k, v in data["F"].items()}
         elements = set(data["A"])
         for v in fibers.values():
             elements |= set(v)
-        order = make_poset(elements, [tuple(e) for e in data["edges"]])
+        order = make_poset(elements, data["edges"])
         return cls(labels, data["A"], fibers, order)
 
 
@@ -294,16 +293,7 @@ def depletion_order(inst: DepletionInstance, s) -> Poset:
                 row |= frontier
         full[k] = row
     # from order indices to positions in dom
-    pos = {index[x]: k for k, x in enumerate(dom)}
-    compact = []
-    for row in full:
-        r = 0
-        while row:
-            low = row & -row
-            r |= 1 << pos[low.bit_length() - 1]
-            row ^= low
-        compact.append(r)
-    return Poset(dom, compact)
+    return Poset(dom, gather(full, [index[x] for x in dom]))
 
 
 def star_condition(inst: DepletionInstance, xi, eta_label, exhaustive=False):

@@ -33,7 +33,7 @@ class Poset:
         if len(self._index) != len(self.elements):
             raise DomainError("duplicate element ids")
         if not _validated:
-            _check_strict_order(self._rows, len(self.elements))
+            _check_strict_order(self._rows)
 
     def __len__(self):
         return len(self.elements)
@@ -72,14 +72,7 @@ class Poset:
 
     def pairs(self):
         """All strict pairs (a, b) with a < b."""
-        out = []
-        for i, e in enumerate(self.elements):
-            row = self._rows[i]
-            while row:
-                j = (row & -row).bit_length() - 1
-                out.append((e, self.elements[j]))
-                row &= row - 1
-        return out
+        return list_pairs(self.elements, self._rows)
 
     def strict_pairs(self):
         """``pairs()`` as a tuple, computed on first use and cached."""
@@ -94,13 +87,7 @@ class Poset:
         try:
             return self._downs
         except AttributeError:
-            downs = [0] * len(self.elements)
-            for i, row in enumerate(self._rows):
-                while row:
-                    low = row & -row
-                    downs[low.bit_length() - 1] |= 1 << i
-                    row ^= low
-            self._downs = tuple(downs)
+            self._downs = tuple(transpose(self._rows))
             return self._downs
 
     def matrix(self):
@@ -110,30 +97,13 @@ class Poset:
     # -- derived orders ------------------------------------------------------
 
     def converse(self):
-        n = len(self.elements)
-        rows = [0] * n
-        for i in range(n):
-            r = self._rows[i]
-            while r:
-                j = (r & -r).bit_length() - 1
-                rows[j] |= 1 << i
-                r &= r - 1
-        return Poset(self.elements, rows, _validated=True)
+        return Poset(self.elements, self._down_rows(), _validated=True)
 
     def restrict(self, subset):
         """Induced subposet on the given element subset."""
         sub = sorted(subset)
-        for e in sub:
-            self.index_of(e)
         pos = [self.index_of(e) for e in sub]
-        rows = []
-        for i in pos:
-            r = 0
-            for jj, j in enumerate(pos):
-                if self._rows[i] >> j & 1:
-                    r |= 1 << jj
-            rows.append(r)
-        return Poset(sub, rows, _validated=True)
+        return Poset(sub, gather([self._rows[i] for i in pos], pos), _validated=True)
 
     # -- serialization -------------------------------------------------------
 
@@ -142,21 +112,99 @@ class Poset:
 
     @classmethod
     def from_json_dict(cls, data):
-        return make_poset(data["elements"], [tuple(e) for e in data["edges"]])
+        return make_poset(data["elements"], data["edges"])
 
 
-def _check_strict_order(rows, n):
-    for i in range(n):
-        if rows[i] >> i & 1:
+# --- bitset relations -----------------------------------------------------------
+#
+# A relation on the indices 0..n-1 is a sequence of n row bitsets: bit j of
+# rows[i] is set iff i is related to j.  Posets, relation structures,
+# depleted orders and the strict digraphs of the chain search share these.
+
+def transpose(rows):
+    """The converse relation: bit i of out[j] is set iff bit j of rows[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return out
+
+
+def is_transitive(rows):
+    """Whether rows[j] lies inside rows[i] whenever bit j of rows[i] is set."""
+    for r in rows:
+        outside = ~r
+        rr = r
+        while rr:
+            low = rr & -rr
+            if rows[low.bit_length() - 1] & outside:
+                return False
+            rr ^= low
+    return True
+
+
+def list_pairs(labels, rows):
+    """The related pairs (labels[i], labels[j]), by ascending i, then j."""
+    out = []
+    for a, row in zip(labels, rows):
+        while row:
+            low = row & -row
+            out.append((a, labels[low.bit_length() - 1]))
+            row ^= low
+    return out
+
+
+def load_pairs(carrier, pairs):
+    """The sorted carrier and the row bitsets over it of the given pairs.
+
+    Raises DomainError on an item that is not a pair of carrier elements.
+    """
+    carrier = sorted(set(carrier))
+    index = {e: i for i, e in enumerate(carrier)}
+    rows = [0] * len(carrier)
+    for pair in pairs:
+        try:
+            a, b = pair
+            i, j = index[a], index[b]
+        except KeyError:
+            raise DomainError(f"pair {pair!r} mentions unknown elements") from None
+        except (TypeError, ValueError):
+            raise DomainError(f"{pair!r} is not a pair of elements") from None
+        rows[i] |= 1 << j
+    return carrier, rows
+
+
+def gather(rows, idx):
+    """The rows re-indexed onto the columns idx: bit k of out[p] is set iff
+    bit idx[k] of rows[p] is.  Bits outside idx are dropped."""
+    pos = {}
+    keep = 0
+    for k, j in enumerate(idx):
+        pos[j] = k
+        keep |= 1 << j
+    out = []
+    for row in rows:
+        row &= keep
+        r = 0
+        while row:
+            low = row & -row
+            r |= 1 << pos[low.bit_length() - 1]
+            row ^= low
+        out.append(r)
+    return out
+
+
+def _check_strict_order(rows):
+    # a transitive relation without loops is antisymmetric: a 2-cycle
+    # i < j < i would close to i < i
+    for i, r in enumerate(rows):
+        if r >> i & 1:
             raise CycleError(f"element index {i} related to itself")
-        r = rows[i]
-        while r:
-            j = (r & -r).bit_length() - 1
-            if rows[j] & ~rows[i] & ~(1 << i):
-                raise CycleError("relation is not transitively closed")
-            if rows[j] >> i & 1:
-                raise CycleError("relation contains a 2-cycle")
-            r &= r - 1
+    if not is_transitive(rows):
+        raise CycleError("relation is not transitively closed")
 
 
 def make_poset(elements, edges):
@@ -164,14 +212,8 @@ def make_poset(elements, edges):
 
     Raises CycleError if the closure would relate some element to itself.
     """
-    elements = sorted(set(elements))
-    index = {e: i for i, e in enumerate(elements)}
+    elements, rows = load_pairs(elements, edges)
     n = len(elements)
-    rows = [0] * n
-    for a, b in edges:
-        if a not in index or b not in index:
-            raise DomainError(f"edge ({a!r}, {b!r}) mentions unknown elements")
-        rows[index[a]] |= 1 << index[b]
     # Warshall over bitset rows.
     for k in range(n):
         bit = 1 << k
@@ -234,40 +276,21 @@ class RelStructure:
         self.universe = tuple(sorted(universe))
         self._index = {e: i for i, e in enumerate(self.universe)}
         self._rows = tuple(rows)
-        n = len(self.universe)
-        for i in range(n):
-            if self._rows[i] >> i & 1:
+        for i, (r, d) in enumerate(zip(self._rows, transpose(self._rows))):
+            if r >> i & 1:
                 raise AsymmetryError("relation is reflexive at some element")
-            r = self._rows[i]
-            while r:
-                j = (r & -r).bit_length() - 1
-                if self._rows[j] >> i & 1:
-                    raise AsymmetryError("relation holds in both directions")
-                r &= r - 1
+            if r & d:
+                raise AsymmetryError("relation holds in both directions")
 
     @classmethod
     def from_pairs(cls, universe, pairs):
-        universe = sorted(set(universe))
-        index = {e: i for i, e in enumerate(universe)}
-        rows = [0] * len(universe)
-        for a, b in pairs:
-            if a not in index or b not in index:
-                raise DomainError(f"pair ({a!r}, {b!r}) mentions unknown elements")
-            rows[index[a]] |= 1 << index[b]
-        return cls(universe, rows)
+        return cls(*load_pairs(universe, pairs))
 
     def related(self, a, b):
         return bool(self._rows[self._index[a]] >> self._index[b] & 1)
 
     def pairs(self):
-        out = []
-        for i, e in enumerate(self.universe):
-            r = self._rows[i]
-            while r:
-                j = (r & -r).bit_length() - 1
-                out.append((e, self.universe[j]))
-                r &= r - 1
-        return out
+        return list_pairs(self.universe, self._rows)
 
     def __len__(self):
         return len(self.universe)
@@ -277,7 +300,7 @@ class RelStructure:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls.from_pairs(data["universe"], [tuple(p) for p in data["pairs"]])
+        return cls.from_pairs(data["universe"], data["pairs"])
 
 
 @dataclass(frozen=True)
@@ -368,7 +391,7 @@ def enumerate_poset_isotypes(n):
         for b, (i, j) in enumerate(uppers):
             if mask >> b & 1:
                 rows[i] |= 1 << j
-        if not _is_closed(rows, n):
+        if not is_transitive(rows):
             continue
         profs = _node_profiles(rows, n)
         sig = tuple(sorted(profs))
@@ -380,26 +403,9 @@ def enumerate_poset_isotypes(n):
     return out
 
 
-def _is_closed(rows, n):
-    for i in range(n):
-        r = rows[i]
-        while r:
-            j = (r & -r).bit_length() - 1
-            if rows[j] & ~rows[i]:
-                return False
-            r &= r - 1
-    return True
-
-
 def _node_profiles(rows, n):
-    down = [0] * n
-    for i in range(n):
-        r = rows[i]
-        while r:
-            j = (r & -r).bit_length() - 1
-            down[j] += 1
-            r &= r - 1
-    up = [bin(rows[i]).count("1") for i in range(n)]
+    down = [r.bit_count() for r in transpose(rows)]
+    up = [r.bit_count() for r in rows]
     profs = []
     for i in range(n):
         succ_up = tuple(sorted(up[j] for j in range(n) if rows[i] >> j & 1))

@@ -18,7 +18,7 @@ from functools import reduce
 from .errors import ArityError, BudgetError, FilterError, FormulaError
 from .fol import (Atom, FiniteStructure, Not, eval_pair, pair_rows, pair_sorts,
                   swap_pair_vars)
-from .posets import longest_chain_indices
+from .posets import is_transitive, longest_chain_indices
 
 
 class FilterFamily:
@@ -219,18 +219,6 @@ def _strict_pair_digraph(s: FiniteStructure, phi):
     return tuples, [f & ~b for f, b in zip(ab, ba)]
 
 
-def _is_transitive(rows):
-    for r in rows:
-        outside = ~r
-        rr = r
-        while rr:
-            low = rr & -rr
-            if rows[low.bit_length() - 1] & outside:
-                return False
-            rr ^= low
-    return True
-
-
 def longest_op_chain(s: FiniteStructure, phi):
     """A maximum-length tuple sequence where the pair formula holds exactly
     in the forward direction for every index pair.
@@ -240,7 +228,7 @@ def longest_op_chain(s: FiniteStructure, phi):
     candidate-set search runs.
     """
     tuples, above = _strict_pair_digraph(s, phi)
-    if _is_transitive(above):
+    if is_transitive(above):
         return [tuples[i] for i in longest_chain_indices(above)]
 
     # exhaustive: each extension must sit strictly above every chain member,

@@ -102,6 +102,17 @@ def test_universal_embed_command(tmp_path, capsys):
     assert json.loads(out)["images"] == [0, 4, 405]
 
 
+def test_malformed_pairs_exit_two_with_a_named_error(tmp_path, capsys):
+    for bad in ([0], [0, 1, 2]):
+        s = write(tmp_path, "s.json", {"universe": [0, 1, 2], "pairs": [bad]})
+        e = write(tmp_path, "E.json", {"elements": [0, 1, 2], "edges": [bad]})
+        for argv in (["universal-embed", "--in", s],
+                     ["forcing", "generic", "--poset", e, "--depth", "2"]):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2 and out == ""
+            assert "DomainError" in err and repr(bad) in err
+
+
 def test_product_command_pass_and_fail(tmp_path, capsys):
     factors = [
         {"universe": [0, 1], "relations": {"R": {"arity": 2, "tuples": [[0, 1]]}}},

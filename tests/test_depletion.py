@@ -2,16 +2,20 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
-from orderlab.checks import (REM0_FIXTURE, random_depletion_instance,
+from orderlab import checks
+from orderlab.checks import (REM0_FIXTURE, check_depletion_monotone,
+                             random_depletion_instance,
                              search_strictness_witness)
 from orderlab.depletion import (DepletionInstance, depletion_order,
                                 depletion_rel, find_walk, maximal_star_set,
                                 restrict_walk, star_condition, verify_walk)
-from orderlab.errors import (IndexLabelError, LevelError, MembershipError)
-from orderlab.posets import make_poset
+from orderlab.errors import (DomainError, IndexLabelError, LevelError,
+                             MembershipError)
+from orderlab.posets import Poset, make_poset
 
 
 def chain_instance():
@@ -165,6 +169,32 @@ def test_shrink_monotonicity_and_convex_agreement():
                         depletion_rel(inst, t, x, y)
 
 
+def test_monotone_suite_reports_a_dropped_pair(monkeypatch):
+    assert check_depletion_monotone(trials=300, seed=1)["ok"]
+    real = checks.depletion_order
+    dropped = set()
+
+    def lossy(inst, s):
+        # the two-label depletions lose their first pair
+        dep = real(inst, s)
+        if len(s) > 2 or not dep.pairs():
+            return dep
+        a, b = dep.pairs()[0]
+        rows = list(dep._rows)
+        rows[dep.index_of(a)] &= ~(1 << dep.index_of(b))
+        dropped.add((a, b))
+        return Poset(dep.elements, rows, _validated=True)
+
+    monkeypatch.setattr(checks, "depletion_order", lossy)
+    result = check_depletion_monotone(trials=300, seed=1)
+    assert not result["ok"] and result["cases"] == 300
+    kinds = set()
+    for f in result["failures"]:
+        assert tuple(f["pair"]) in dropped
+        kinds.add(f["kind"])
+    assert kinds <= {"shrink-monotonicity", "convex-agreement"}
+
+
 def test_walk_restriction_stays_a_walk():
     rng = random.Random(8)
     done = 0
@@ -247,6 +277,9 @@ def test_json_round_trip():
     assert inst.to_json_dict() == {
         "I": [0, 1, 2], "A": [], "F": {"0": [0], "1": [1], "2": [2]},
         "edges": [[0, 2]]}
+    for bad in ([0], [0, 1, 2]):
+        with pytest.raises(DomainError, match=re.escape(repr(bad))):
+            DepletionInstance.from_json_dict(dict(REM0_FIXTURE, edges=[bad]))
 
 
 # --- the per-pair walk search the bitset layer replaced, kept as an oracle --

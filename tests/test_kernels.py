@@ -6,7 +6,8 @@ counted twice at a block edge changes the count.
 
 import pytest
 
-from orderlab import _kernels
+from orderlab import _kernels, checks
+from orderlab.errors import BudgetError
 
 BLOCK = _kernels.SWEEP_BLOCK
 
@@ -27,3 +28,12 @@ def test_blocked_sweep_matches_bigint(width, e, s, all_violate):
     got = _kernels.salient_violations(e, s, m_max)
     assert got == _kernels.salient_violations_bigint(e, s, m_max)
     assert got == (width if all_violate else 0)
+
+
+def test_salient_sweep_beyond_int64_is_refused_up_front(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran before the refusal")
+
+    monkeypatch.setattr(_kernels, "salient_violations", no_sweep)
+    with pytest.raises(BudgetError, match="n = 13"):
+        checks.check_salient(13)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,8 @@ from orderlab.checks import chain_length_brute, check_poset_invariants
 from orderlab.errors import CycleError, DomainError
 from orderlab.posets import (OrderMap, Poset, RelStructure, converse,
                              enumerate_poset_isotypes, is_order_embedding,
-                             linear_extension, longest_chain, make_poset)
+                             is_transitive, linear_extension, list_pairs,
+                             load_pairs, longest_chain, make_poset, transpose)
 
 
 def test_make_poset_closure_of_chain():
@@ -278,3 +280,88 @@ def test_out_of_poset_elements_raise_domain_error():
                  lambda: linear_extension(p, [0, 1], before=(0, 2))):
         with pytest.raises(DomainError):
             call()
+
+
+# --- the shared bitset-relation primitives against their definitions ----------
+
+def ref_check_strict_order(rows, n):
+    """The three-clause rule the Poset constructor used before it became
+    "irreflexive and transitive": loops, closure and 2-cycles separately."""
+    for i in range(n):
+        if rows[i] >> i & 1:
+            raise CycleError(f"element index {i} related to itself")
+        r = rows[i]
+        while r:
+            j = (r & -r).bit_length() - 1
+            if rows[j] & ~rows[i] & ~(1 << i):
+                raise CycleError("relation is not transitively closed")
+            if rows[j] >> i & 1:
+                raise CycleError("relation contains a 2-cycle")
+            r &= r - 1
+
+
+def accepts(check):
+    try:
+        check()
+    except CycleError:
+        return False
+    return True
+
+
+def test_strict_order_rule_matches_three_clause_oracle_exhaustively():
+    accepted = []
+    for n in range(5):
+        count = 0
+        for mask in range(1 << (n * n)):
+            rows = [mask >> (n * i) & ((1 << n) - 1) for i in range(n)]
+            ok = accepts(lambda: ref_check_strict_order(rows, n))
+            assert accepts(lambda: Poset(range(n), rows)) == ok, (n, rows)
+            count += ok
+        accepted.append(count)
+    # labelled posets on 0..4 elements (OEIS A001035)
+    assert accepted == [1, 1, 3, 19, 219]
+
+
+def relation_rows(max_n=6):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+
+
+@settings(deadline=None, max_examples=200)
+@given(relation_rows())
+def test_transpose_and_transitivity_match_the_matrix(rows):
+    n = len(rows)
+    m = [[bool(rows[i] >> j & 1) for j in range(n)] for i in range(n)]
+    assert transpose(rows) == [sum(m[i][j] << i for i in range(n)) for j in range(n)]
+    assert is_transitive(rows) == all(
+        m[i][k] for i in range(n) for j in range(n) for k in range(n)
+        if m[i][j] and m[j][k])
+    labels = [3 + 4 * i for i in range(n)]
+    pairs = list_pairs(labels, rows)
+    assert pairs == [(labels[i], labels[j]) for i in range(n) for j in range(n)
+                     if m[i][j]]
+    assert load_pairs(reversed(labels), pairs) == (labels, rows)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 7), st.integers(0, 2 ** 21 - 1), st.integers(0, 2 ** 7 - 1))
+def test_restrict_is_the_sliced_matrix(n, mask, keep):
+    pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    p = make_poset(range(n), [pool[b] for b in range(len(pool)) if mask >> b & 1])
+    idx = [i for i in range(n) if keep >> i & 1]
+    m = p.matrix()
+    sub = p.restrict(reversed(idx))
+    assert sub.elements == tuple(idx)
+    assert sub.matrix() == [[m[i][j] for j in idx] for i in idx]
+
+
+def test_malformed_pairs_raise_domain_error():
+    for bad in ([0], [0, 1, 2], 5, [[0], 1]):
+        for call in (lambda: make_poset(range(3), [(0, 1), bad]),
+                     lambda: RelStructure.from_pairs(range(3), [bad]),
+                     lambda: Poset.from_json_dict({"elements": [0, 1, 2],
+                                                   "edges": [bad]}),
+                     lambda: RelStructure.from_json_dict({"universe": [0, 1, 2],
+                                                          "pairs": [bad]})):
+            with pytest.raises(DomainError, match=re.escape(repr(bad))):
+                call()
