@@ -12,9 +12,8 @@ verification suites; the `orderlab` command line fronts everything.
 from .posets import (OrderMap, Poset, RelStructure, converse,
                      enumerate_poset_isotypes, is_order_embedding,
                      linear_extension, longest_chain, make_poset)
-from .seqspace import (BoundProfile, SeqFun, eta, eta_profile, leq_from,
-                       lt_from, phi, position_profile, position_seq,
-                       salient_check)
+from .seqspace import (SeqFun, eta, eta_profile, leq_from, lt_from, phi,
+                       position_profile, position_seq, salient_check)
 from .universal import (Rel, SparseNat, embed_structure, rel, ternary_digit,
                         verify_embedding, witness, witness_above)
 from .depletion import (DepletionInstance, Walk, depletion_order,

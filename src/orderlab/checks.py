@@ -79,7 +79,7 @@ def _draw(rng, domain, depth, base=None, fixed=None):
     is uniform under its position bound, and the draws follow the iteration
     order of domain.  The result need not extend base."""
     fixed = fixed or {}
-    bounds = position_profile(depth).bounds
+    bounds = position_profile(depth)
     f = {}
     for a in domain:
         if a in fixed:
@@ -105,7 +105,7 @@ def random_extension(rng, ground: Poset, p: Condition, extra_elems=(),
     domain = set(p.domain) | set(extra_elems)
     fresh = _draw(rng, domain - p.domain, p.depth)
     f = {a: list(c.seq(a)) for c in (p, fresh) for a in c.domain}
-    bounds = position_profile(new_depth).bounds
+    bounds = position_profile(new_depth)
     for j in range(p.depth, new_depth):
         vals = {a: rng.randrange(bounds[j]) for a in domain}
         for a in sorted(domain):
@@ -169,7 +169,7 @@ def check_phi_strict_increase(n_coords=6):
     forces strict domination of the lifted sequences past it; and every
     single strict coordinate n >= 1 lifts to a strict step at n+1."""
     t0 = time.perf_counter()
-    space = list(itertools.product(*map(range, position_profile(n_coords).bounds)))
+    space = list(itertools.product(*map(range, position_profile(n_coords))))
     lifted = {v: phi(position_seq(v)).vals for v in space}
     failures = []
     cases = 0
@@ -418,7 +418,7 @@ def _conditions(ground: Poset, carrier, depth, base=None, fixed=None):
     """
     fixed = fixed or {}
     known = base.domain if base is not None else frozenset()
-    bounds = position_profile(depth).bounds
+    bounds = position_profile(depth)
     free = list(itertools.product(*map(range, bounds)))
     tails = list(itertools.product(
         *map(range, bounds[base.depth if base is not None else depth:])))

@@ -214,7 +214,7 @@ def _cmd_tiepoint(args, digests):
     td = tie_decompose(x, args.depth)
     inv = decomposition_invariant_failures(td)
     checked, bad = bulk_probe_check(td)
-    expansion = expansion_axiom_check(td, min(args.depth, 4))
+    expansion = expansion_axiom_check(td, args.depth)
     body = {
         "point": str(x),
         "below": [sorted(c.antichain) for c in td.below_chain],

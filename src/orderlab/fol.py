@@ -15,6 +15,7 @@ from itertools import groupby
 from operator import and_, itemgetter, or_
 
 from .errors import ArityError, DomainError, FormulaError
+from .posets import int_ids
 
 
 class FiniteStructure:
@@ -23,7 +24,7 @@ class FiniteStructure:
     __slots__ = ("universe", "relations")
 
     def __init__(self, universe, relations):
-        self.universe = tuple(sorted(universe))
+        self.universe = tuple(sorted(int_ids(universe)))
         uset = set(self.universe)
         rels = {}
         for name, (arity, tuples) in relations.items():

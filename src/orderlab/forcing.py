@@ -74,7 +74,7 @@ def is_condition(ground: Poset, p: Condition) -> bool:
     coordinate bounds, sequences of the declared depth."""
     if not all(a in ground for a in p.domain):
         return False
-    bounds = position_profile(p.depth).bounds
+    bounds = position_profile(p.depth)
     for a in p.domain:
         seq = p.seq(a)
         if len(seq) != p.depth:

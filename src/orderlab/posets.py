@@ -157,12 +157,23 @@ def list_pairs(labels, rows):
     return out
 
 
+def int_ids(ids):
+    """The ids as a list; raises DomainError naming the first id that is
+    not an int (ids are sorted, so mixed types cannot be ordered)."""
+    ids = list(ids)
+    for e in ids:
+        if type(e) is not int:
+            raise DomainError(f"element id {e!r} is not an integer")
+    return ids
+
+
 def load_pairs(carrier, pairs):
     """The sorted carrier and the row bitsets over it of the given pairs.
 
-    Raises DomainError on an item that is not a pair of carrier elements.
+    Raises DomainError on a carrier id that is not an int, and on an item
+    that is not a pair of carrier elements.
     """
-    carrier = sorted(set(carrier))
+    carrier = sorted(set(int_ids(carrier)))
     index = {e: i for i, e in enumerate(carrier)}
     rows = [0] * len(carrier)
     for pair in pairs:

@@ -19,39 +19,26 @@ from dataclasses import dataclass
 from .errors import ProfileError
 
 
-@dataclass(frozen=True)
-class BoundProfile:
-    """Per-coordinate positive bounds for a truncated sequence space."""
-    bounds: tuple
-
-    def __post_init__(self):
-        if any(b < 1 for b in self.bounds):
-            raise ProfileError("all coordinate bounds must be >= 1")
-
-    def __len__(self):
-        return len(self.bounds)
-
-    def __getitem__(self, k):
-        return self.bounds[k]
-
-
 def position_profile(n):
     """Bounds max(k, 1) for k < n."""
-    return BoundProfile(tuple(max(k, 1) for k in range(n)))
+    return tuple(max(k, 1) for k in range(n))
 
 
 def eta_profile(n):
     """Bounds eta(k) for k < n."""
-    return BoundProfile(tuple(eta(k) for k in range(n)))
+    return tuple(eta(k) for k in range(n))
 
 
 @dataclass(frozen=True)
 class SeqFun:
-    """A sequence respecting a bound profile: 0 <= vals[k] < bounds[k]."""
-    profile: BoundProfile
+    """A sequence respecting a bound profile, a tuple of per-coordinate
+    bounds: 0 <= vals[k] < profile[k]."""
+    profile: tuple
     vals: tuple
 
     def __post_init__(self):
+        if any(b < 1 for b in self.profile):
+            raise ProfileError("all coordinate bounds must be >= 1")
         if len(self.vals) != len(self.profile):
             raise ProfileError("value count differs from profile length")
         for k, v in enumerate(self.vals):
@@ -65,11 +52,11 @@ class SeqFun:
         return self.vals[k]
 
     def to_json_dict(self):
-        return {"bounds": list(self.profile.bounds), "vals": list(self.vals)}
+        return {"bounds": list(self.profile), "vals": list(self.vals)}
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(BoundProfile(tuple(data["bounds"])), tuple(data["vals"]))
+        return cls(tuple(data["bounds"]), tuple(data["vals"]))
 
 
 def position_seq(vals):

@@ -212,16 +212,16 @@ class TieDecomposition:
 
 
 def tie_decompose(x: Point, d: int) -> TieDecomposition:
-    """Split each depth's cells at the point's prefix."""
+    """Split each depth's cells at the point's prefix p: the cells below p
+    branch off it at one of its 1s, the cells above at one of its 0s."""
     if d < 1:
         raise DepthError("decompositions need depth >= 1")
-    below, above = [], []
-    for i in range(1, d + 1):
-        pref = x.expand(i)
-        cells = _cells(i)
-        below.append(Clopen.from_strings([c for c in cells if c < pref]))
-        above.append(Clopen.from_strings([c for c in cells if c > pref]))
-    return TieDecomposition(x, d, tuple(below), tuple(above))
+    p = x.expand(d)
+    below = tuple(Clopen(frozenset(p[:k] + "0" for k in range(i) if p[k] == "1"))
+                  for i in range(1, d + 1))
+    above = tuple(Clopen(frozenset(p[:k] + "1" for k in range(i) if p[k] == "0"))
+                  for i in range(1, d + 1))
+    return TieDecomposition(x, d, below, above)
 
 
 def decomposition_invariant_failures(td: TieDecomposition):
@@ -299,8 +299,6 @@ def expansion_axiom_check(td: TieDecomposition, fragment_depth: int) -> bool:
     join of the two top chain elements."""
     if fragment_depth > td.depth:
         raise DepthError("fragment deeper than the decomposition")
-    if fragment_depth > 4:
-        raise DepthError("fragment sweeps are supported up to depth 4")
     for chain in (td.below_chain, td.above_chain):
         for u in chain:
             for v in chain:
@@ -310,17 +308,9 @@ def expansion_axiom_check(td: TieDecomposition, fragment_depth: int) -> bool:
         for v in td.above_chain:
             if not meet(u, v).is_empty:
                 return False
+    # a fragment element or its complement lies under the cover unless two
+    # fragment cells each hold an uncovered cell; prefix-free words sort in
+    # cell order, so the first and last uncovered cells decide it
+    left = sorted(complement(join(td.below, td.above)).antichain)
     d = fragment_depth
-    fine = clopen_to_mask(join(td.below, td.above), td.depth)
-    # a fragment cell counts as covered only when all its refinements are
-    span = 1 << (td.depth - d)
-    block = (1 << span) - 1
-    cover = 0
-    for i in range(1 << d):
-        if (fine >> (i * span)) & block == block:
-            cover |= 1 << i
-    full = (1 << (1 << d)) - 1
-    for mask in range(1 << (1 << d)):
-        if mask & ~cover and (full ^ mask) & ~cover:
-            return False
-    return True
+    return not left or (left[0] + "0" * d)[:d] == (left[-1] + "1" * d)[:d]

@@ -5,11 +5,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from orderlab import checks
 from orderlab.cli import main
+from orderlab.fol import linear_order_structure
 
 
 def write(tmp_path, name, payload):
@@ -72,6 +75,54 @@ def test_forcing_subcommands_reach_their_builds(tmp_path, capsys):
         assert field in rep and rep["checks"][0]["ok"]
 
 
+def run_pipeline(tmp_path, capsys, chains=None):
+    """forcing pipeline on the 2-element chain at depth 1 (width 6)."""
+    e = write(tmp_path, "E.json", {"elements": [0, 1], "edges": [[0, 1]]})
+    argv = ["forcing", "pipeline", "--poset", e, "--depth", "1"]
+    if chains is not None:
+        argv += ["--chains", write(tmp_path, "chains.json", chains)]
+    return run_cli(capsys, argv)
+
+
+def linear_chain_factors(lengths):
+    return {"kind": "explicit", "factors": [
+        {"structure": linear_order_structure(n).to_json_dict(),
+         "formula": "(R x0 y0)", "chain": [[i] for i in range(n)]}
+        for n in lengths]}
+
+
+def test_forcing_pipeline_eta_chains_match_the_default(tmp_path, capsys):
+    code, out, _ = run_pipeline(tmp_path, capsys)
+    assert code == 0
+    implicit = json.loads(out)
+    code, out, _ = run_pipeline(tmp_path, capsys, {"kind": "eta"})
+    assert code == 0
+    eta_chains = json.loads(out)
+    assert len(eta_chains.pop("inputs")) == 2 and len(implicit.pop("inputs")) == 1
+    assert eta_chains == implicit
+
+
+def test_forcing_pipeline_explicit_chains_match_the_default(tmp_path, capsys):
+    code, out, _ = run_pipeline(tmp_path, capsys)
+    assert code == 0
+    implicit = json.loads(out)
+    assert implicit["width"] == 6
+    # linear orders of exactly the lengths eta(j) = j!
+    code, out, _ = run_pipeline(tmp_path, capsys,
+                                linear_chain_factors([1, 1, 2, 6, 24, 120]))
+    assert code == 0
+    rep = json.loads(out)
+    for key in ("ok", "width", "positions", "pairs"):
+        assert rep[key] == implicit[key]
+
+
+def test_forcing_pipeline_short_chain_factor_exits_two(tmp_path, capsys):
+    code, out, err = run_pipeline(tmp_path, capsys,
+                                  linear_chain_factors([1, 1, 2, 6, 24, 119]))
+    assert code == 2 and out == ""
+    assert "ChainTooShortError" in err and "Traceback" not in err
+
+
 def test_walk_and_depletion_commands(tmp_path, capsys):
     inst = write(tmp_path, "inst.json",
                  {"I": [0, 1, 2], "A": [], "F": {"0": [0], "1": [1], "2": [2]},
@@ -111,6 +162,25 @@ def test_malformed_pairs_exit_two_with_a_named_error(tmp_path, capsys):
             code, out, err = run_cli(capsys, argv)
             assert code == 2 and out == ""
             assert "DomainError" in err and repr(bad) in err
+
+
+def test_non_integer_ids_exit_two_with_a_named_error(tmp_path, capsys):
+    for ids in ([0, "a"], [0, True, 2.5]):
+        s = write(tmp_path, "s.json", {"universe": ids, "pairs": []})
+        c = write(tmp_path, "c.json", {
+            "structure": {"universe": ids,
+                          "relations": {"R": {"arity": 2, "tuples": []}}},
+            "formula": "(R x0 y0)"})
+        e = write(tmp_path, "E.json", {"elements": ids, "edges": []})
+        inst = write(tmp_path, "inst.json",
+                     {"I": [0, 1], "A": [], "F": {"0": ids[:1], "1": ids[1:]},
+                      "edges": []})
+        for argv in (["universal-embed", "--in", s], ["chains", "--in", c],
+                     ["forcing", "generic", "--poset", e, "--depth", "2"],
+                     ["depletion", "--in", inst, "--s", "0,1"]):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2 and out == ""
+            assert "DomainError" in err and "Traceback" not in err
 
 
 def test_product_command_pass_and_fail(tmp_path, capsys):
@@ -237,11 +307,15 @@ def test_chains_golden(tmp_path, monkeypatch, capsys):
 
 
 def test_tiepoint_depth_beyond_kernel_exits_two(capsys):
-    # 2^6 cells do not fit the 32-bit probe masks: a named error, exit 2
-    code, out, err = run_cli(capsys, ["tiepoint", "--point", "01^omega",
-                                      "--depth", "6"])
-    assert code == 2 and out == ""
-    assert "DepthError" in err and "Traceback" not in err
+    # 2^6 cells do not fit the 32-bit probe masks: a named error, exit 2,
+    # and at once however deep the request
+    for point, depth in (("01^omega", 6), ("1(10)^omega", 40)):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, ["tiepoint", "--point", point,
+                                          "--depth", str(depth)])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert "DepthError" in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -283,7 +357,6 @@ def test_pretty_flag(tmp_path, capsys):
 
 
 def test_suite_results_deterministic_modulo_wall_time():
-    from orderlab import checks
     runs = []
     for _ in range(2):
         out = [checks.check_depletion_poset(trials=60, seed=5),
@@ -293,3 +366,91 @@ def test_suite_results_deterministic_modulo_wall_time():
             [{k: v for k, v in c.items() if k != "elapsed_s"} for c in out],
             sort_keys=True))
     assert runs[0] == runs[1]
+
+
+def tiepoint_transcript_digest(capsys):
+    """sha256 over exit codes and stdout of 244 tiepoint requests: every
+    prefix of length <= 3 with periods 0, 1, 01 and 110 at depths 1-4, and
+    refusals past the probe kernel at depths 6 and 12."""
+    prefixes = [format(i, f"0{n}b") if n else ""
+                for n in range(4) for i in range(1 << n)]
+    requests = [(f"{p}({q})^omega" if p else f"{q}^omega", d)
+                for p in prefixes for q in ("0", "1", "01", "110")
+                for d in range(1, 5)]
+    requests += [(x, d) for x in ("01^omega", "1(10)^omega") for d in (6, 12)]
+    digest = hashlib.sha256()
+    for x, d in requests:
+        code = main(["tiepoint", "--point", x, "--depth", str(d)])
+        digest.update(f"{x} {d} -> {code}\n".encode())
+        digest.update(capsys.readouterr().out.encode())
+    return digest.hexdigest()
+
+
+def test_tiepoint_golden(capsys):
+    assert tiepoint_transcript_digest(capsys) == \
+        "8415411c74dff113ca7ba64680793aabe2587527b4d59128b46576edb6087782"
+
+
+# run_all's calls in report order: (suite, base trial count, seed offset),
+# None where the suite takes no such argument
+RUN_ALL_CALLS = [
+    ("check_phi_strict_increase", None, None),
+    ("check_salient", None, None),
+    ("check_universal_witness", None, None),
+    ("check_depletion_poset", 10000, 0),
+    ("check_depletion_monotone", 4000, 1),
+    ("check_strictness_fixture", None, None),
+    ("check_star_equivalence", 500, 2),
+    ("check_amalgamation", 1000, 3),
+    ("check_dense_entries", 1000, 4),
+    ("check_reduction", 1000, 5),
+    ("check_generic_embedding", None, None),
+    ("check_pipeline", 50, 6),
+    ("check_atomic_los", 1000, 7),
+    ("check_tie_points", None, 8),
+    ("check_split_density", 40, 9),
+    ("check_split_density_exhaustive", None, None),
+    ("check_poset_invariants", 400, 10),
+    ("check_embed_roundtrip", 1000, 11),
+    ("check_clopen_ops", 600, 12),
+    ("check_product_congruence", 200, 13),
+]
+
+
+@pytest.fixture
+def suite_stubs(monkeypatch):
+    calls = []
+
+    def stub(name):
+        def run(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return {"name": name, "ok": True, "cases": 0, "elapsed_s": 0.5}
+        return run
+
+    for name in dir(checks):
+        if name.startswith("check_"):
+            monkeypatch.setattr(checks, name, stub(name))
+    return calls
+
+
+def test_run_all_calls_every_suite_once_in_report_order(suite_stubs):
+    results = checks.run_all("medium", seed=5)
+    scale = checks.BUDGETS["medium"]
+    want = []
+    for name, trials, offset in RUN_ALL_CALLS:
+        kwargs = {}
+        if trials is not None:
+            kwargs["trials"] = int(trials * scale)
+        if offset is not None:
+            kwargs["seed"] = 5 + offset
+        want.append((name, (), kwargs))
+    assert suite_stubs == want
+    assert [r["name"] for r in results] == [name for name, _, _ in RUN_ALL_CALLS]
+
+
+def test_check_all_command_drops_wall_times(suite_stubs, capsys):
+    code, out, err = run_cli(capsys, ["check-all"])
+    assert code == 0
+    assert "elapsed_s" not in out and "0.5s" in err
+    rep = json.loads(out)
+    assert rep["budget"] == "small" and len(rep["checks"]) == len(RUN_ALL_CALLS)

@@ -19,6 +19,9 @@ def test_structure_validation():
         FiniteStructure([0, 1], {"R": (2, [(0, 1, 1)])})
     with pytest.raises(DomainError):
         FiniteStructure([0, 1], {"R": (1, [(5,)])})
+    for universe in ([0, "a"], [0, True, 2.5]):
+        with pytest.raises(DomainError, match="is not an integer"):
+            FiniteStructure(universe, {"R": (2, [])})
     s = edge_structure()
     assert s.holds("R", (0, 1)) and not s.holds("R", (1, 0))
     with pytest.raises(ArityError):

@@ -33,6 +33,17 @@ def test_make_poset_unknown_element_raises():
         make_poset({0, 1}, {(0, 7)})
 
 
+@pytest.mark.parametrize("carrier,bad", [([0, "a"], "'a'"),
+                                         ([0, True, 2.5], "True"),
+                                         ([1, 2.5], "2.5")])
+def test_non_integer_ids_raise_domain_error(carrier, bad):
+    for build in (lambda: load_pairs(carrier, []),
+                  lambda: make_poset(carrier, []),
+                  lambda: RelStructure.from_pairs(carrier, [])):
+        with pytest.raises(DomainError, match=f"element id {re.escape(bad)} "):
+            build()
+
+
 def random_dag_edges(rng, n, density=0.4):
     order = list(range(n))
     rng.shuffle(order)

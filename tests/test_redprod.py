@@ -4,6 +4,7 @@ from functools import reduce
 
 import pytest
 
+from orderlab.checks import check_product_congruence
 from orderlab.errors import ArityError, BudgetError, FilterError, FormulaError
 from orderlab.fol import FiniteStructure, linear_order_structure, parse_formula
 from orderlab.redprod import (FilterFamily, atomic_los_check, longest_op_chain,
@@ -279,3 +280,8 @@ def test_bad_formula_rejected_on_every_universe(n):
         longest_op_chain(s, parse_formula("(R x0)"))
     with pytest.raises(ArityError):
         longest_op_chain(s, parse_formula("(and (R x0 y0) (not (R x0 y0 y0)))"))
+
+
+def test_product_congruence_suite_at_contract_count():
+    r = check_product_congruence(trials=200, seed=13)
+    assert r["ok"] and r["cases"] == 200

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from orderlab.errors import ProfileError
-from orderlab.seqspace import (BoundProfile, SeqFun, eta, eta_profile,
-                               eta_table, leq_from, lt_from, phi,
-                               position_profile, position_seq, salient_check)
+from orderlab.seqspace import (SeqFun, eta, eta_profile, eta_table,
+                               leq_from, lt_from, phi, position_profile,
+                               position_seq, salient_check)
 
 
 def eta_recursion(n_max):
@@ -74,14 +74,14 @@ def test_phi_maximal_input_stays_under_bounds():
 
 def test_phi_requires_position_profile():
     with pytest.raises(ProfileError):
-        phi(SeqFun(BoundProfile((2, 2)), (1, 1)))
+        phi(SeqFun((2, 2), (1, 1)))
 
 
 def test_bounds_validation():
     with pytest.raises(ProfileError):
         SeqFun(position_profile(3), (0, 1, 0))  # coordinate 1 has bound 1
     with pytest.raises(ProfileError):
-        BoundProfile((1, 0))
+        SeqFun((1, 0), (0, 0))
     assert SeqFun(position_profile(3), (0, 0, 1)).vals == (0, 0, 1)
 
 

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderlab.checks import check_clopen_ops
 from orderlab.errors import CanonicalityError, DepthError
 from orderlab.tiepoint import (Clopen, EMPTY, FULL, Point, bulk_probe_check,
                                canonical_antichain, clopen_to_mask, complement,
@@ -22,6 +24,53 @@ def cells_oracle(u, d):
         for i in range(1 << span):
             out.add(w + format(i, f"0{span}b") if span else w)
     return out
+
+
+# --- literal oracles: the cell enumeration and the fragment-mask sweep ------
+
+def ref_tie_decompose(x, d):
+    """List the depth-i cells and merge those below / above the prefix."""
+    below, above = [], []
+    for i in range(1, d + 1):
+        pref = x.expand(i)
+        cells = [format(c, f"0{i}b") for c in range(1 << i)]
+        below.append(Clopen.from_strings([c for c in cells if c < pref]))
+        above.append(Clopen.from_strings([c for c in cells if c > pref]))
+    return TieDecomposition(x, d, tuple(below), tuple(above))
+
+
+def ref_expansion_axiom_check(td, fragment_depth):
+    """Chain linearity, orthogonality, then every one of the 2^(2^d)
+    fragment elements tested for lying (or its complement lying) under the
+    cover, a fragment cell counting as covered when all its refinements are."""
+    assert fragment_depth <= min(td.depth, 4)
+    for chain in (td.below_chain, td.above_chain):
+        for u in chain:
+            for v in chain:
+                if not (leq(u, v) or leq(v, u)):
+                    return False
+    for u in td.below_chain:
+        for v in td.above_chain:
+            if not meet(u, v).is_empty:
+                return False
+    d = fragment_depth
+    fine = clopen_to_mask(join(td.below, td.above), td.depth)
+    span = 1 << (td.depth - d)
+    block = (1 << span) - 1
+    cover = 0
+    for i in range(1 << d):
+        if (fine >> (i * span)) & block == block:
+            cover |= 1 << i
+    full = (1 << (1 << d)) - 1
+    for mask in range(1 << (1 << d)):
+        if mask & ~cover and (full ^ mask) & ~cover:
+            return False
+    return True
+
+
+def random_point(rng, max_prefix=5, max_period=3):
+    return Point("".join(rng.choice("01") for _ in range(rng.randint(0, max_prefix))),
+                 "".join(rng.choice("01") for _ in range(rng.randint(1, max_period))))
 
 
 def test_canonicalization():
@@ -180,15 +229,73 @@ def test_expansion_axiom_check_and_mutation():
         (td.below_chain[1], Clopen.from_strings(["10"]), td.below_chain[2]),
         td.above_chain)
     assert not expansion_axiom_check(scrambled, 3)
+    for t in (td, bad, scrambled):
+        for f in range(4):
+            assert expansion_axiom_check(t, f) == ref_expansion_axiom_check(t, f)
+
+
+def test_expansion_cover_fact_matches_fragment_sweep_on_contract_points():
+    for bits in itertools.product("01", repeat=4):
+        td = tie_decompose(Point("".join(bits), "0"), 4)
+        for f in range(5):
+            assert expansion_axiom_check(td, f) == ref_expansion_axiom_check(td, f)
+
+
+def test_expansion_cover_fact_matches_fragment_sweep_on_random_chains():
+    # increasing chains inside two disjoint random cell sets are linear and
+    # orthogonal, so the verdict turns on the cover clause alone
+    rng = random.Random(13)
+    verdicts = set()  # (depth, verdict) at the full fragment depth
+    for _ in range(300):
+        depth = rng.randint(1, 4)
+        cells = (1 << (1 << depth)) - 1
+        low = rng.getrandbits(1 << depth)
+        high = rng.getrandbits(1 << depth) & ~low & cells
+        chains = []
+        for region in (low, high):
+            chain, mask = [], 0
+            for _ in range(depth):
+                mask |= region & rng.getrandbits(1 << depth)
+                chain.append(mask_to_clopen(mask, depth))
+            chains.append(tuple(chain))
+        td = TieDecomposition(random_point(rng), depth, *chains)
+        for f in range(depth + 1):
+            assert expansion_axiom_check(td, f) == ref_expansion_axiom_check(td, f)
+        verdicts.add((depth, expansion_axiom_check(td, depth)))
+    assert verdicts == set(itertools.product(range(1, 5), (True, False)))
+
+
+def test_expansion_cover_fact_past_the_sweep_depth():
+    rng = random.Random(31)
+    for d in range(5, 9):
+        for _ in range(8):
+            td = tie_decompose(random_point(rng, max_prefix=d), d)
+            assert all(expansion_axiom_check(td, f) for f in range(d + 1))
+            for side in range(2):
+                chains = [td.below_chain, td.above_chain]
+                if chains[side][-1].is_empty:
+                    continue
+                chains[side] = chains[side][:-1] + (EMPTY,)
+                assert not expansion_axiom_check(TieDecomposition(td.point, d, *chains), d)
+
+
+def test_decomposition_matches_cell_enumeration():
+    for n in range(7):
+        for bits in itertools.product("01", repeat=n):
+            for period in ("0", "1"):
+                x = Point("".join(bits), period)
+                for d in range(max(n, 1), 7):
+                    assert tie_decompose(x, d) == ref_tie_decompose(x, d)
+    rng = random.Random(17)
+    for _ in range(200):
+        x, d = random_point(rng), rng.randint(1, 8)
+        assert tie_decompose(x, d) == ref_tie_decompose(x, d)
 
 
 def test_decomposition_invariants_random_deep_points():
     rng = random.Random(21)
     for _ in range(30):
-        prefix = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
-        period = "".join(rng.choice("01") for _ in range(rng.randint(1, 3)))
-        x = Point(prefix, period)
-        d = rng.randint(1, 8)
+        x, d = random_point(rng), rng.randint(1, 8)
         td = tie_decompose(x, d)
         assert not decomposition_invariant_failures(td)
 
@@ -196,3 +303,9 @@ def test_decomposition_invariants_random_deep_points():
 def test_json_round_trip():
     u = Clopen.from_strings(["00", "0111", "10"])
     assert Clopen.from_json_dict(u.to_json_dict()) == u
+
+
+def test_clopen_operations_suite_at_contract_count():
+    # the suite that holds the antichain operations to the cell-mask view
+    r = check_clopen_ops(trials=600, seed=12)
+    assert r["ok"] and r["cases"] == 600

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orderlab.checks import check_embed_roundtrip
 from orderlab.errors import AsymmetryError, DisjointnessError
 from orderlab.posets import RelStructure
 from orderlab.universal import (Rel, SparseNat, as_nat, embed_structure, rel,
@@ -325,3 +326,8 @@ def test_embed_images_golden_digest():
                             separators=(",", ":")).encode() + b"\n")
     assert h.hexdigest() == (
         "495e682d2449c26792513b171d8a97571b124f62c7e26424cbc96b674e6b7b4a")
+
+
+def test_embed_roundtrip_suite_at_contract_count():
+    r = check_embed_roundtrip(trials=1000, seed=11)
+    assert r["ok"] and r["cases"] == 1000
