@@ -427,16 +427,17 @@ def _conditions(ground: Poset, carrier, depth, base=None, fixed=None):
     for r in range(len(rest) + 1):
         for extra in itertools.combinations(rest, r):
             dom = must + list(extra)
+            domain = frozenset(dom)
             pools = []
             for a in dom:
                 if a in fixed:
-                    pools.append([fixed[a][:depth]])
+                    pools.append([tuple(fixed[a][:depth])])
                 elif a in known:
                     pools.append([base.seq(a) + t for t in tails])
                 else:
                     pools.append(free)
             for combo in itertools.product(*pools):
-                q = Condition(dom, depth, dict(zip(dom, combo)))
+                q = Condition._trusted(domain, depth, dict(zip(dom, combo)))
                 if base is None or extends(ground, q, base):
                     yield q
 
@@ -459,7 +460,7 @@ def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
         else:
             _, n, a, b = req
             q = extend_into_E(ground, p, n, a, b)
-            landed = any(q.seq(a)[k] < q.seq(b)[k] for k in range(n, q.depth))
+            landed = any(x < y for x, y in zip(q.seq(a)[n:], q.seq(b)[n:]))
         if not (extends(ground, q, p) and landed):
             failures.append({"poset": ground.to_json_dict(),
                              "p": p.to_json_dict(), "req": list(req)})
@@ -467,15 +468,15 @@ def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
     for size in range(1, exhaustive_n + 1):
         for ground in enumerate_poset_isotypes(size):
             els = ground.elements
+            pairs = [(a, b) for a in els for b in els
+                     if a != b and not ground.leq(b, a)]
             for d in range(max_depth + 1):
                 for p in _conditions(ground, els, d):
                     for n in range(max_depth + 1):
                         for a in els:
                             entry(ground, p, ("D", n, a))
-                        for a in els:
-                            for b in els:
-                                if a != b and not ground.leq(b, a):
-                                    entry(ground, p, ("E", n, a, b))
+                        for a, b in pairs:
+                            entry(ground, p, ("E", n, a, b))
     rng = random.Random(seed)
     for t in range(trials):
         ground = random_poset(rng, rng.randint(1, 6))

@@ -35,6 +35,14 @@ class Condition:
         self._f = {a: tuple(f[a]) for a in self.domain}
         self._key = None
 
+    @classmethod
+    def _trusted(cls, domain, depth, f):
+        """A condition over a frozenset domain and an int depth whose f maps
+        exactly the domain to tuples; nothing is copied or checked."""
+        c = object.__new__(cls)
+        c.domain, c.depth, c._f, c._key = domain, depth, f, None
+        return c
+
     def seq(self, a):
         return self._f[a]
 
@@ -87,6 +95,8 @@ def is_condition(ground: Poset, p: Condition) -> bool:
 def extends(ground: Poset, p: Condition, q: Condition) -> bool:
     """Whether p extends q: domain and depth grow, old values are kept, and
     coordinates new to q are monotone on every related pair of q's domain."""
+    if p is q:
+        return True
     if not (p.domain >= q.domain and p.depth >= q.depth):
         return False
     pf, lo, hi = p._f, q.depth, p.depth
@@ -157,7 +167,7 @@ def amalgamate(ground: Poset, parts, root) -> Condition:
                 f[a] = p.seq(a)
             else:
                 f[a] = p.seq(a) + _max_pad(ground, f, root, a, p.depth, depth)
-    q = Condition(frozenset().union(*(p.domain for p in parts)), depth, f)
+    q = Condition._trusted(frozenset().union(*(p.domain for p in parts)), depth, f)
     for p in parts:
         if not extends(ground, q, p):
             raise AmalgamationError(
@@ -183,7 +193,7 @@ def extend_into_D(ground: Poset, p: Condition, n: int, a) -> Condition:
     f = {b: s + zeros for b, s in p._f.items()}
     if a not in p.domain:
         f[a] = _max_pad(ground, p._f, p.domain, a, 0, p.depth) + zeros
-    return Condition(p.domain | {a}, depth, f)
+    return Condition._trusted(p.domain | {a}, depth, f)
 
 
 def extend_into_E(ground: Poset, p: Condition, n: int, a, b) -> Condition:
@@ -213,14 +223,14 @@ def extend_into_E(ground: Poset, p: Condition, n: int, a, b) -> Condition:
     width = k + 1 - max(q.depth, size)
     order = linear_extension(ground, q.domain, before=(a, b))
     f = {e: q._f[e] + zeros + (r,) * width for r, e in enumerate(order)}
-    return Condition(q.domain, k + 1, f)
+    return Condition._trusted(q.domain, k + 1, f)
 
 
 def projection(sub_elements, p: Condition) -> Condition:
     """Restriction of the condition to a sub-carrier, same depth."""
     sub = frozenset(sub_elements)
     dom = p.domain & sub
-    return Condition(dom, p.depth, {a: p.seq(a) for a in dom})
+    return Condition._trusted(dom, p.depth, {a: p._f[a] for a in dom})
 
 
 def quotient_member(sub_elements, upsilon, p: Condition) -> bool:
@@ -286,6 +296,10 @@ def generic_build(ground: Poset, budget: int, schedule=None) -> GenericEmbedding
     els = frozenset(ground.elements)
     p = EMPTY_CONDITION
     entry_depth = {}
+    # last[(a, b)]: the last coordinate with f(a) < f(b), set once a request
+    # for the pair has been met; extensions keep old coordinates, so a later
+    # request for the pair at n <= last is met already
+    last = {}
     for req in schedule:
         kind = req[0]
         if kind == "D":
@@ -294,11 +308,18 @@ def generic_build(ground: Poset, budget: int, schedule=None) -> GenericEmbedding
             entry_depth.setdefault(a, p.depth)
         elif kind == "E":
             _, n, a, b = req
+            if n <= last.get((a, b), -1):
+                continue
             if a not in els or b not in els:
                 raise ScheduleError("strict-witness request outside the ground order")
             p = extend_into_E(ground, p, n, a, b)
             entry_depth.setdefault(a, p.depth)
             entry_depth.setdefault(b, p.depth)
+            fa, fb = p._f[a], p._f[b]
+            k = p.depth - 1
+            while not fa[k] < fb[k]:
+                k -= 1
+            last[(a, b)] = k
         else:
             raise ScheduleError(f"unknown request kind {kind!r}")
     missing = els - p.domain

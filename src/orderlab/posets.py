@@ -18,13 +18,14 @@ class Poset:
 
     ``rows[i]`` has bit ``j`` set iff ``elements[i] < elements[j]``.  The
     relation is transitively closed, irreflexive and (hence) antisymmetric.
-    Instances are immutable and safe to share; ``strict_pairs`` and the
-    down-set bitsets are computed on first use and cached on the instance.
+    Instances are immutable and safe to share; ``strict_pairs``, the
+    down-set bitsets and ``linear_extension`` results are computed on first
+    use and cached on the instance.
     """
 
-    # the two cache slots stay unset until first use, so construction pays
+    # the cache slots stay unset until first use, so construction pays
     # nothing for them
-    __slots__ = ("elements", "_index", "_rows", "_pairs", "_downs")
+    __slots__ = ("elements", "_index", "_rows", "_pairs", "_downs", "_linext")
 
     def __init__(self, elements, rows, _validated=False):
         self.elements = tuple(sorted(elements))
@@ -348,15 +349,22 @@ def linear_extension(p: Poset, subset=None, before=None):
     """A linear extension of p (restricted to subset), with before=(a, b)
     forcing a strictly earlier than b.  Requires that b is not below a.
 
-    Deterministic: smallest available id first.
+    Deterministic: smallest available id first.  Results are cached on p
+    by (subset as a bitset, before); each call returns a fresh list.
     """
     if subset is None:
-        idx = range(len(p.elements))
+        left = (1 << len(p.elements)) - 1
     else:
-        idx = [p.index_of(e) for e in subset]
-    left = 0
-    for i in idx:
-        left |= 1 << i
+        left = 0
+        for e in subset:
+            left |= 1 << p.index_of(e)
+    key = (left, None if before is None else tuple(before))
+    try:
+        memo = p._linext
+    except AttributeError:
+        memo = p._linext = {}
+    if key in memo:
+        return list(memo[key])
     below = p._down_rows()
     if before is not None:
         a, b = before
@@ -380,6 +388,7 @@ def linear_extension(p: Poset, subset=None, before=None):
             raise CycleError("no linear extension exists")
         out.append(p.elements[low.bit_length() - 1])
         left ^= low
+    memo[key] = tuple(out)
     return out
 
 
@@ -388,71 +397,86 @@ def linear_extension(p: Poset, subset=None, before=None):
 def enumerate_poset_isotypes(n):
     """All isomorphism types of posets on n elements, as Posets over 0..n-1.
 
-    Every poset admits a labeling making the identity a linear extension, so
-    scanning transitively closed upper-triangular relations and deduplicating
-    up to isomorphism covers every type exactly once.
+    Each type is given by its least-mask natural labelling: among the
+    labellings that make the identity a linear extension (upper-triangular
+    rows), the one whose relation, read as the bitmask over the pairs
+    (0, 1), (0, 2), ..., (n-2, n-1), is least.  Types come in ascending
+    order of that mask.
+
+    An n-poset is an (n-1)-poset with a new minimal element added below an
+    up-closed set, so the types of n come from the types of n-1 by every
+    such one-point extension; the canonical labelling of each candidate
+    removes the duplicates.
     """
-    if n == 0:
-        return [Poset((), ())]
-    uppers = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    buckets = {}
-    out = []
-    for mask in range(1 << len(uppers)):
-        rows = [0] * n
-        for b, (i, j) in enumerate(uppers):
-            if mask >> b & 1:
-                rows[i] |= 1 << j
-        if not is_transitive(rows):
-            continue
-        profs = _node_profiles(rows, n)
-        sig = tuple(sorted(profs))
-        bucket = buckets.setdefault(sig, [])
-        if not any(_isomorphic(rows, other, profs, oprofs, n)
-                   for other, oprofs in bucket):
-            bucket.append((rows, profs))
-            out.append(Poset(range(n), rows, _validated=True))
-    return out
+    types = [()]
+    for _ in range(n):
+        found = set()
+        for rows in types:
+            old = [r << 1 for r in rows]
+            for up in _up_sets(rows):
+                found.add(_canonical_key([up << 1] + old))
+        # the mask weights the rows from the last down to the first, so
+        # ascending keys are ascending masks
+        types = [key[::-1] for key in sorted(found)]
+    return [Poset(range(n), rows, _validated=True) for rows in types]
 
 
-def _node_profiles(rows, n):
-    down = [r.bit_count() for r in transpose(rows)]
-    up = [r.bit_count() for r in rows]
-    profs = []
-    for i in range(n):
-        succ_up = tuple(sorted(up[j] for j in range(n) if rows[i] >> j & 1))
-        pred_down = tuple(sorted(down[j] for j in range(n) if rows[j] >> i & 1))
-        profs.append((down[i], up[i], succ_up, pred_down))
-    return profs
+def _up_sets(rows):
+    """Every up-closed subset of the order, as a bitset."""
+    for s in range(1 << len(rows)):
+        r = s
+        while r:
+            low = r & -r
+            if rows[low.bit_length() - 1] & ~s:
+                break
+            r ^= low
+        else:
+            yield s
 
 
-def _isomorphic(rows_a, rows_b, prof_a, prof_b, n):
-    # backtracking vertex matching constrained by node profiles
-    cand = [[j for j in range(n) if prof_b[j] == prof_a[i]] for i in range(n)]
-    if any(not c for c in cand):
-        return False
-    assign = [-1] * n
-    used = [False] * n
+def _canonical_key(rows):
+    """(row n-1, ..., row 0) of the least-mask natural labelling.
 
-    def rec(i):
-        if i == n:
-            return True
-        for j in cand[i]:
-            if used[j]:
+    Labels go out from n-1 down to 0.  Label i may go to any unlabelled
+    element whose successors are all labelled, and its row is the set of
+    those successors' labels, so the least key takes the least row at every
+    step; only ties branch.  Tied elements with the same predecessors are
+    interchangeable by an automorphism, so one of them suffices.
+    """
+    downs = transpose(rows)
+    label = [0] * len(rows)
+    key = []
+    best = None
+
+    def descend(left):
+        nonlocal best
+        if not left:
+            if best is None or key < best:
+                best = key[:]
+            return
+        options = {}
+        r = left
+        while r:
+            low = r & -r
+            r ^= low
+            x = low.bit_length() - 1
+            succ = rows[x]
+            if succ & left:
                 continue
-            ok = True
-            for k in range(i):
-                if (rows_a[i] >> k & 1) != (rows_b[j] >> assign[k] & 1):
-                    ok = False
-                    break
-                if (rows_a[k] >> i & 1) != (rows_b[assign[k]] >> j & 1):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = j
-                used[j] = True
-                if rec(i + 1):
-                    return True
-                used[j] = False
-        return False
+            row = 0
+            while succ:
+                s = succ & -succ
+                row |= 1 << label[s.bit_length() - 1]
+                succ ^= s
+            options.setdefault(row, {}).setdefault(downs[x], x)
+        row = min(options)
+        key.append(row)
+        if best is None or key <= best[:len(key)]:
+            i = left.bit_count() - 1
+            for x in options[row].values():
+                label[x] = i
+                descend(left ^ 1 << x)
+        key.pop()
 
-    return rec(0)
+    descend((1 << len(rows)) - 1)
+    return tuple(best)

@@ -37,6 +37,11 @@ class SeqFun:
     vals: tuple
 
     def __post_init__(self):
+        for what, seq in (("bound", self.profile), ("value", self.vals)):
+            for k, x in enumerate(seq):
+                if type(x) is not int:
+                    raise ProfileError(
+                        f"{what} {x!r} at coordinate {k} is not an integer")
         if any(b < 1 for b in self.profile):
             raise ProfileError("all coordinate bounds must be >= 1")
         if len(self.vals) != len(self.profile):

@@ -48,6 +48,17 @@ def test_phi_strict_certificate(tmp_path, capsys):
     assert rep["certificate"]["strict_from"] == 3
 
 
+def test_phi_non_integer_bound_or_value_exits_two(tmp_path, capsys):
+    for payload, named in (({"bounds": ["a", 1], "vals": [0, 0]}, "'a' at coordinate 0"),
+                           ({"bounds": [1, 1], "vals": [0, "x"]}, "'x' at coordinate 1")):
+        f = write(tmp_path, "f.json", payload)
+        for argv in (["phi", "--in", f], ["phi", "--in", f, "--g", f]):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2 and out == ""
+            assert "ProfileError" in err and named in err
+            assert "Traceback" not in err
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     e = write(tmp_path, "E.json", {"elements": [0, 1, 2], "edges": [[0, 1]]})
     outs = []

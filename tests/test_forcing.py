@@ -498,6 +498,17 @@ def test_extends_matches_reference_on_small_grids():
     assert min(verdicts.values()) > 1000
 
 
+def test_extends_itself_matches_reference():
+    # the identity fast path, against the reference on the same object and
+    # on an equal copy that the fast path does not see
+    for n in range(1, 4):
+        for ground in enumerate_poset_isotypes(n):
+            for p in _enumerate_conditions(ground, 3):
+                copy = Condition(p.domain, p.depth, dict(p.items()))
+                assert extends(ground, p, p) is ref_extends(ground, p, p) is True
+                assert extends(ground, p, copy) is ref_extends(ground, p, copy) is True
+
+
 def test_entry_operations_match_reference_on_small_grids():
     for n in range(1, 4):
         for ground in enumerate_poset_isotypes(n):
@@ -532,6 +543,87 @@ def test_generic_build_output_is_pinned():
     assert len(records) == 1 + 1 + 2 + 5 + 16 + 63
     blob = json.dumps(records, separators=(",", ":"), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == GENERIC_BUILD_DIGEST
+
+
+def ref_generic_build(ground, budget, schedule):
+    """generic_build's fold with extend_into_E called for every strict-witness
+    request, read off the same way."""
+    els = frozenset(ground.elements)
+    p = EMPTY_CONDITION
+    entry_depth = {}
+    for req in schedule:
+        if req[0] == "D":
+            _, n, a = req
+            p = extend_into_D(ground, p, n, a)
+            entry_depth.setdefault(a, p.depth)
+        else:
+            _, n, a, b = req
+            if a not in els or b not in els:
+                raise ScheduleError("strict-witness request outside the ground order")
+            p = extend_into_E(ground, p, n, a, b)
+            entry_depth.setdefault(a, p.depth)
+            entry_depth.setdefault(b, p.depth)
+    values = {a: p.seq(a) for a in ground.elements}
+    thresholds = {frozenset((a, b)): max(entry_depth[a], entry_depth[b])
+                  for a in ground.elements for b in ground.elements if a < b}
+    witnesses = {(a, b): tuple(k for k in range(p.depth) if p.seq(a)[k] < p.seq(b)[k])
+                 for a in ground.elements for b in ground.elements
+                 if a != b and not ground.leq(b, a)}
+    return values, thresholds, witnesses
+
+
+def read_off(ge):
+    return ({a: v.vals for a, v in ge.values.items()}, ge.thresholds,
+            ge.strict_witnesses)
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def frontier_schedules(ground, budget, rng):
+    """Shuffled schedules that stress the witness frontier: D requests after
+    the E requests, and E requests repeated at rising and falling n."""
+    reqs = default_schedule(ground, budget)
+    ds = [r for r in reqs if r[0] == "D"]
+    es = [r for r in reqs if r[0] == "E"]
+    late_d = rng.sample(es, len(es)) + rng.sample(ds, len(ds))
+    repeated = es + es[::-1] + rng.sample(es, len(es))
+    yield late_d
+    yield ds + repeated
+    yield rng.sample(ds + repeated, len(ds) + len(repeated))
+
+
+def test_frontier_matches_a_fold_that_meets_every_request():
+    rng = random.Random(11)
+    built = 0
+    for n in range(1, 5):
+        for ground in enumerate_poset_isotypes(n):
+            for budget in (2, 8):
+                for sched in frontier_schedules(ground, budget, rng):
+                    assert read_off(generic_build(ground, budget, sched)) == \
+                        ref_generic_build(ground, budget, sched)
+                    built += 1
+    assert built == 24 * 2 * 3
+
+
+def test_frontier_keeps_the_errors_of_bad_requests():
+    rng = random.Random(12)
+    raised = {PreconditionError: 0, ScheduleError: 0}
+    for n in range(2, 5):
+        for ground in enumerate_poset_isotypes(n):
+            bads = [("E", rng.randint(0, 3), 0, n)]  # n is outside the ground
+            bads += [("E", rng.randint(0, 3), b, a) for a, b in ground.pairs()]
+            for bad in bads:
+                for sched in frontier_schedules(ground, 3, rng):
+                    sched.insert(rng.randint(1, len(sched)), bad)
+                    got = outcome(generic_build, ground, 3, sched)
+                    assert got == outcome(ref_generic_build, ground, 3, sched)
+                    raised[got[0]] += 1
+    assert min(raised.values()) > 50
 
 
 def generator_records():

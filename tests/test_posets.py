@@ -169,8 +169,102 @@ def test_linear_extension_respects_forced_pair():
 
 
 def test_isotype_counts_match_known_sequence():
-    assert [len(enumerate_poset_isotypes(n)) for n in range(7)] == \
-        [1, 1, 2, 5, 16, 63, 318]
+    # OEIS A000112
+    assert [len(enumerate_poset_isotypes(n)) for n in range(8)] == \
+        [1, 1, 2, 5, 16, 63, 318, 2045]
+
+
+# --- reference oracle: the mask scan the one-point extension replaced ---------
+
+def ref_enumerate_poset_isotypes(n):
+    """Scan the upper-triangular relations in ascending mask order, keep the
+    transitive ones and drop each one isomorphic to one kept before."""
+    if n == 0:
+        return [Poset((), ())]
+    uppers = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    buckets = {}
+    out = []
+    for mask in range(1 << len(uppers)):
+        rows = [0] * n
+        for b, (i, j) in enumerate(uppers):
+            if mask >> b & 1:
+                rows[i] |= 1 << j
+        if not is_transitive(rows):
+            continue
+        profs = ref_node_profiles(rows, n)
+        bucket = buckets.setdefault(tuple(sorted(profs)), [])
+        if not any(ref_isomorphic(rows, other, profs, oprofs, n)
+                   for other, oprofs in bucket):
+            bucket.append((rows, profs))
+            out.append(Poset(range(n), rows))
+    return out
+
+
+def ref_node_profiles(rows, n):
+    down = [r.bit_count() for r in transpose(rows)]
+    up = [r.bit_count() for r in rows]
+    profs = []
+    for i in range(n):
+        succ_up = tuple(sorted(up[j] for j in range(n) if rows[i] >> j & 1))
+        pred_down = tuple(sorted(down[j] for j in range(n) if rows[j] >> i & 1))
+        profs.append((down[i], up[i], succ_up, pred_down))
+    return profs
+
+
+def ref_isomorphic(rows_a, rows_b, prof_a, prof_b, n):
+    # backtracking vertex matching constrained by node profiles
+    cand = [[j for j in range(n) if prof_b[j] == prof_a[i]] for i in range(n)]
+    if any(not c for c in cand):
+        return False
+    assign = [-1] * n
+    used = [False] * n
+
+    def rec(i):
+        if i == n:
+            return True
+        for j in cand[i]:
+            if used[j]:
+                continue
+            ok = all((rows_a[i] >> k & 1) == (rows_b[j] >> assign[k] & 1)
+                     and (rows_a[k] >> i & 1) == (rows_b[assign[k]] >> j & 1)
+                     for k in range(i))
+            if ok:
+                assign[i] = j
+                used[j] = True
+                if rec(i + 1):
+                    return True
+                used[j] = False
+        return False
+
+    return rec(0)
+
+
+def test_isotypes_match_the_mask_scan_in_order():
+    for n in range(7):
+        assert enumerate_poset_isotypes(n) == ref_enumerate_poset_isotypes(n)
+
+
+def mask(rows, n):
+    """The relation as a bitmask over (0, 1), (0, 2), ..., (n-2, n-1)."""
+    uppers = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return sum(1 << b for b, (i, j) in enumerate(uppers) if rows[i] >> j & 1)
+
+
+def test_each_isotype_is_its_least_mask_natural_labelling():
+    for n in range(6):
+        for p in enumerate_poset_isotypes(n):
+            rows = p._rows
+            natural = []
+            for perm in itertools.permutations(range(n)):
+                # perm[i] is the new label of index i
+                new = [0] * n
+                for i, r in enumerate(rows):
+                    for j in range(n):
+                        if r >> j & 1:
+                            new[perm[i]] |= 1 << perm[j]
+                if not any(new[i] & ((2 << i) - 1) for i in range(n)):
+                    natural.append(mask(new, n))
+            assert mask(rows, n) == min(natural)
 
 
 def test_isotypes_pairwise_nonisomorphic_small():
@@ -277,9 +371,58 @@ def test_linear_extension_matches_reference():
     assert checked > 1000
 
 
+def test_linear_extension_memo_returns_fresh_correct_lists():
+    for p in relabelled_isotypes(4):
+        for r in range(len(p) + 1):
+            for sub in itertools.combinations(p.elements, r):
+                befores = [None] + [(a, b) for a in sub for b in sub
+                                    if a != b and not p.lt(b, a)]
+                for before in befores:
+                    want = ref_linear_extension(p, sub, before=before)
+                    first = linear_extension(p, sub, before=before)
+                    assert first == want
+                    first.reverse()
+                    first.append("junk")
+                    # a second call, the subset in another order, is served
+                    # from the cache and is unaffected by the mutation
+                    assert linear_extension(p, sub[::-1], before=before) == want
+
+
+def test_linear_extension_memo_is_per_instance():
+    # equal but distinct posets, and posets of other shapes built and dropped
+    # in between (so object ids get reused), each answer from their own order
+    shapes = [p.pairs() for n in range(5) for p in enumerate_poset_isotypes(n)
+              if len(p) == 4]
+    for _ in range(3):
+        for pairs in shapes:
+            p = make_poset(range(4), pairs)
+            q = make_poset(range(4), pairs)
+            assert p == q and p is not q
+            for before in (None, (3, 0)):
+                if before and p.lt(0, 3):
+                    continue
+                want = ref_linear_extension(p, before=before)
+                assert linear_extension(p, before=before) == want
+                assert linear_extension(q, before=before) == want
+                assert linear_extension(p, before=before) == want
+        for pairs in shapes:
+            flipped = make_poset(range(4), [(3 - a, 3 - b) for a, b in pairs])
+            assert linear_extension(flipped) == ref_linear_extension(flipped)
+
+
+def test_linear_extension_caches_no_error():
+    p = make_poset(range(3), {(0, 1)})
+    for _ in range(2):
+        with pytest.raises(CycleError):
+            linear_extension(p, before=(1, 0))
+        with pytest.raises(DomainError):
+            linear_extension(p, [0, 1], before=(0, 2))
+    assert linear_extension(p, [0, 1, 2], before=(2, 0)) == [2, 0, 1]
+
+
 def test_caches_fill_on_first_use():
     p = make_poset(range(4), {(0, 1), (1, 3)})
-    assert not any(hasattr(p, s) for s in ("_pairs", "_downs"))
+    assert not any(hasattr(p, s) for s in ("_pairs", "_downs", "_linext"))
     assert p.strict_pairs() is p.strict_pairs()
 
 

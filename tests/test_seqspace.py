@@ -82,6 +82,9 @@ def test_bounds_validation():
         SeqFun(position_profile(3), (0, 1, 0))  # coordinate 1 has bound 1
     with pytest.raises(ProfileError):
         SeqFun((1, 0), (0, 0))
+    for bounds, vals in (((1, 1.0), (0, 0)), ((1, 1), (0, False)), (("a", 1), (0, 0))):
+        with pytest.raises(ProfileError, match="not an integer"):
+            SeqFun(bounds, vals)
     assert SeqFun(position_profile(3), (0, 0, 1)).vals == (0, 0, 1)
 
 
