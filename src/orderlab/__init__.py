@@ -24,11 +24,11 @@ from .fol import (FiniteStructure, eval_pair, eval_qf, format_formula,
 from .redprod import (FilterFamily, ReducedProduct, atomic_los_check,
                       longest_op_chain, reduced_product,
                       threshold_rel_product)
-from .forcing import (Condition, EMPTY_CONDITION, EtaIntegerChains,
-                      ExplicitChainFactor, ExplicitChains, GenericEmbedding,
-                      SplitInstance, amalgamate, extend_into_D, extend_into_E,
-                      extends, generic_build, is_condition, pipeline_embed,
-                      projection, quotient_member, split_project,
+from .forcing import (Condition, EMPTY_CONDITION, ExplicitChainFactor,
+                      GenericEmbedding, SplitInstance, amalgamate,
+                      extend_into_D, extend_into_E, extends, generic_build,
+                      is_condition, pipeline_embed, projection,
+                      quotient_member, split_project,
                       verify_generic_embedding)
 from .tiepoint import (Clopen, Point, TieDecomposition, complement, contains,
                        expansion_axiom_check, join, leq, meet, parse_point,

@@ -18,7 +18,7 @@ from .depletion import (DepletionInstance, depletion_order, depletion_rel,
                         star_condition)
 from .errors import BudgetError, OrderlabError
 from .fol import Atom, FiniteStructure, Not
-from .forcing import (Condition, amalgamate, extend_into_D,
+from .forcing import (Condition, _witness_pairs, amalgamate, extend_into_D,
                       extend_into_E, extends, generic_build, pipeline_embed,
                       projection, quotient_member, split_project, SplitInstance,
                       verify_generic_embedding)
@@ -468,8 +468,7 @@ def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
     for size in range(1, exhaustive_n + 1):
         for ground in enumerate_poset_isotypes(size):
             els = ground.elements
-            pairs = [(a, b) for a in els for b in els
-                     if a != b and not ground.leq(b, a)]
+            pairs = _witness_pairs(ground)
             for d in range(max_depth + 1):
                 for p in _conditions(ground, els, d):
                     for n in range(max_depth + 1):

@@ -21,9 +21,8 @@ from .depletion import (DepletionInstance, depletion_order, find_walk,
                         frontier_sweep, maximal_star_set, star_condition)
 from .errors import OrderlabError
 from .fol import FiniteStructure, parse_formula
-from .forcing import (EtaIntegerChains, ExplicitChainFactor, ExplicitChains,
-                      default_schedule, generic_build, pipeline_embed,
-                      verify_generic_embedding)
+from .forcing import (ExplicitChainFactor, default_schedule, generic_build,
+                      pipeline_embed, verify_generic_embedding)
 from .posets import Poset, RelStructure
 from .redprod import (FilterFamily, atomic_los_check, longest_op_chain,
                       reduced_product)
@@ -138,12 +137,7 @@ def _cmd_universal_embed(args, digests):
 def _cmd_product(args, digests):
     data = _load_json(args.infile, digests)
     factors = [FiniteStructure.from_json_dict(d) for d in data["factors"]]
-    filter_desc = data["filter"]
-    if "members" in filter_desc:
-        filt = FilterFamily(filter_desc["ground"],
-                            [frozenset(m) for m in filter_desc["members"]])
-    else:
-        filt = FilterFamily.principal(filter_desc["ground"], filter_desc["core"])
+    filt = FilterFamily.from_json_dict(data["filter"])
     rp = reduced_product(factors, filt)
     body = {"classes": len(rp.class_reps), "vectors": len(rp.vectors),
             "filter_core": sorted(filt.core)}
@@ -194,18 +188,14 @@ def _cmd_forcing_generic(args, digests):
 
 def _cmd_forcing_pipeline(args, digests):
     ground = Poset.from_json_dict(_load_json(args.poset, digests))
-    chains = None
+    factors = None
     if args.chains:
         desc = _load_json(args.chains, digests)
-        if desc.get("kind", "eta") == "eta":
-            chains = EtaIntegerChains()
-        else:
+        if desc.get("kind", "eta") != "eta":
             factors = [ExplicitChainFactor(FiniteStructure.from_json_dict(d["structure"]),
-                                           parse_formula(d["formula"]),
-                                           [tuple(t) for t in d["chain"]])
+                                           parse_formula(d["formula"]), d["chain"])
                        for d in desc["factors"]]
-            chains = ExplicitChains(factors)
-    rep = pipeline_embed(ground, args.depth, chains)
+    rep = pipeline_embed(ground, args.depth, factors)
     return rep, [{"name": "pipeline-embedding", "ok": rep["ok"]}]
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexLabelError, LevelError, MembershipError
-from .posets import Poset, gather, make_poset
+from .posets import Poset, gather, int_ids, make_poset
 
 
 class DepletionInstance:
@@ -104,7 +104,7 @@ class DepletionInstance:
 
     @classmethod
     def from_json_dict(cls, data):
-        labels = [int(x) for x in data["I"]]
+        labels = int_ids(data["I"])
         fibers = {int(k): tuple(v) for k, v in data["F"].items()}
         elements = set(data["A"])
         for v in fibers.values():

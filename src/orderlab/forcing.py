@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 from .errors import (AgreementError, AmalgamationError, ChainTooShortError,
                      DepthError, HypothesisError, PreconditionError, RootError,
                      ScheduleError)
-from .fol import FiniteStructure, eval_pair
+from .fol import FiniteStructure, pair_rows
 from .posets import Poset, linear_extension
-from .seqspace import eta, leq_from, phi, position_profile, position_seq
+from .seqspace import (eta, leq_from, lt_from, phi, position_profile,
+                       position_seq)
 
 
 class Condition:
@@ -408,87 +409,32 @@ def split_project(inst: SplitInstance, p: Condition):
 # --- full pipeline ----------------------------------------------------------------
 
 
-class IntegerChainFactor:
-    """A linear order 0 < 1 < ... < length-1 used as a coordinate factor.
-
-    Kept implicit: lengths grow factorially, so elements are plain integers
-    and the pair formula is integer comparison.
-    """
+class ExplicitChainFactor:
+    """A designated chain inside an explicit structure, validated on
+    construction: the pair formula holds of (chain[i], chain[j]) exactly
+    when i < j.  So "forward holds, backward fails" between two chain
+    elements means "lower position", and only the length is kept."""
 
     __slots__ = ("length",)
 
-    def __init__(self, length):
-        self.length = length
-
-    def element(self, position):
-        if not 0 <= position < self.length:
-            raise ChainTooShortError("position beyond the chain")
-        return position
-
-    def phi_holds(self, u, v):
-        return u < v
-
-
-class ExplicitChainFactor:
-    """A designated chain inside an explicit structure, validated on
-    construction to satisfy the chain pattern for its pair formula."""
-
-    __slots__ = ("structure", "formula", "chain")
-
     def __init__(self, structure: FiniteStructure, formula, chain):
-        self.structure = structure
-        self.formula = formula
-        self.chain = [tuple(t) for t in chain]
-        n = len(self.chain)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                want = i < j
-                if eval_pair(structure, formula, self.chain[i], self.chain[j]) != want:
-                    raise ChainTooShortError(
-                        "designated tuples do not form a chain for the formula")
-
-    @property
-    def length(self):
-        return len(self.chain)
-
-    def element(self, position):
-        if not 0 <= position < self.length:
-            raise ChainTooShortError("position beyond the chain")
-        return self.chain[position]
-
-    def phi_holds(self, u, v):
-        return (eval_pair(self.structure, self.formula, tuple(u), tuple(v))
-                and not eval_pair(self.structure, self.formula, tuple(v), tuple(u)))
-
-
-class EtaIntegerChains:
-    """Coordinate factors: integer chains of length exactly eta(j)."""
-
-    def factor(self, j):
-        return IntegerChainFactor(eta(j))
-
-
-class ExplicitChains:
-    """A finite list of prepared factors; each must reach length eta(j)."""
-
-    def __init__(self, factors):
-        self.factors = list(factors)
-
-    def factor(self, j):
-        if j >= len(self.factors):
-            raise ChainTooShortError(f"no factor supplied for coordinate {j}")
-        fac = self.factors[j]
-        if fac.length < eta(j):
+        rows = pair_rows(structure, formula, chain)
+        n = len(rows)
+        # row i, diagonal aside, must be exactly the positions above i
+        if any(r & ~(1 << i) != (1 << n) - (2 << i) for i, r in enumerate(rows)):
             raise ChainTooShortError(
-                f"factor {j} has length {fac.length} < {eta(j)}")
-        return fac
+                "designated tuples do not form a chain for the formula")
+        self.length = n
 
 
-def pipeline_embed(ground: Poset, budget: int, chains=None):
+def pipeline_embed(ground: Poset, budget: int, factors=None):
     """Compose the generic build with the weighted-digit map and read the
     result inside per-coordinate chains.
+
+    ``factors`` is None for integer chains of length exactly eta(j), or a
+    list of ExplicitChainFactor, one per coordinate, each of length at least
+    eta(j).  A factor orders its chain by position, so every verdict is a
+    comparison of lifted values.
 
     Returns a report: the composite values (chain positions per coordinate),
     per-pair certificates, and verdicts.  For every strictly related pair
@@ -496,15 +442,17 @@ def pipeline_embed(ground: Poset, budget: int, chains=None):
     past the recorded threshold; for every non-related ordered pair a
     violation coordinate is exhibited.
     """
-    if chains is None:
-        chains = EtaIntegerChains()
     ge = generic_build(ground, budget)
     lifted = {a: phi(ge.values[a]) for a in ground.elements}
     width = len(next(iter(lifted.values()))) if lifted else 0
-    factors = [chains.factor(j) for j in range(width)]
+    if factors is not None:
+        for j in range(width):
+            if j >= len(factors):
+                raise ChainTooShortError(f"no factor supplied for coordinate {j}")
+            if factors[j].length < eta(j):
+                raise ChainTooShortError(
+                    f"factor {j} has length {factors[j].length} < {eta(j)}")
     positions = {a: lifted[a].vals for a in ground.elements}
-    xi = {a: [factors[j].element(positions[a][j]) for j in range(width)]
-          for a in ground.elements}
     pair_reports = []
     ok = True
     for a in ground.elements:
@@ -520,10 +468,7 @@ def pipeline_embed(ground: Poset, budget: int, chains=None):
                     ok = False
                     continue
                 start = wits[0] + 1
-                good = all(
-                    factors[j].phi_holds(xi[a][j], xi[b][j])
-                    and not factors[j].phi_holds(xi[b][j], xi[a][j])
-                    for j in range(start, width))
+                good = lt_from(lifted[a], lifted[b], start)
                 pair_reports.append({"pair": [a, b], "kind": "forward",
                                      "threshold": start, "ok": good})
                 ok = ok and good
@@ -533,8 +478,7 @@ def pipeline_embed(ground: Poset, budget: int, chains=None):
                 rev = [w for w in ge.strict_witnesses[(b, a)] if w >= m0]
                 j = rev[0] + 1 if rev else None
                 good = (j is not None and j < width
-                        and factors[j].phi_holds(xi[b][j], xi[a][j])
-                        and not factors[j].phi_holds(xi[a][j], xi[b][j]))
+                        and positions[b][j] < positions[a][j])
                 pair_reports.append({"pair": [a, b], "kind": "violation",
                                      "coordinate": j, "ok": good})
                 ok = ok and good

@@ -21,14 +21,21 @@ from .fol import (Atom, FiniteStructure, Not, eval_pair, pair_rows, pair_sorts,
 from .posets import is_transitive, longest_chain_indices
 
 
+def _ground(ground):
+    """The ground size; raises FilterError when it is not an int."""
+    if type(ground) is not int:
+        raise FilterError(f"filter ground {ground!r} is not an integer")
+    return ground
+
+
 class FilterFamily:
     """An explicit proper filter on ground set 0..ground-1."""
 
     __slots__ = ("ground", "members", "core")
 
     def __init__(self, ground, members):
-        self.ground = int(ground)
-        full = frozenset(range(self.ground))
+        self.ground = _ground(ground)
+        full = frozenset(range(ground))
         mems = frozenset(frozenset(m) for m in members)
         if full not in mems:
             raise FilterError("the ground set must belong to the filter")
@@ -54,7 +61,7 @@ class FilterFamily:
         core = frozenset(core)
         if not core:
             raise FilterError("a proper filter needs a nonempty core")
-        rest = sorted(frozenset(range(ground)) - core)
+        rest = sorted(frozenset(range(_ground(ground))) - core)
         members = []
         for r in range(len(rest) + 1):
             for extra in itertools.combinations(rest, r):
@@ -82,7 +89,11 @@ class FilterFamily:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(data["ground"], [frozenset(m) for m in data["members"]])
+        """Either form of the filter schema: the members listed, or the
+        core whose supersets they are."""
+        if "members" in data:
+            return cls(data["ground"], [frozenset(m) for m in data["members"]])
+        return cls.principal(data["ground"], data["core"])
 
 
 class ReducedProduct:

@@ -134,6 +134,36 @@ def test_forcing_pipeline_short_chain_factor_exits_two(tmp_path, capsys):
     assert "ChainTooShortError" in err and "Traceback" not in err
 
 
+def test_forcing_pipeline_bad_formula_on_one_element_chain_exits_two(tmp_path, capsys):
+    chains = linear_chain_factors([1, 1, 2, 6, 24, 120])
+    chains["factors"][0]["formula"] = "(Q x0 y0)"
+    code, out, err = run_pipeline(tmp_path, capsys, chains)
+    assert code == 2 and out == ""
+    assert "FormulaError" in err and "Traceback" not in err
+
+
+def test_depletion_non_integer_labels_exit_two(tmp_path, capsys):
+    for label in (1.5, True):
+        inst = write(tmp_path, "inst.json",
+                     {"I": [0, label], "A": [], "F": {"0": [0], "1": [1]},
+                      "edges": []})
+        code, out, err = run_cli(capsys, ["depletion", "--in", inst, "--s", "0,1"])
+        assert code == 2 and out == ""
+        assert "DomainError" in err and repr(label) in err
+        assert "Traceback" not in err
+
+
+def test_product_non_integer_filter_ground_exits_two(tmp_path, capsys):
+    factors = [{"universe": [0, 1], "relations": {"R": {"arity": 2, "tuples": []}}}] * 2
+    for filt in ({"ground": 2.7, "core": [0]},
+                 {"ground": 2.5, "members": [[0, 1], [0]]}):
+        task = write(tmp_path, "task.json", {"factors": factors, "filter": filt})
+        code, out, err = run_cli(capsys, ["product", "--in", task])
+        assert code == 2 and out == ""
+        assert "FilterError" in err and repr(filt["ground"]) in err
+        assert "Traceback" not in err
+
+
 def test_walk_and_depletion_commands(tmp_path, capsys):
     inst = write(tmp_path, "inst.json",
                  {"I": [0, 1, 2], "A": [], "F": {"0": [0], "1": [1], "2": [2]},

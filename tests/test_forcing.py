@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -5,23 +7,26 @@ import random
 
 import pytest
 
+from orderlab import forcing
 from orderlab.checks import (_conditions, check_dense_entries, check_reduction,
                              random_condition, random_extension,
                              random_root_family)
 from orderlab.errors import (AgreementError, AmalgamationError,
-                             ChainTooShortError, DepthError, HypothesisError,
-                             PreconditionError, RootError, ScheduleError)
-from orderlab.forcing import (Condition, EMPTY_CONDITION,
-                              ExplicitChainFactor, ExplicitChains,
+                             ChainTooShortError, DepthError, FormulaError,
+                             HypothesisError, PreconditionError, RootError,
+                             ScheduleError)
+from orderlab.forcing import (Condition, EMPTY_CONDITION, ExplicitChainFactor,
                               amalgamate, default_schedule, extend_into_D,
                               extend_into_E, extends, generic_build,
                               is_condition, pipeline_embed, projection,
                               quotient_member, split_project, SplitInstance,
                               verify_generic_embedding)
-from orderlab.fol import linear_order_structure, parse_formula
+from orderlab.fol import (And, Atom, FiniteStructure, Not, Or, eval_pair,
+                          linear_order_structure, pair_sorts, parse_formula)
 from orderlab.posets import (enumerate_poset_isotypes, linear_extension,
                              make_poset)
-from orderlab.seqspace import eta, leq_from
+from orderlab.redprod import longest_op_chain
+from orderlab.seqspace import eta, leq_from, phi, position_seq
 
 
 E3 = make_poset({0, 1, 2}, {(0, 1)})
@@ -272,21 +277,24 @@ def test_pipeline_positions_stay_under_chain_lengths():
 
 
 def test_explicit_chain_factors():
-    lo = linear_order_structure(6)
+    lo = linear_order_structure(24)
     phi = parse_formula("(R x0 y0)")
-    fac = ExplicitChainFactor(lo, phi, [(i,) for i in range(6)])
-    assert fac.length == 6
-    assert fac.phi_holds(fac.element(1), fac.element(4))
-    assert not fac.phi_holds(fac.element(4), fac.element(1))
+
+    def linear(n):
+        return ExplicitChainFactor(lo, phi, [(i,) for i in range(n)])
+
+    assert linear(6).length == 6
     with pytest.raises(ChainTooShortError):
         ExplicitChainFactor(lo, phi, [(0,), (0,)])
-    chains = ExplicitChains([fac])
-    assert chains.factor(0).length == 6
     with pytest.raises(ChainTooShortError):
-        chains.factor(1)
-    short = ExplicitChains([ExplicitChainFactor(lo, phi, [(0,)])] * 5)
-    with pytest.raises(ChainTooShortError):
-        short.factor(3)  # needs eta(3) = 6 entries
+        ExplicitChainFactor(lo, phi, [(4,), (1,)])
+    # a singleton at budget b has width b + 1
+    single = make_poset({0}, set())
+    with pytest.raises(ChainTooShortError, match="no factor supplied for coordinate 1"):
+        pipeline_embed(single, 1, [linear(6)])
+    with pytest.raises(ChainTooShortError, match="factor 3 has length 1 < 6"):
+        pipeline_embed(single, 4, [linear(n) for n in (1, 1, 2, 1, 24)])
+    assert pipeline_embed(single, 2, [linear(6)] * 3) == pipeline_embed(single, 2)
 
 
 def test_split_density_suites():
@@ -661,3 +669,216 @@ GENERATOR_DIGEST = "7e991ee318620e16607427253b5ab3e54e72695301b9d26745e53d46dc3d
 def test_generator_draws_are_pinned():
     blob = json.dumps(generator_records(), separators=(",", ":"), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == GENERATOR_DIGEST
+
+
+# --- reference oracles: the per-coordinate chain reading and the pairwise
+# --- chain rule that lifted-value comparison and pair_rows replaced
+
+class RefIntegerChain:
+    """An implicit chain 0 < 1 < ... < length-1; elements are positions."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def element(self, position):
+        assert 0 <= position < self.length
+        return position
+
+    def phi_holds(self, u, v):
+        return u < v
+
+
+class RefExplicitChain:
+    """A designated chain read element by element through eval_pair."""
+
+    def __init__(self, structure, formula, chain):
+        self.structure, self.formula = structure, formula
+        self.chain = [tuple(t) for t in chain]
+
+    def element(self, position):
+        assert 0 <= position < len(self.chain)
+        return self.chain[position]
+
+    def phi_holds(self, u, v):
+        return (eval_pair(self.structure, self.formula, u, v)
+                and not eval_pair(self.structure, self.formula, v, u))
+
+
+def ref_pipeline_embed(ground, budget, factors, build=generic_build):
+    """The report read coordinate by coordinate: each position is mapped to
+    its chain element and every verdict evaluates the factor's formula."""
+    ge = build(ground, budget)
+    lifted = {a: phi(ge.values[a]) for a in ground.elements}
+    width = len(next(iter(lifted.values()))) if lifted else 0
+    positions = {a: lifted[a].vals for a in ground.elements}
+    xi = {a: [factors[j].element(positions[a][j]) for j in range(width)]
+          for a in ground.elements}
+
+    def strict(j, u, v):
+        return factors[j].phi_holds(u, v) and not factors[j].phi_holds(v, u)
+
+    pair_reports = []
+    ok = True
+    for a in ground.elements:
+        for b in ground.elements:
+            if a == b:
+                continue
+            m0 = max(ge.threshold(a, b), 1)
+            if ground.lt(a, b):
+                wits = [w for w in ge.strict_witnesses[(a, b)] if w >= m0]
+                if not wits:
+                    pair_reports.append({"pair": [a, b], "kind": "forward",
+                                         "ok": False, "reason": "no strict witness"})
+                    ok = False
+                    continue
+                start = wits[0] + 1
+                good = all(strict(j, xi[a][j], xi[b][j]) for j in range(start, width))
+                pair_reports.append({"pair": [a, b], "kind": "forward",
+                                     "threshold": start, "ok": good})
+                ok = ok and good
+            elif not ground.lt(b, a):
+                rev = [w for w in ge.strict_witnesses[(b, a)] if w >= m0]
+                j = rev[0] + 1 if rev else None
+                good = (j is not None and j < width
+                        and strict(j, xi[b][j], xi[a][j]))
+                pair_reports.append({"pair": [a, b], "kind": "violation",
+                                     "coordinate": j, "ok": good})
+                ok = ok and good
+    return {"ok": ok, "width": width,
+            "positions": {str(a): list(positions[a]) for a in ground.elements},
+            "pairs": pair_reports}
+
+
+LEX = parse_formula("(or (R x0 y0) (and (E x0 y0) (R x1 y1)))")
+
+
+def lex_chain(length):
+    """The first ``length`` pairs of m x m in lexicographic order, a linear
+    order of pairs whose structure has about m^2 / 2 tuples rather than
+    length^2 / 2."""
+    m = 1
+    while m * m < length:
+        m += 1
+    lo = linear_order_structure(m)
+    s = FiniteStructure(range(m), {"R": lo.relations["R"],
+                                   "E": (2, [(i, i) for i in range(m)])})
+    chain = [(i, j) for i in range(m) for j in range(m)][:length]
+    return s, chain
+
+
+@functools.lru_cache(maxsize=None)
+def explicit_factors(extra):
+    """Per coordinate j < 8, a lexicographic chain of length eta(j) + extra,
+    as a factor and as its reference reading.  Lengths stop at eta(7) + 1 =
+    5041 elements, so these cover the builds of width at most 8."""
+    out = []
+    for j in range(8):
+        s, chain = lex_chain(eta(j) + extra)
+        out.append((ExplicitChainFactor(s, LEX, chain), RefExplicitChain(s, LEX, chain)))
+    return out
+
+
+def assert_pipeline_matches_reference(ground, budget, build=generic_build):
+    """pipeline_embed against the per-coordinate reading, with integer
+    chains and, where the width allows, explicit chains of lengths eta(j)
+    and eta(j) + 1; returns the report and whether explicit chains ran."""
+    rep = pipeline_embed(ground, budget)
+    width = rep["width"]
+    ints = [RefIntegerChain(eta(j)) for j in range(width)]
+    assert rep == ref_pipeline_embed(ground, budget, ints, build)
+    if width > 8:
+        return rep, False
+    for extra in (0, 1):
+        pairs = explicit_factors(extra)[:width]
+        assert pipeline_embed(ground, budget, [f for f, _ in pairs]) == rep
+        assert ref_pipeline_embed(ground, budget, [r for _, r in pairs], build) == rep
+    return rep, True
+
+
+def test_pipeline_matches_the_per_coordinate_reading():
+    compared = 0
+    for n in range(1, 5):
+        for ground in enumerate_poset_isotypes(n):
+            for budget in range(4):
+                rep, explicit = assert_pipeline_matches_reference(ground, budget)
+                assert rep["ok"]
+                compared += explicit
+    assert compared == 32
+
+
+def test_pipeline_matches_the_per_coordinate_reading_on_corrupted_builds(monkeypatch):
+    # one value changed inside its coordinate bound, so that verdicts fail
+    # and the two readings must agree on failures too
+    rng = random.Random(11)
+    failed = 0
+    for n in range(2, 5):
+        for ground in enumerate_poset_isotypes(n):
+            for budget in range(3):
+                ge = generic_build(ground, budget)
+                depth = len(ge.values[ground.elements[0]])
+                for _ in range(8):
+                    a = rng.choice(ground.elements)
+                    k = rng.randrange(2, depth)
+                    vals = list(ge.values[a].vals)
+                    vals[k] = rng.randrange(k)
+                    bad = dataclasses.replace(
+                        ge, values={**ge.values, a: position_seq(vals)})
+                    monkeypatch.setattr(forcing, "generic_build", lambda g, b: bad)
+                    rep, _ = assert_pipeline_matches_reference(
+                        ground, budget, forcing.generic_build)
+                    failed += not rep["ok"]
+    assert failed > 150, failed
+
+
+def ref_is_chain(structure, formula, chain):
+    """The pairwise rule: the formula holds of (chain[i], chain[j]) exactly
+    when i < j, one eval_pair per ordered pair."""
+    n = len(chain)
+    return all(eval_pair(structure, formula, chain[i], chain[j]) == (i < j)
+               for i in range(n) for j in range(n) if i != j)
+
+
+def random_pair_formula(rng, k, arities, depth):
+    if depth == 0 or rng.random() < 0.3:
+        name = rng.choice(sorted(arities))
+        pool = [f"{side}{i}" for side in "xy" for i in range(k)]
+        return Atom(name, tuple(rng.choice(pool) for _ in range(arities[name])))
+    op = rng.choice([Not, And, Or])
+    if op is Not:
+        return Not(random_pair_formula(rng, k, arities, depth - 1))
+    return op(tuple(random_pair_formula(rng, k, arities, depth - 1)
+                    for _ in range(rng.randint(1, 3))))
+
+
+def test_chain_rule_matches_the_pairwise_rule():
+    rng = random.Random(12)
+    arities = {"R": 2, "P": 1, "T": 3}
+    verdicts = {True: 0, False: 0}
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        s = FiniteStructure(range(n), {
+            name: (arity, [t for t in itertools.product(range(n), repeat=arity)
+                           if rng.random() < 0.4])
+            for name, arity in arities.items()})
+        formula = random_pair_formula(rng, rng.randint(1, 2), arities, 3)
+        try:
+            k = len(pair_sorts(formula)[0])
+        except FormulaError:  # a variable skips a coordinate: no sort
+            continue
+        best = longest_op_chain(s, formula)
+        every = list(itertools.product(range(n), repeat=k))
+        chains = [best, best[::-1], rng.sample(best, len(best)),
+                  [best[i] for i in sorted(rng.sample(range(len(best)),
+                                                      rng.randint(0, len(best))))],
+                  best + best[:1],
+                  [rng.choice(every) for _ in range(rng.randint(0, 4))]]
+        for chain in chains:
+            want = ref_is_chain(s, formula, chain)
+            try:
+                ExplicitChainFactor(s, formula, chain)
+                got = True
+            except ChainTooShortError:
+                got = False
+            assert got == want, (s.to_json_dict(), formula, chain)
+            verdicts[want] += 1
+    assert verdicts[True] > 500 and verdicts[False] > 500, verdicts

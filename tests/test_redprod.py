@@ -78,6 +78,18 @@ def test_filter_validation():
     assert not FilterFamily.principal(3, {0, 1}).is_ultra
     with pytest.raises(FilterError):
         FilterFamily.principal(3, set())
+    for ground in (2.5, True, "2"):
+        with pytest.raises(FilterError, match="is not an integer"):
+            FilterFamily(ground, [{0, 1}])
+        with pytest.raises(FilterError, match="is not an integer"):
+            FilterFamily.principal(ground, {0})
+
+
+def test_filter_json_forms():
+    filt = FilterFamily.principal(3, {0, 2})
+    assert FilterFamily.from_json_dict({"ground": 3, "core": [0, 2]}).members \
+        == filt.members
+    assert FilterFamily.from_json_dict(filt.to_json_dict()).members == filt.members
 
 
 def test_trivial_filter_full_product_semantics():
