@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -766,19 +765,23 @@ def lex_chain(length):
     return s, chain
 
 
-@functools.lru_cache(maxsize=None)
-def explicit_factors(extra):
-    """Per coordinate j < 8, a lexicographic chain of length eta(j) + extra,
-    as a factor and as its reference reading.  Lengths stop at eta(7) + 1 =
-    5041 elements, so these cover the builds of width at most 8."""
-    out = []
-    for j in range(8):
-        s, chain = lex_chain(eta(j) + extra)
-        out.append((ExplicitChainFactor(s, LEX, chain), RefExplicitChain(s, LEX, chain)))
+@pytest.fixture(scope="module")
+def explicit():
+    """Per extra in (0, 1) and coordinate j < 8, a lexicographic chain of
+    length eta(j) + extra, as a factor and as its reference reading.
+    Lengths stop at eta(7) + 1 = 5041 elements, so these cover the builds of
+    width at most 8."""
+    out = {}
+    for extra in (0, 1):
+        out[extra] = []
+        for j in range(8):
+            s, chain = lex_chain(eta(j) + extra)
+            out[extra].append((ExplicitChainFactor(s, LEX, chain),
+                               RefExplicitChain(s, LEX, chain)))
     return out
 
 
-def assert_pipeline_matches_reference(ground, budget, build=generic_build):
+def assert_pipeline_matches_reference(explicit, ground, budget, build=generic_build):
     """pipeline_embed against the per-coordinate reading, with integer
     chains and, where the width allows, explicit chains of lengths eta(j)
     and eta(j) + 1; returns the report and whether explicit chains ran."""
@@ -789,24 +792,25 @@ def assert_pipeline_matches_reference(ground, budget, build=generic_build):
     if width > 8:
         return rep, False
     for extra in (0, 1):
-        pairs = explicit_factors(extra)[:width]
+        pairs = explicit[extra][:width]
         assert pipeline_embed(ground, budget, [f for f, _ in pairs]) == rep
         assert ref_pipeline_embed(ground, budget, [r for _, r in pairs], build) == rep
     return rep, True
 
 
-def test_pipeline_matches_the_per_coordinate_reading():
+def test_pipeline_matches_the_per_coordinate_reading(explicit):
     compared = 0
     for n in range(1, 5):
         for ground in enumerate_poset_isotypes(n):
             for budget in range(4):
-                rep, explicit = assert_pipeline_matches_reference(ground, budget)
+                rep, both = assert_pipeline_matches_reference(explicit, ground, budget)
                 assert rep["ok"]
-                compared += explicit
+                compared += both
     assert compared == 32
 
 
-def test_pipeline_matches_the_per_coordinate_reading_on_corrupted_builds(monkeypatch):
+def test_pipeline_matches_the_per_coordinate_reading_on_corrupted_builds(
+        explicit, monkeypatch):
     # one value changed inside its coordinate bound, so that verdicts fail
     # and the two readings must agree on failures too
     rng = random.Random(11)
@@ -825,7 +829,7 @@ def test_pipeline_matches_the_per_coordinate_reading_on_corrupted_builds(monkeyp
                         ge, values={**ge.values, a: position_seq(vals)})
                     monkeypatch.setattr(forcing, "generic_build", lambda g, b: bad)
                     rep, _ = assert_pipeline_matches_reference(
-                        ground, budget, forcing.generic_build)
+                        explicit, ground, budget, forcing.generic_build)
                     failed += not rep["ok"]
     assert failed > 150, failed
 
