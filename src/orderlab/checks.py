@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from operator import lt
 
 from . import _kernels
 from .depletion import (DepletionInstance, depletion_order, depletion_rel,
@@ -460,7 +461,7 @@ def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
         else:
             _, n, a, b = req
             q = extend_into_E(ground, p, n, a, b)
-            landed = any(x < y for x, y in zip(q.seq(a)[n:], q.seq(b)[n:]))
+            landed = any(map(lt, q.seq(a)[n:], q.seq(b)[n:]))
         if not (extends(ground, q, p) and landed):
             failures.append({"poset": ground.to_json_dict(),
                              "p": p.to_json_dict(), "req": list(req)})
@@ -469,13 +470,15 @@ def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
         for ground in enumerate_poset_isotypes(size):
             els = ground.elements
             pairs = _witness_pairs(ground)
+            # the isotype's requests, in grid order
+            reqs = []
+            for n in range(max_depth + 1):
+                reqs += [("D", n, a) for a in els]
+                reqs += [("E", n, a, b) for a, b in pairs]
             for d in range(max_depth + 1):
                 for p in _conditions(ground, els, d):
-                    for n in range(max_depth + 1):
-                        for a in els:
-                            entry(ground, p, ("D", n, a))
-                        for a, b in pairs:
-                            entry(ground, p, ("E", n, a, b))
+                    for req in reqs:
+                        entry(ground, p, req)
     rng = random.Random(seed)
     for t in range(trials):
         ground = random_poset(rng, rng.randint(1, 6))

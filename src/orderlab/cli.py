@@ -10,6 +10,7 @@ stderr.  Exit status: 0 when every verdict passes, 1 on a failed check,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -19,7 +20,7 @@ import time
 from . import checks as checksuite
 from .depletion import (DepletionInstance, depletion_order, find_walk,
                         frontier_sweep, maximal_star_set, star_condition)
-from .errors import OrderlabError
+from .errors import ChainSpecError, OrderlabError
 from .fol import FiniteStructure, parse_formula
 from .forcing import (ExplicitChainFactor, default_schedule, generic_build,
                       pipeline_embed, verify_generic_embedding)
@@ -186,15 +187,33 @@ def _cmd_forcing_generic(args, digests):
                    "failures": rep["failures"]}]
 
 
+def _chain_factors(desc):
+    """None for ``{"kind": "eta"}``, the factor list for ``{"kind":
+    "explicit", "factors": [...]}``; ChainSpecError for anything else."""
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    if kind == "eta":
+        return None
+    if kind != "explicit":
+        raise ChainSpecError(f'chain factors need kind "eta" or "explicit", not {kind!r}')
+    if not isinstance(desc.get("factors"), list):
+        raise ChainSpecError("explicit chain factors need a list of factors")
+    factors = []
+    for j, d in enumerate(desc["factors"]):
+        if not (isinstance(d, dict) and {"structure", "formula", "chain"} <= d.keys()):
+            raise ChainSpecError(f"factor {j} needs structure, formula and chain")
+        chain = d["chain"]
+        if not (isinstance(chain, list) and all(isinstance(t, list) for t in chain)):
+            raise ChainSpecError(f"factor {j}: chain must be a list of tuples (lists)")
+        factors.append(ExplicitChainFactor(FiniteStructure.from_json_dict(d["structure"]),
+                                           parse_formula(d["formula"]), chain))
+    return factors
+
+
 def _cmd_forcing_pipeline(args, digests):
     ground = Poset.from_json_dict(_load_json(args.poset, digests))
     factors = None
     if args.chains:
-        desc = _load_json(args.chains, digests)
-        if desc.get("kind", "eta") != "eta":
-            factors = [ExplicitChainFactor(FiniteStructure.from_json_dict(d["structure"]),
-                                           parse_formula(d["formula"]), d["chain"])
-                       for d in desc["factors"]]
+        factors = _chain_factors(_load_json(args.chains, digests))
     rep = pipeline_embed(ground, args.depth, factors)
     return rep, [{"name": "pipeline-embedding", "ok": rep["ok"]}]
 
@@ -231,7 +250,9 @@ def _cmd_check_all(args, digests):
     return body, stripped
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and reused by every call."""
     parser = argparse.ArgumentParser(
         prog="orderlab",
         description="finite order-combinatorics laboratory: depletions, "
@@ -301,8 +322,11 @@ def main(argv=None):
     p.add_argument("--budget", choices=sorted(checksuite.BUDGETS), default="small")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_check_all)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     digests = {}
     t0 = time.perf_counter()
     try:

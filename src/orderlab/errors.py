@@ -101,6 +101,10 @@ class ChainTooShortError(OrderlabError):
     """A coordinate factor does not supply a long enough chain."""
 
 
+class ChainSpecError(OrderlabError):
+    """A chain-factor description does not follow its schema."""
+
+
 # --- clopen algebra ---------------------------------------------------------
 
 class CanonicalityError(OrderlabError):

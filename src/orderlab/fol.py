@@ -209,19 +209,6 @@ def pair_sorts(phi):
     return tuple(want_x), tuple(want_y)
 
 
-def swap_pair_vars(phi):
-    """The pair formula with every x{k} and y{k} exchanged, so that it holds
-    of (a, b) exactly when ``phi`` holds of (b, a)."""
-    if isinstance(phi, Atom):
-        swap = {"x": "y", "y": "x"}
-        return Atom(phi.name, tuple(swap[v[0]] + v[1:] for v in phi.vars))
-    if isinstance(phi, Not):
-        return Not(swap_pair_vars(phi.arg))
-    if isinstance(phi, (And, Or)):
-        return type(phi)(tuple(swap_pair_vars(a) for a in phi.args))
-    raise FormulaError(f"not a formula node: {phi!r}")
-
-
 def _getter(positions):
     """Key function giving a relation tuple's values at ``positions``: the
     value itself at one position, a tuple of values otherwise."""

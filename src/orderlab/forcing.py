@@ -15,14 +15,15 @@ schedule, and verification passes are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import lt
 
 from .errors import (AgreementError, AmalgamationError, ChainTooShortError,
                      DepthError, HypothesisError, PreconditionError, RootError,
                      ScheduleError)
 from .fol import FiniteStructure, pair_rows
 from .posets import Poset, linear_extension
-from .seqspace import (eta, leq_from, lt_from, phi, position_profile,
-                       position_seq)
+from .seqspace import SeqFun, eta, leq_from, lt_from, phi, position_profile
 
 
 class Condition:
@@ -98,46 +99,64 @@ def extends(ground: Poset, p: Condition, q: Condition) -> bool:
     coordinates new to q are monotone on every related pair of q's domain."""
     if p is q:
         return True
-    if not (p.domain >= q.domain and p.depth >= q.depth):
+    lo, hi = q.depth, p.depth
+    if not (p.domain >= q.domain and hi >= lo):
         return False
-    pf, lo, hi = p._f, q.depth, p.depth
-    for a, s in q._f.items():
+    pf, qf = p._f, q._f
+    for a, s in qf.items():
         if pf[a][:lo] != s:
             return False
-    if lo == hi:
-        return True
-    dom = q.domain
-    for a, b in ground.strict_pairs():
-        if a in dom and b in dom:
-            pa, pb = pf[a], pf[b]
-            for j in range(lo, hi):
-                if pa[j] > pb[j]:
-                    return False
+    return lo == hi or _monotone(ground, pf, qf, lo, hi)
+
+
+def _monotone(ground, f, dom, lo, hi):
+    """Whether f[a][j] <= f[b][j] for j in lo..hi-1 and every strict pair
+    a < b inside dom.  The pairs come from each element's up-row, read
+    through the ground's index."""
+    rows, index, els = ground._rows, ground._index, ground.elements
+    for a in dom:
+        r = rows[index[a]]
+        while r:
+            low = r & -r
+            r ^= low
+            b = els[low.bit_length() - 1]
+            if b in dom:
+                fa, fb = f[a], f[b]
+                for j in range(lo, hi):
+                    if fa[j] > fb[j]:
+                        return False
     return True
 
 
 def _max_pad(ground, f, domain, a, lo, hi):
     """Per coordinate j in lo..hi-1, the max of f[b][j] over b in domain at
-    or below a (0 when none)."""
-    below = [f[b] for b in domain if ground.leq(b, a)]
-    pad = []
-    for j in range(lo, hi):
-        best = 0
-        for s in below:
-            if s[j] > best:
-                best = s[j]
-        pad.append(best)
-    return tuple(pad)
+    or below a (0 when none).  The lower set is a's down-row, read through
+    the ground's index."""
+    i = ground.index_of(a)
+    r = ground._down_rows()[i] | 1 << i
+    els = ground.elements
+    below = []
+    while r:
+        low = r & -r
+        r ^= low
+        b = els[low.bit_length() - 1]
+        if b in domain:
+            below.append(f[b][lo:hi])
+    if not below:
+        return (0,) * (hi - lo)
+    return tuple(map(max, zip(*below)))
 
 
 def amalgamate(ground: Poset, parts, root) -> Condition:
     """A common extension of pairwise root-compatible conditions.
 
     Deep values are copied; shallow private elements are padded on the
-    missing coordinates by the maximum over root elements below them.  The
-    result is verified to extend every part; when the parts' values on the
-    root are not monotone beyond the shallowest depth no common extension
-    exists at all, and AmalgamationError reports it.
+    missing coordinates by the maximum over root elements below them.  That
+    padding keeps every related pair involving a private element monotone,
+    so the result extends every part exactly when the deepest part's
+    values on the root are monotone from the shallowest depth on;
+    otherwise no common extension exists at all, and AmalgamationError
+    reports it.
     """
     parts = list(parts)
     root = frozenset(root)
@@ -147,33 +166,37 @@ def amalgamate(ground: Poset, parts, root) -> Condition:
         if not root <= parts[0].domain:
             raise RootError("root must lie inside the part's domain")
         return parts[0]
-    for i, p in enumerate(parts):
-        for q in parts[i + 1:]:
-            if p.domain & q.domain != root:
-                raise RootError("pairwise domain intersections differ from the root")
+    # pairwise intersections equal the root exactly when every domain
+    # contains it and the private parts are pairwise disjoint
+    private = frozenset()
+    deep = low = parts[0]
+    for p in parts:
+        own = p.domain - root
+        if own & private or not root <= p.domain:
+            raise RootError("pairwise domain intersections differ from the root")
+        private |= own
+        if p.depth > deep.depth:
+            deep = p
+        if p.depth < low.depth:
+            low = p
     for i, p in enumerate(parts):
         for q in parts[i + 1:]:
             d = min(p.depth, q.depth)
             for a in root:
-                if p.seq(a)[:d] != q.seq(a)[:d]:
+                if p._f[a][:d] != q._f[a][:d]:
                     raise AgreementError(f"parts disagree on root element {a!r}")
-    depth = max(p.depth for p in parts)
-    deep = next(p for p in parts if p.depth == depth)
-    f = {}
-    for a in root:
-        f[a] = deep.seq(a)
+    depth = deep.depth
+    f = {a: deep._f[a] for a in root}
     for p in parts:
         for a in p.domain - root:
             if p.depth == depth:
-                f[a] = p.seq(a)
+                f[a] = p._f[a]
             else:
-                f[a] = p.seq(a) + _max_pad(ground, f, root, a, p.depth, depth)
-    q = Condition._trusted(frozenset().union(*(p.domain for p in parts)), depth, f)
-    for p in parts:
-        if not extends(ground, q, p):
-            raise AmalgamationError(
-                "no common extension: a deep part is non-monotone on the root")
-    return q
+                f[a] = p._f[a] + _max_pad(ground, f, root, a, p.depth, depth)
+    if not _monotone(ground, f, root, low.depth, depth):
+        raise AmalgamationError(
+            "no common extension: a deep part is non-monotone on the root")
+    return Condition._trusted(root | private, depth, f)
 
 
 def extend_into_D(ground: Poset, p: Condition, n: int, a) -> Condition:
@@ -187,14 +210,18 @@ def extend_into_D(ground: Poset, p: Condition, n: int, a) -> Condition:
     """
     if a not in ground:
         raise ScheduleError(f"element {a!r} not in the ground order")
-    if a in p.domain and p.depth >= n:
+    old = p._f
+    if a in old and p.depth >= n:
         return p
-    depth = max(p.depth, n)
-    zeros = (0,) * (depth - p.depth)
-    f = {b: s + zeros for b, s in p._f.items()}
-    if a not in p.domain:
-        f[a] = _max_pad(ground, p._f, p.domain, a, 0, p.depth) + zeros
-    return Condition._trusted(p.domain | {a}, depth, f)
+    if n <= p.depth:  # the depth stays: only a's values are new
+        f = dict(old)
+        f[a] = _max_pad(ground, old, old, a, 0, p.depth)
+        return Condition._trusted(p.domain | {a}, p.depth, f)
+    zeros = (0,) * (n - p.depth)
+    f = {b: s + zeros for b, s in old.items()}
+    if a not in old:
+        f[a] = _max_pad(ground, old, old, a, 0, p.depth) + zeros
+    return Condition._trusted(p.domain | {a}, n, f)
 
 
 def extend_into_E(ground: Poset, p: Condition, n: int, a, b) -> Condition:
@@ -202,29 +229,35 @@ def extend_into_E(ground: Poset, p: Condition, n: int, a, b) -> Condition:
     f(a)(k) < f(b)(k) at some coordinate k >= n.  Defined only when b is
     not below a in the ground order.  Idempotent when p already qualifies.
 
-    New coordinates are coloured by rank in a linear extension placing a
-    before b, wherever the ranks fit the coordinate bound; rank colouring
-    respects every related pair at once and makes the witness strict.
+    A missing a or b enters first as extend_into_D(., 0, .) would add it:
+    by the maximum over its lower bounds in p's domain (a, not being above
+    b, adds nothing to b's).  New coordinates are coloured by rank in a
+    linear extension placing a before b, wherever the ranks fit the
+    coordinate bound; rank colouring respects every related pair at once
+    and makes the witness strict.
     """
-    if ground.leq(b, a):
+    if a == b or ground.lt(b, a):
         raise PreconditionError("defined only when b is not below a")
-    q = p
-    for e in (a, b):
-        if e not in q.domain:
-            q = extend_into_D(ground, q, 0, e)
-    qa, qb = q._f[a], q._f[b]
-    for k in range(n, q.depth):
-        if qa[k] < qb[k]:
-            return q
-    size = len(q.domain)
-    k = max(n, q.depth, size + 2)
-    # coordinates q.depth..k: zero below size, where a rank may not fit the
+    old, depth, domain = p._f, p.depth, p.domain
+    if a in old and b in old:
+        fa, fb = old[a], old[b]
+    else:
+        fa = old[a] if a in old else _max_pad(ground, old, old, a, 0, depth)
+        fb = old[b] if b in old else _max_pad(ground, old, old, b, 0, depth)
+        domain = domain | {a, b}
+        old = {**old, a: fa, b: fb}
+    for k in range(n, depth):
+        if fa[k] < fb[k]:
+            return p if domain is p.domain else Condition._trusted(domain, depth, old)
+    size = len(domain)
+    k = max(n, depth, size + 2)
+    # coordinates depth..k: zero below size, where a rank may not fit the
     # bound, and the rank from size on
-    zeros = (0,) * max(0, size - q.depth)
-    width = k + 1 - max(q.depth, size)
-    order = linear_extension(ground, q.domain, before=(a, b))
-    f = {e: q._f[e] + zeros + (r,) * width for r, e in enumerate(order)}
-    return Condition._trusted(q.domain, k + 1, f)
+    zeros = (0,) * max(0, size - depth)
+    width = k + 1 - max(depth, size)
+    order = linear_extension(ground, domain, before=(a, b))
+    return Condition._trusted(domain, k + 1, {e: old[e] + zeros + (r,) * width
+                                              for r, e in enumerate(order)})
 
 
 def projection(sub_elements, p: Condition) -> Condition:
@@ -269,10 +302,9 @@ class GenericEmbedding:
 def default_schedule(ground: Poset, budget: int):
     """Domain/depth requests first, then strict-witness requests, each in
     lexicographic (n, elements) order."""
-    reqs = [("D", n, a) for n in range(budget + 1) for a in ground.elements]
     pairs = _witness_pairs(ground)
-    reqs.extend(("E", n, a, b) for n in range(budget + 1) for a, b in pairs)
-    return reqs
+    return ([("D", n, a) for n in range(budget + 1) for a in ground.elements]
+            + [("E", n, a, b) for n in range(budget + 1) for a, b in pairs])
 
 
 def _witness_pairs(ground: Poset):
@@ -303,11 +335,7 @@ def generic_build(ground: Poset, budget: int, schedule=None) -> GenericEmbedding
     last = {}
     for req in schedule:
         kind = req[0]
-        if kind == "D":
-            _, n, a = req
-            p = extend_into_D(ground, p, n, a)  # ScheduleError outside ground
-            entry_depth.setdefault(a, p.depth)
-        elif kind == "E":
+        if kind == "E":
             _, n, a, b = req
             if n <= last.get((a, b), -1):
                 continue
@@ -321,22 +349,30 @@ def generic_build(ground: Poset, budget: int, schedule=None) -> GenericEmbedding
             while not fa[k] < fb[k]:
                 k -= 1
             last[(a, b)] = k
+        elif kind == "D":
+            _, n, a = req
+            # a request already met leaves p as it is, and a in the domain
+            # has its entry depth
+            if n <= p.depth and a in p._f:
+                continue
+            p = extend_into_D(ground, p, n, a)  # ScheduleError outside ground
+            entry_depth.setdefault(a, p.depth)
         else:
             raise ScheduleError(f"unknown request kind {kind!r}")
     missing = els - p.domain
     if missing:
         raise ScheduleError(f"schedule never introduced elements {sorted(missing)}")
     f = p._f
-    values = {a: position_seq(f[a]) for a in ground.elements}
+    profile = position_profile(p.depth)
+    values = {a: SeqFun(profile, f[a]) for a in ground.elements}
     thresholds = {}
     for a in ground.elements:
         for b in ground.elements:
             if a < b:
                 thresholds[frozenset((a, b))] = max(entry_depth[a], entry_depth[b])
-    witnesses = {}
-    for a, b in _witness_pairs(ground):
-        fa, fb = f[a], f[b]
-        witnesses[(a, b)] = tuple(k for k in range(p.depth) if fa[k] < fb[k])
+    coords = range(p.depth)
+    witnesses = {(a, b): tuple(compress(coords, map(lt, f[a], f[b])))
+                 for a, b in _witness_pairs(ground)}
     return GenericEmbedding(ground, budget, values, thresholds, witnesses)
 
 

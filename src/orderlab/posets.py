@@ -355,9 +355,13 @@ def linear_extension(p: Poset, subset=None, before=None):
     if subset is None:
         left = (1 << len(p.elements)) - 1
     else:
+        index = p._index
         left = 0
-        for e in subset:
-            left |= 1 << p.index_of(e)
+        try:
+            for e in subset:
+                left |= 1 << index[e]
+        except KeyError:
+            raise DomainError(f"element {e!r} not in poset") from None
     key = (left, None if before is None else tuple(before))
     try:
         memo = p._linext

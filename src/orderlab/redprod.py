@@ -16,9 +16,8 @@ import itertools
 from functools import reduce
 
 from .errors import ArityError, BudgetError, FilterError, FormulaError
-from .fol import (Atom, FiniteStructure, Not, eval_pair, pair_rows, pair_sorts,
-                  swap_pair_vars)
-from .posets import is_transitive, longest_chain_indices
+from .fol import Atom, FiniteStructure, Not, eval_pair, pair_rows, pair_sorts
+from .posets import is_transitive, longest_chain_indices, transpose
 
 
 def _ground(ground):
@@ -226,8 +225,8 @@ def _strict_pair_digraph(s: FiniteStructure, phi):
     if len(tuples) > EXACT_SEARCH_BOUND:
         raise BudgetError(f"{len(tuples)} tuples exceed the exact-search bound")
     ab = pair_rows(s, phi, tuples)
-    ba = pair_rows(s, swap_pair_vars(phi), tuples)
-    return tuples, [f & ~b for f, b in zip(ab, ba)]
+    # the backward relation is the converse: phi holds of (tuples[j], tuples[i])
+    return tuples, [f & ~b for f, b in zip(ab, transpose(ab))]
 
 
 def longest_op_chain(s: FiniteStructure, phi):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from orderlab import checks
+from orderlab import checks, cli
 from orderlab.cli import main
 from orderlab.fol import linear_order_structure
 
@@ -140,6 +141,16 @@ def test_forcing_pipeline_bad_formula_on_one_element_chain_exits_two(tmp_path, c
     code, out, err = run_pipeline(tmp_path, capsys, chains)
     assert code == 2 and out == ""
     assert "FormulaError" in err and "Traceback" not in err
+
+
+def test_forcing_pipeline_malformed_chain_factors_exit_two(tmp_path, capsys):
+    bad_chain = linear_chain_factors([1, 1, 2, 6, 24, 120])
+    bad_chain["factors"][2]["chain"] = [0]
+    for chains, named in ((bad_chain, "factor 2"), ({"kind": "eat"}, "'eat'")):
+        code, out, err = run_pipeline(tmp_path, capsys, chains)
+        assert code == 2 and out == ""
+        assert "ChainSpecError" in err and named in err
+        assert "Traceback" not in err
 
 
 def test_depletion_non_integer_labels_exit_two(tmp_path, capsys):
@@ -374,6 +385,33 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     missing = str(tmp_path / "nonexistent.json")
     assert main(["phi", "--in", missing]) == 2
     capsys.readouterr()
+
+
+TIEPOINT_01_DEPTH_2_SHA256 = \
+    "64f17ec6055914201e2f29b6c3bd1b6cb4b036394f9795e0f2cce36b19b7963f"
+
+
+def test_parser_is_built_once_and_survives_usage_errors(capsys, monkeypatch):
+    argv = ["tiepoint", "--point", "01^omega", "--depth", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as e:
+        main(["tiepoint", "--point", "01^omega"])  # --depth is required
+    assert e.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TIEPOINT_01_DEPTH_2_SHA256
+    assert built == []
 
 
 def test_module_entry_point():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from orderlab.errors import ArityError, DomainError, FormulaError
 from orderlab.fol import (And, Atom, FiniteStructure, Not, Or, eval_pair,
                           eval_qf, format_formula, linear_order_structure,
-                          pair_rows, pair_sorts, parse_formula, swap_pair_vars)
+                          pair_rows, pair_sorts, parse_formula)
+from orderlab.posets import transpose
 
 
 def edge_structure():
@@ -120,6 +121,18 @@ def test_pair_rows_matches_eval_pair_on_fixed_structures():
             assert_rows_match_eval_pair(s, parse_formula(text))
 
 
+def swap_pair_vars(phi):
+    """The pair formula with every x{k} and y{k} exchanged, so that it holds
+    of (a, b) exactly when ``phi`` holds of (b, a); the oracle for reading
+    the backward relation as the transpose of the forward rows."""
+    if isinstance(phi, Atom):
+        swap = {"x": "y", "y": "x"}
+        return Atom(phi.name, tuple(swap[v[0]] + v[1:] for v in phi.vars))
+    if isinstance(phi, Not):
+        return Not(swap_pair_vars(phi.arg))
+    return type(phi)(tuple(swap_pair_vars(a) for a in phi.args))
+
+
 def test_swap_pair_vars():
     phi = parse_formula("(and (R x0 y1) (not (R y0 x1)))")
     assert format_formula(swap_pair_vars(phi)) == \
@@ -182,3 +195,19 @@ def test_pair_rows_matches_eval_pair_property(case):
         return
     assert_rows_match_eval_pair(s, phi)
     assert_rows_match_eval_pair(s, swap_pair_vars(phi))
+
+
+@settings(deadline=None, max_examples=300)
+@given(structure_and_formula(), st.randoms(use_true_random=False))
+def test_transposed_rows_match_the_swapped_formula(case, rng):
+    # the chain search reads the backward relation as the transpose of the
+    # forward rows instead of compiling the swapped formula
+    s, phi = case
+    try:
+        xs, _ = pair_sorts(phi)
+    except FormulaError:
+        return
+    every = list(itertools.product(s.universe, repeat=len(xs)))
+    for tuples in (every, rng.sample(every, rng.randint(0, len(every)))):
+        assert transpose(pair_rows(s, phi, tuples)) == \
+            pair_rows(s, swap_pair_vars(phi), tuples)

@@ -5,11 +5,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orderlab import forcing
-from orderlab.checks import (_conditions, check_dense_entries, check_reduction,
-                             random_condition, random_extension,
-                             random_root_family)
+from orderlab.checks import (_conditions, _draw, check_dense_entries,
+                             check_reduction, random_condition,
+                             random_extension, random_poset, random_root_family)
 from orderlab.errors import (AgreementError, AmalgamationError,
                              ChainTooShortError, DepthError, FormulaError,
                              HypothesisError, PreconditionError, RootError,
@@ -490,45 +491,201 @@ def test_conditions_give_the_split_density_sequence():
     assert total == 864
 
 
-def test_extends_matches_reference_on_small_grids():
+def small_grounds():
+    """Every isotype with n <= 3, over the ids 0..n-1 that are its indices."""
+    return [g for n in range(1, 4) for g in enumerate_poset_isotypes(n)]
+
+
+def relabel(ground, new_id):
+    """The poset with every element a renamed to new_id(a)."""
+    return make_poset(map(new_id, ground.elements),
+                      [(new_id(a), new_id(b)) for a, b in ground.pairs()])
+
+
+def relabelled_grounds():
+    # ids for indices 0, 1, 2 out of order, with gaps and a negative, so
+    # that a mix-up of index and id changes the answer
+    return [relabel(g, (4, -3, 9).__getitem__) for g in small_grounds()]
+
+
+def assert_extends_matches_reference(grounds):
     # depth 3 is the first depth at which a coordinate takes two values, so
     # the monotonicity clause can fail
     verdicts = {True: 0, False: 0}
-    for n in range(1, 4):
-        for ground in enumerate_poset_isotypes(n):
-            conds = list(_enumerate_conditions(ground, 3))
-            for p in conds:
-                for q in conds:
-                    want = ref_extends(ground, p, q)
-                    assert extends(ground, p, q) == want, (ground, p, q)
-                    verdicts[want] += 1
+    for ground in grounds:
+        conds = list(_enumerate_conditions(ground, 3))
+        for p in conds:
+            for q in conds:
+                want = ref_extends(ground, p, q)
+                assert extends(ground, p, q) == want, (ground, p, q)
+                verdicts[want] += 1
     assert min(verdicts.values()) > 1000
+
+
+def test_extends_matches_reference_on_small_grids():
+    assert_extends_matches_reference(small_grounds())
+
+
+def test_extends_matches_reference_on_relabelled_grids():
+    assert_extends_matches_reference(relabelled_grounds())
 
 
 def test_extends_itself_matches_reference():
     # the identity fast path, against the reference on the same object and
     # on an equal copy that the fast path does not see
-    for n in range(1, 4):
-        for ground in enumerate_poset_isotypes(n):
-            for p in _enumerate_conditions(ground, 3):
-                copy = Condition(p.domain, p.depth, dict(p.items()))
-                assert extends(ground, p, p) is ref_extends(ground, p, p) is True
-                assert extends(ground, p, copy) is ref_extends(ground, p, copy) is True
+    for ground in small_grounds():
+        for p in _enumerate_conditions(ground, 3):
+            copy = Condition(p.domain, p.depth, dict(p.items()))
+            assert extends(ground, p, p) is ref_extends(ground, p, p) is True
+            assert extends(ground, p, copy) is ref_extends(ground, p, copy) is True
+
+
+def assert_entry_operations_match_reference(grounds):
+    for ground in grounds:
+        els = ground.elements
+        for p in _enumerate_conditions(ground, 3):
+            for m in range(5):
+                for a in els:
+                    assert extend_into_D(ground, p, m, a) == \
+                        ref_extend_into_D(ground, p, m, a)
+                    for b in els:
+                        if a != b and not ground.leq(b, a):
+                            assert extend_into_E(ground, p, m, a, b) == \
+                                ref_extend_into_E(ground, p, m, a, b)
 
 
 def test_entry_operations_match_reference_on_small_grids():
-    for n in range(1, 4):
-        for ground in enumerate_poset_isotypes(n):
-            els = ground.elements
-            for p in _enumerate_conditions(ground, 3):
-                for m in range(5):
-                    for a in els:
-                        assert extend_into_D(ground, p, m, a) == \
-                            ref_extend_into_D(ground, p, m, a)
-                        for b in els:
-                            if a != b and not ground.leq(b, a):
-                                assert extend_into_E(ground, p, m, a, b) == \
-                                    ref_extend_into_E(ground, p, m, a, b)
+    assert_entry_operations_match_reference(small_grounds())
+
+
+def test_entry_operations_match_reference_on_relabelled_grids():
+    assert_entry_operations_match_reference(relabelled_grounds())
+
+
+def ref_max_pad(ground, f, domain, a, lo, hi):
+    below = [f[b] for b in domain if ground.leq(b, a)]
+    pad = []
+    for j in range(lo, hi):
+        best = 0
+        for s in below:
+            if s[j] > best:
+                best = s[j]
+        pad.append(best)
+    return tuple(pad)
+
+
+def ref_amalgamate(ground, parts, root):
+    """amalgamate as it was before the one-pass rewrite: pairwise root and
+    agreement checks, and the result verified against every part."""
+    parts = list(parts)
+    root = frozenset(root)
+    if not parts:
+        raise RootError("at least one part is required")
+    if len(parts) == 1:
+        if not root <= parts[0].domain:
+            raise RootError("root must lie inside the part's domain")
+        return parts[0]
+    for i, p in enumerate(parts):
+        for q in parts[i + 1:]:
+            if p.domain & q.domain != root:
+                raise RootError("pairwise domain intersections differ from the root")
+    for i, p in enumerate(parts):
+        for q in parts[i + 1:]:
+            d = min(p.depth, q.depth)
+            for a in root:
+                if p.seq(a)[:d] != q.seq(a)[:d]:
+                    raise AgreementError(f"parts disagree on root element {a!r}")
+    depth = max(p.depth for p in parts)
+    deep = next(p for p in parts if p.depth == depth)
+    f = {}
+    for a in root:
+        f[a] = deep.seq(a)
+    for p in parts:
+        for a in p.domain - root:
+            if p.depth == depth:
+                f[a] = p.seq(a)
+            else:
+                f[a] = p.seq(a) + ref_max_pad(ground, f, root, a, p.depth, depth)
+    q = Condition(frozenset().union(*(p.domain for p in parts)), depth, f)
+    for p in parts:
+        if not ref_extends(ground, q, p):
+            raise AmalgamationError(
+                "no common extension: a deep part is non-monotone on the root")
+    return q
+
+
+def outcomes_agree(ground, parts, root):
+    got = outcome(amalgamate, ground, parts, root)
+    want = outcome(ref_amalgamate, ground, parts, root)
+    assert got == want, (ground, parts, sorted(root))
+    return got
+
+
+def test_amalgamate_matches_reference_on_the_relabelled_reduction_grid():
+    pairs = 0
+    for ground in relabelled_grounds():
+        els = ground.elements
+        subsets = [frozenset(c) for r in range(len(els) + 1)
+                   for c in itertools.combinations(els, r)]
+        for d in range(4):
+            for p in _conditions(ground, els, d):
+                for sub in subsets:
+                    pi = projection(sub, p)
+                    for dq in range(pi.depth, 4):
+                        for q in _conditions(ground, sub, dq, base=pi):
+                            got = outcomes_agree(ground, [p, q], pi.domain)
+                            assert isinstance(got, Condition)
+                            pairs += 1
+    assert pairs == 12077
+
+
+def drawn_root_family(rng):
+    """Parts sharing a root over a random poset, drawn so that every way
+    amalgamate can fail comes up: now and then a private element lands in
+    two parts, a part misses a root element or draws its own root values,
+    and the root template is not made monotone."""
+    ground = random_poset(rng, rng.randint(1, 5))
+    els = list(ground.elements)
+    rng.shuffle(els)
+    cut = rng.randint(0, len(els))
+    root, free = els[:cut], els[cut:]
+    template = _draw(rng, root, rng.randint(0, 5))
+    buckets = [[] for _ in range(rng.randint(2, 3))]
+    for x in free:
+        owners = rng.sample(range(len(buckets)), 2 if rng.random() < 0.1 else 1)
+        for i in owners:
+            if rng.random() < 0.7:
+                buckets[i].append(x)
+    parts = []
+    for bucket in buckets:
+        dom = [a for a in root if rng.random() < 0.97] + bucket
+        fixed = {a: template.seq(a) for a in root} if rng.random() < 0.75 else None
+        parts.append(_draw(rng, dom, rng.randint(0, template.depth), fixed=fixed))
+    return ground, parts, frozenset(root)
+
+
+def test_drawn_root_families_reach_every_outcome():
+    rng = random.Random(14)
+    seen = {Condition: 0, RootError: 0, AgreementError: 0, AmalgamationError: 0}
+    for _ in range(2000):
+        got = outcomes_agree(*drawn_root_family(rng))
+        seen[type(got) if isinstance(got, Condition) else got[0]] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_amalgamate_matches_reference_on_drawn_root_families(seed, relabelled):
+    ground, parts, root = drawn_root_family(random.Random(seed))
+    if relabelled:
+        def new_id(a):
+            return 3 * (len(ground) - a) - 7
+
+        parts = [Condition(map(new_id, p.domain), p.depth,
+                           {new_id(a): v for a, v in p.items()}) for p in parts]
+        root = frozenset(map(new_id, root))
+        ground = relabel(ground, new_id)
+    outcomes_agree(ground, parts, root)
 
 
 # sha256 of the read-off of generic_build for every isotype with n <= 5 at
