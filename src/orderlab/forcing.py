@@ -19,8 +19,8 @@ from itertools import compress
 from operator import lt
 
 from .errors import (AgreementError, AmalgamationError, ChainTooShortError,
-                     DepthError, HypothesisError, PreconditionError, RootError,
-                     ScheduleError)
+                     DepthError, HypothesisError, PreconditionError,
+                     ProfileError, RootError, ScheduleError)
 from .fol import FiniteStructure, pair_rows
 from .posets import Poset, linear_extension
 from .seqspace import SeqFun, eta, leq_from, lt_from, phi, position_profile
@@ -35,6 +35,8 @@ class Condition:
         self.domain = frozenset(domain)
         self.depth = int(depth)
         self._f = {a: tuple(f[a]) for a in self.domain}
+        if any(len(s) != self.depth for s in self._f.values()):
+            raise ProfileError("every value sequence must have the condition's depth")
         self._key = None
 
     @classmethod
@@ -111,20 +113,13 @@ def extends(ground: Poset, p: Condition, q: Condition) -> bool:
 
 def _monotone(ground, f, dom, lo, hi):
     """Whether f[a][j] <= f[b][j] for j in lo..hi-1 and every strict pair
-    a < b inside dom.  The pairs come from each element's up-row, read
-    through the ground's index."""
-    rows, index, els = ground._rows, ground._index, ground.elements
-    for a in dom:
-        r = rows[index[a]]
-        while r:
-            low = r & -r
-            r ^= low
-            b = els[low.bit_length() - 1]
-            if b in dom:
-                fa, fb = f[a], f[b]
-                for j in range(lo, hi):
-                    if fa[j] > fb[j]:
-                        return False
+    a < b of the ground inside dom."""
+    for a, b in ground.strict_pairs():
+        if a in dom and b in dom:
+            fa, fb = f[a], f[b]
+            for j in range(lo, hi):
+                if fa[j] > fb[j]:
+                    return False
     return True
 
 
@@ -239,11 +234,9 @@ def extend_into_E(ground: Poset, p: Condition, n: int, a, b) -> Condition:
     if a == b or ground.lt(b, a):
         raise PreconditionError("defined only when b is not below a")
     old, depth, domain = p._f, p.depth, p.domain
-    if a in old and b in old:
-        fa, fb = old[a], old[b]
-    else:
-        fa = old[a] if a in old else _max_pad(ground, old, old, a, 0, depth)
-        fb = old[b] if b in old else _max_pad(ground, old, old, b, 0, depth)
+    fa = old[a] if a in old else _max_pad(ground, old, old, a, 0, depth)
+    fb = old[b] if b in old else _max_pad(ground, old, old, b, 0, depth)
+    if a not in old or b not in old:
         domain = domain | {a, b}
         old = {**old, a: fa, b: fb}
     for k in range(n, depth):

@@ -13,8 +13,8 @@ from orderlab.checks import (_conditions, _draw, check_dense_entries,
                              random_extension, random_poset, random_root_family)
 from orderlab.errors import (AgreementError, AmalgamationError,
                              ChainTooShortError, DepthError, FormulaError,
-                             HypothesisError, PreconditionError, RootError,
-                             ScheduleError)
+                             HypothesisError, PreconditionError, ProfileError,
+                             RootError, ScheduleError)
 from orderlab.forcing import (Condition, EMPTY_CONDITION, ExplicitChainFactor,
                               amalgamate, default_schedule, extend_into_D,
                               extend_into_E, extends, generic_build,
@@ -315,6 +315,28 @@ def test_exhaustive_suite_case_counts():
 def test_condition_json_round_trip():
     p = Condition({0, 2}, 3, {0: (0, 0, 1), 2: (0, 0, 0)})
     assert Condition.from_json_dict(p.to_json_dict()) == p
+
+
+def test_condition_refuses_a_value_off_its_depth():
+    # a value longer than its depth let amalgamate return a condition that
+    # extends said does not extend its part
+    antichain = make_poset({0, 1, 2}, set())
+    with pytest.raises(ProfileError):
+        Condition({0, 1}, 1, {0: (0,), 1: (0, 0)})
+    with pytest.raises(ProfileError):
+        Condition.from_json_dict({"D": [0], "n": 2, "f": {"0": [0]}})
+    p = Condition({0, 1}, 1, {0: (0,), 1: (0,)})
+    q = Condition({0, 2}, 3, {0: (0, 0, 1), 2: (0, 0, 0)})
+    w = amalgamate(antichain, [p, q], {0})
+    assert extends(antichain, w, p) and extends(antichain, w, q)
+
+
+def test_extends_reads_elements_outside_the_ground_as_unrelated():
+    q = Condition({0, 9}, 1, {0: (0,), 9: (0,)})
+    up = Condition({0, 9}, 2, {0: (0, 1), 9: (0, 0)})
+    assert extends(E3, up, q)
+    down = Condition({0, 1, 9}, 2, {0: (0, 1), 1: (0, 0), 9: (0, 0)})
+    assert not extends(E3, down, Condition({0, 1, 9}, 1, {0: (0,), 1: (0,), 9: (0,)}))
 
 
 # --- reference oracles: the per-element implementations the index-native

@@ -25,11 +25,6 @@ MUTANTS = [
            "tests/test_forcing.py::test_entry_operations_match_reference_on_relabelled_grids",
            "_max_pad reads an index as an element id; the same on ids 0..n-1"),
     Mutant("orderlab/forcing.py",
-           "            b = els[low.bit_length() - 1]\n            if b in dom:\n",
-           "            b = low.bit_length() - 1\n            if b in dom:\n",
-           "tests/test_forcing.py::test_extends_matches_reference_on_relabelled_grids",
-           "_monotone reads an index as an element id; the same on ids 0..n-1"),
-    Mutant("orderlab/forcing.py",
            "        if fa[k] < fb[k]:\n            return p if domain is p.domain",
            "        if fa[k] <= fb[k]:\n            return p if domain is p.domain",
            "tests/test_forcing.py::test_entry_operations_match_reference_on_small_grids",
@@ -74,8 +69,8 @@ MUTANTS = [
            "tests/test_forcing.py::test_drawn_root_families_reach_every_outcome",
            "amalgamate never finds the deep part non-monotone on the root"),
     Mutant("orderlab/forcing.py",
-           "            if b in dom:\n                fa, fb = f[a], f[b]",
-           "            if b in f:\n                fa, fb = f[a], f[b]",
+           "        if a in dom and b in dom:\n",
+           "        if a in f and b in f:\n",
            "tests/test_forcing.py::test_extends_matches_reference_on_small_grids",
            "extends also checks pairs that leave q's domain"),
     Mutant("orderlab/checks.py",

@@ -1,10 +1,11 @@
 """Run every catalogued mutant against its tests and report killed/total.
 
-    python3 tools/mutation_gate.py [--jobs 2]
+    python3 tools/mutation_gate.py
 
 For each entry of tools/mutants.py the gate copies src/, tests/ and
 pyproject.toml of the checkout into a fresh temporary directory, applies the
-mutant there, and runs ``python -m pytest -x -q <selector>`` in the copy.
+mutant there, and runs ``python -m pytest -x -q <selector>`` in the copy,
+two mutants at a time.
 A mutant is killed when a selected test fails; a run that cannot collect or
 start the tests counts as BROKEN, not as killed.  An entry whose snippet does not occur
 exactly once in its file is refused: the gate reports it and exits 2.  The
@@ -13,7 +14,6 @@ exit status is 0 when every mutant is killed, 1 when some survive.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -56,17 +56,14 @@ def run_mutant(m):
     return status, time.perf_counter() - t0, tail
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=2, choices=(1, 2))
-    args = parser.parse_args(argv)
+def main():
     stale = [m for m in MUTANTS if occurrences(m) != 1]
     for m in stale:
         print(f"stale: {m.file}: snippet occurs {occurrences(m)} times: {m.reason}")
     if stale:
         return 2
     t0 = time.perf_counter()
-    with ThreadPoolExecutor(args.jobs) as pool:
+    with ThreadPoolExecutor(2) as pool:
         results = list(pool.map(run_mutant, MUTANTS))
     killed = 0
     for m, (status, secs, tail) in zip(MUTANTS, results):
