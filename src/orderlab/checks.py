@@ -621,9 +621,11 @@ def check_atomic_los(trials=1000, seed=7):
 
 def check_tie_points(depth=4, seed=8, op_sample=256):
     """All point prefixes at the given depth: the decomposition's invariants,
-    the exhaustive probe sweep over every clopen of that depth (via the
-    validated mask view), a sampled sweep through the antichain operations,
-    and the expansion facts."""
+    the literal probe sweep over every clopen of that depth (32-bit masks, so
+    depth <= 5) against its closed form, a sampled sweep through the
+    antichain operations, and the expansion facts."""
+    if 1 << depth > 32:
+        raise BudgetError(f"the depth-{depth} probe sweep leaves 32-bit masks")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
@@ -636,9 +638,11 @@ def check_tie_points(depth=4, seed=8, op_sample=256):
         if inv:
             failures.append({"point": str(x), "invariants": inv})
             continue
-        checked, bad = bulk_probe_check(td)
-        if bad or checked != (1 << (1 << depth)) // 2:
-            failures.append({"point": str(x), "bulk": [checked, bad]})
+        masks = [clopen_to_mask(u, depth) for u in (td.below, td.above)]
+        swept = _kernels.probe_sweep(1 << (1 << depth), int(x.expand(depth), 2), *masks)
+        certificate = bulk_probe_check(td)
+        if swept[1] or swept != certificate:
+            failures.append({"point": str(x), "swept": swept, "certificate": certificate})
             continue
         sample = [mask_to_clopen(rng.getrandbits(1 << depth), depth)
                   for _ in range(op_sample)]

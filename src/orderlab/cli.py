@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import random
 import sys
 import time
@@ -20,7 +21,7 @@ import time
 from . import checks as checksuite
 from .depletion import (DepletionInstance, depletion_order, find_walk,
                         frontier_sweep, maximal_star_set, star_condition)
-from .errors import ChainSpecError, OrderlabError
+from .errors import ChainSpecError, DepthError, OrderlabError
 from .fol import FiniteStructure, parse_formula
 from .forcing import (ExplicitChainFactor, default_schedule, generic_build,
                       pipeline_embed, verify_generic_embedding)
@@ -220,6 +221,9 @@ def _cmd_forcing_pipeline(args, digests):
 
 def _cmd_tiepoint(args, digests):
     x = parse_point(args.point)
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and args.depth >= math.log2(limit / math.log10(2) + 1):
+        raise DepthError(f"depth {args.depth}: probes_checked has over {limit} digits")
     td = tie_decompose(x, args.depth)
     inv = decomposition_invariant_failures(td)
     checked, bad = bulk_probe_check(td)
@@ -231,7 +235,6 @@ def _cmd_tiepoint(args, digests):
         "probes_checked": checked,
         "probe_violations": bad,
     }
-    ok = not inv and bad == 0 and expansion
     return body, [
         {"name": "decomposition-invariants", "ok": not inv, "failures": inv},
         {"name": "probe-sweep", "ok": bad == 0},

@@ -28,13 +28,17 @@ class FiniteStructure:
         uset = set(self.universe)
         rels = {}
         for name, (arity, tuples) in relations.items():
-            tset = frozenset(tuple(t) for t in tuples)
+            tset = set()
+            for t in tuples:
+                if not isinstance(t, (list, tuple)):
+                    raise DomainError(f"relation {name}: item {t!r} is not a tuple")
+                tset.add(tuple(int_ids(t)))
             for t in tset:
                 if len(t) != arity:
                     raise ArityError(f"tuple {t} has wrong arity for {name}")
                 if not set(t) <= uset:
                     raise DomainError(f"tuple {t} leaves the universe")
-            rels[name] = (arity, tset)
+            rels[name] = (arity, frozenset(tset))
         self.relations = rels
 
     def holds(self, name, args):
@@ -66,7 +70,7 @@ class FiniteStructure:
 
     @classmethod
     def from_json_dict(cls, data):
-        rels = {name: (spec["arity"], [tuple(t) for t in spec["tuples"]])
+        rels = {name: (spec["arity"], spec["tuples"])
                 for name, spec in data["relations"].items()}
         return cls(data["universe"], rels)
 

@@ -317,6 +317,8 @@ def generic_build(ground: Poset, budget: int, schedule=None) -> GenericEmbedding
     under thresholded comparison, with strict witnesses past every requested
     depth.
     """
+    if budget < 0:
+        raise DepthError(f"build depth {budget} is negative")
     if schedule is None:
         schedule = default_schedule(ground, budget)
     els = frozenset(ground.elements)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _kernels
 from .errors import CanonicalityError, DepthError
 
 
@@ -276,20 +275,18 @@ def true_tie_check(td: TieDecomposition, probes):
 
 
 def bulk_probe_check(td: TieDecomposition):
-    """Exhaustive probe sweep over every depth-d clopen, via cell masks.
-
-    The mask view is validated against the antichain operations elsewhere;
-    this routine only scales the same checks to all 2^(2^d) probes.
-    Returns (checked, violations).  The kernel holds a probe's cells in 32
-    bits, so depths beyond 5 (2^6 cells) are refused.
-    """
-    d = td.depth
-    if 1 << d > 32:
-        raise DepthError("probe sweeps cover at most 32 cells (depth <= 5)")
-    x_bit = int(td.point.expand(d), 2)
-    below = clopen_to_mask(td.below, d)
-    above = clopen_to_mask(td.above, d)
-    return _kernels.probe_sweep(1 << (1 << d), x_bit, below, above)
+    """(checked, violations) over every depth-d probe clopen, in closed form:
+    a probe missing the point fails iff it meets B, the cells other than the
+    point's outside below | above or inside below & above, so of the 2^(N-1)
+    probes missing the point (N = 2^d cells) 2^(N-1-|B|) pass."""
+    d, x = td.depth, td.point
+    size = 0
+    for u in (complement(join(td.below, td.above)), meet(td.below, td.above)):
+        if u.depth() > d:
+            raise DepthError("chain element deeper than the decomposition")
+        size += sum(1 << (d - len(w)) for w in u.antichain) - contains(u, x)
+    checked = 1 << ((1 << d) - 1)
+    return checked, checked - (checked >> size)
 
 
 def expansion_axiom_check(td: TieDecomposition, fragment_depth: int) -> bool:

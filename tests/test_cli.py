@@ -175,6 +175,41 @@ def test_product_non_integer_filter_ground_exits_two(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def not_a_tuple_request(tmp_path, command):
+    """A chains, product or forcing pipeline request whose one structure
+    has the relation item 0 where a tuple belongs."""
+    structure = {"universe": [0, 1], "relations": {"R": {"arity": 1, "tuples": [0]}}}
+    if command == "chains":
+        return ["chains", "--in", write(tmp_path, "c.json", {
+            "structure": structure, "formula": "(R x0)"})]
+    if command == "product":
+        return ["product", "--in", write(tmp_path, "p.json", {
+            "factors": [structure] * 2, "filter": {"ground": 2, "core": [0]}})]
+    chains = linear_chain_factors([1, 1, 2, 6, 24, 120])
+    chains["factors"][1]["structure"] = structure
+    e = write(tmp_path, "E.json", {"elements": [0, 1], "edges": [[0, 1]]})
+    return ["forcing", "pipeline", "--poset", e, "--depth", "1",
+            "--chains", write(tmp_path, "chains.json", chains)]
+
+
+@pytest.mark.parametrize("command", ["chains", "product", "pipeline"])
+def test_relation_item_that_is_not_a_tuple_exits_two(tmp_path, capsys, command):
+    code, out, err = run_cli(capsys, not_a_tuple_request(tmp_path, command))
+    assert code == 2 and out == ""
+    assert "DomainError" in err and "relation R: item 0" in err
+    assert "Traceback" not in err
+
+
+def test_negative_build_depth_exits_two(tmp_path, capsys):
+    e = write(tmp_path, "E.json", {"elements": [0, 1], "edges": [[0, 1]]})
+    for name in ("generic", "pipeline"):
+        code, out, err = run_cli(capsys, ["forcing", name, "--poset", e,
+                                          "--depth", "-1"])
+        assert code == 2 and out == ""
+        assert "DepthError" in err and "depth -1" in err
+        assert "Traceback" not in err
+
+
 def test_walk_and_depletion_commands(tmp_path, capsys):
     inst = write(tmp_path, "inst.json",
                  {"I": [0, 1, 2], "A": [], "F": {"0": [0], "1": [1], "2": [2]},
@@ -359,11 +394,17 @@ def test_chains_golden(tmp_path, monkeypatch, capsys):
 
 
 def test_tiepoint_depth_beyond_kernel_exits_two(capsys):
-    # 2^6 cells do not fit the 32-bit probe masks: a named error, exit 2,
-    # and at once however deep the request
-    for point, depth in (("01^omega", 6), ("1(10)^omega", 40)):
+    # the probe counts are closed forms, so depth 6 (2^6 cells) answers
+    code, out, _ = run_cli(capsys, ["tiepoint", "--point", "01^omega", "--depth", "6"])
+    rep = json.loads(out)
+    assert code == 0 and rep["probes_checked"] == 2 ** 63
+    assert rep["probe_violations"] == 0
+    # probes_checked = 2^(2^d - 1) has 4,932 digits at depth 14, past the
+    # interpreter's default limit of 4,300: a named error, exit 2, at once
+    # however deep the request
+    for depth in (14, 40, 2000, 10 ** 9):
         t0 = time.perf_counter()
-        code, out, err = run_cli(capsys, ["tiepoint", "--point", point,
+        code, out, err = run_cli(capsys, ["tiepoint", "--point", "1(10)^omega",
                                           "--depth", str(depth)])
         assert time.perf_counter() - t0 < 1.0
         assert code == 2 and out == ""
@@ -447,16 +488,8 @@ def test_suite_results_deterministic_modulo_wall_time():
     assert runs[0] == runs[1]
 
 
-def tiepoint_transcript_digest(capsys):
-    """sha256 over exit codes and stdout of 244 tiepoint requests: every
-    prefix of length <= 3 with periods 0, 1, 01 and 110 at depths 1-4, and
-    refusals past the probe kernel at depths 6 and 12."""
-    prefixes = [format(i, f"0{n}b") if n else ""
-                for n in range(4) for i in range(1 << n)]
-    requests = [(f"{p}({q})^omega" if p else f"{q}^omega", d)
-                for p in prefixes for q in ("0", "1", "01", "110")
-                for d in range(1, 5)]
-    requests += [(x, d) for x in ("01^omega", "1(10)^omega") for d in (6, 12)]
+def tiepoint_transcript_digest(capsys, requests):
+    """sha256 over exit codes and stdout of the given tiepoint requests."""
     digest = hashlib.sha256()
     for x, d in requests:
         code = main(["tiepoint", "--point", x, "--depth", str(d)])
@@ -466,8 +499,20 @@ def tiepoint_transcript_digest(capsys):
 
 
 def test_tiepoint_golden(capsys):
-    assert tiepoint_transcript_digest(capsys) == \
-        "8415411c74dff113ca7ba64680793aabe2587527b4d59128b46576edb6087782"
+    # every prefix of length <= 3 with periods 0, 1, 01 and 110 at depths
+    # 1-4: 240 requests, pinned when the probe counts came from the literal
+    # sweep
+    prefixes = [format(i, f"0{n}b") if n else ""
+                for n in range(4) for i in range(1 << n)]
+    shallow = [(f"{p}({q})^omega" if p else f"{q}^omega", d)
+               for p in prefixes for q in ("0", "1", "01", "110")
+               for d in range(1, 5)]
+    assert tiepoint_transcript_digest(capsys, shallow) == \
+        "00e4868be025175f1a9a3ff28ddde85899534a6317964e62b32feb416db242ed"
+    # depths 6 and 12, past the 32-bit probe kernel
+    deep = [(x, d) for x in ("01^omega", "1(10)^omega") for d in (6, 12)]
+    assert tiepoint_transcript_digest(capsys, deep) == \
+        "64385120a67abbee7bef3e9aff15ad73d071e7109fe1847704b74500c16ae6d3"
 
 
 # run_all's calls in report order: (suite, base trial count, seed offset),

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderlab import _kernels, checks
 from orderlab.checks import check_clopen_ops
-from orderlab.errors import CanonicalityError, DepthError
+from orderlab.errors import BudgetError, CanonicalityError, DepthError
 from orderlab.tiepoint import (Clopen, EMPTY, FULL, Point, bulk_probe_check,
                                canonical_antichain, clopen_to_mask, complement,
                                contains, decomposition_invariant_failures,
@@ -213,6 +214,131 @@ def test_bulk_probe_check_matches_operation_route():
         assert (checked, bad) == (32768, 0)
         probes = [mask_to_clopen(rng.getrandbits(16), 4) for _ in range(200)]
         assert true_tie_check(td, probes)["ok"]
+
+
+def literal_sweep(x, d, below, above):
+    """The kernel's count over all 2^(2^d) probe masks, the literal oracle."""
+    return _kernels.probe_sweep(1 << (1 << d), int(x.expand(d), 2),
+                                clopen_to_mask(below, d), clopen_to_mask(above, d))
+
+
+def top_only(x, d, below, above):
+    """A decomposition whose chains are empty up to the given top elements."""
+    return TieDecomposition(x, d, (EMPTY,) * (d - 1) + (below,),
+                            (EMPTY,) * (d - 1) + (above,))
+
+
+def test_probe_certificate_matches_the_literal_sweep_on_every_point():
+    # at depth d <= 4 the prefixes of length <= 3 and these periods reach
+    # every cell
+    for d in range(1, 5):
+        for n in range(4):
+            for bits in itertools.product("01", repeat=n):
+                for period in ("0", "1", "01", "110"):
+                    td = tie_decompose(Point("".join(bits), period), d)
+                    assert bulk_probe_check(td) == \
+                        literal_sweep(td.point, d, td.below, td.above) == \
+                        (1 << ((1 << d) - 1), 0)
+
+
+def test_probe_certificate_matches_the_literal_sweep_on_random_triples():
+    # half the triples split the cells other than x's between below and
+    # above and flip at most one cell, half are arbitrary masks; overlaps
+    # (the meet term) and x's cell inside either set are both common
+    rng = random.Random(41)
+    failing = passing = x_uncovered = x_in_meet = overlapping = 0
+    for k in range(1200):
+        d = rng.randint(1, 4)
+        x = random_point(rng)
+        cells, x_bit = 1 << d, int(x.expand(d), 2)
+        full = (1 << cells) - 1
+        if k % 2:
+            low, high = rng.getrandbits(cells), rng.getrandbits(cells)
+        else:
+            low = rng.getrandbits(cells) & ~(1 << x_bit)
+            high = full & ~low & ~(1 << x_bit)
+            if rng.random() < 0.6:
+                flip = 1 << rng.randrange(cells)
+                low, high = (low ^ flip, high) if rng.random() < 0.5 else (low, high ^ flip)
+        below, above = mask_to_clopen(low, d), mask_to_clopen(high, d)
+        got = bulk_probe_check(top_only(x, d, below, above))
+        assert got == literal_sweep(x, d, below, above), (str(x), d, low, high)
+        failing += got[1] > 0
+        passing += got[1] == 0
+        x_uncovered += not (low | high) >> x_bit & 1
+        x_in_meet += (low & high) >> x_bit & 1
+        overlapping += (low & high) != 0
+    assert failing >= 400 and passing >= 200
+    assert min(x_uncovered, x_in_meet, overlapping) >= 100
+
+
+def test_probe_certificate_past_the_kernel_depth():
+    # |B| a second time, as a popcount over the depth-d cell masks; then
+    # explicit probes checked by the antichain operations
+    rng = random.Random(43)
+    verdicts = set()  # (depth, literal rule) over the probes missing x
+    for d in range(5, 9):
+        cells = 1 << d
+        full = (1 << cells) - 1
+        for k in range(6):
+            td = tie_decompose(random_point(rng, max_prefix=d), d)
+            x, x_bit = td.point, int(td.point.expand(d), 2)
+            below, above = td.below, td.above
+            if k:  # corrupted: flip one cell, or a run of cells, on one side
+                start = rng.randrange(cells)
+                span = 1 if k % 2 else rng.randint(2, cells - start + 1)
+                flip = ((1 << span) - 1) << start & full
+                if k < 3:
+                    below = mask_to_clopen(clopen_to_mask(below, d) ^ flip, d)
+                else:
+                    above = mask_to_clopen(clopen_to_mask(above, d) ^ flip, d)
+            low, high = clopen_to_mask(below, d), clopen_to_mask(above, d)
+            b_mask = (full & ~(low | high) | low & high) & ~(1 << x_bit)
+            size = bin(b_mask).count("1")
+            half = 1 << (cells - 1)
+            assert bulk_probe_check(top_only(x, d, below, above)) == \
+                (half, half - (half >> size))
+            if not k:
+                assert size == 0
+                assert bulk_probe_check(td) == (half, 0)
+            cover, both = join(below, above), meet(below, above)
+            for _ in range(200):
+                # a union of one to four cylinders, at most one of them
+                # through a cell of B
+                words = [format(rng.randrange(cells), f"0{d}b")[:rng.randint(1, d)]
+                         for _ in range(rng.randint(1, 4))]
+                if b_mask and rng.random() < 0.5:
+                    words[0] = format(rng.choice(
+                        [i for i in range(cells) if b_mask >> i & 1]), f"0{d}b")
+                u = Clopen.from_strings(words)
+                if contains(u, x):
+                    continue
+                rule = leq(u, cover) and meet(u, both).is_empty
+                assert (not rule) == (clopen_to_mask(u, d) & b_mask != 0)
+                verdicts.add((d, rule))
+    assert verdicts == set(itertools.product(range(5, 9), (True, False)))
+
+
+def test_probe_certificate_refuses_a_chain_deeper_than_the_decomposition():
+    x = parse_point("010^omega")
+    with pytest.raises(DepthError):
+        bulk_probe_check(top_only(x, 2, Clopen.from_strings(["110"]), EMPTY))
+
+
+def test_tie_point_suite_holds_the_certificate_to_the_literal_sweep(monkeypatch):
+    assert checks.check_tie_points(depth=3, seed=8)["ok"]
+
+    def one_more_violation(td):
+        checked, bad = bulk_probe_check(td)
+        return checked, bad + 1
+
+    monkeypatch.setattr(checks, "bulk_probe_check", one_more_violation)
+    r = checks.check_tie_points(depth=3, seed=8)
+    assert not r["ok"] and r["cases"] == 8 and len(r["failures"]) == 5  # capped
+    assert r["failures"][0]["swept"] == (128, 0)
+    assert r["failures"][0]["certificate"] == (128, 1)
+    with pytest.raises(BudgetError):
+        checks.check_tie_points(depth=6)
 
 
 def test_expansion_axiom_check_and_mutation():

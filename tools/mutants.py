@@ -88,4 +88,57 @@ MUTANTS = [
            "isinstance(chain, list)",
            "tests/test_cli.py::test_forcing_pipeline_malformed_chain_factors_exit_two",
            "a chain entry that is not a list escapes as a TypeError traceback"),
+    Mutant("orderlab/tiepoint.py",
+           "    for u in (complement(join(td.below, td.above)), meet(td.below, td.above)):",
+           "    for u in (complement(join(td.below, td.above)),):",
+           "tests/test_tiepoint.py::test_probe_certificate_matches_the_literal_sweep_on_random_triples",
+           "the probe certificate leaves the cells inside below & above out of B"),
+    Mutant("orderlab/tiepoint.py",
+           "        size += sum(1 << (d - len(w)) for w in u.antichain) - contains(u, x)",
+           "        size += sum(1 << (d - len(w)) for w in u.antichain)",
+           "tests/test_tiepoint.py::test_probe_certificate_matches_the_literal_sweep_on_random_triples",
+           "the probe certificate counts the point's own cell in B"),
+    Mutant("orderlab/tiepoint.py",
+           "    return checked, checked - (checked >> size)",
+           "    return checked, checked - (checked >> size + 1)",
+           "tests/test_tiepoint.py::test_probe_certificate_matches_the_literal_sweep_on_every_point",
+           "the probe certificate's passing count is 2^(N-2-|B|)"),
+    Mutant("orderlab/fol.py",
+           "            return [full ^ r for r in compile_rows(node.arg)]",
+           "            return [~r for r in compile_rows(node.arg)]",
+           "tests/test_fol.py",
+           "pair_rows negates a row without the mask of the tuples; this one "
+           "passed the golden chains digest"),
+    Mutant("orderlab/posets.py",
+           "    for i, row in enumerate(rows):\n        bit = 1 << i\n",
+           "    for i, row in enumerate(rows):\n        if not i:\n            continue\n"
+           "        bit = 1 << i\n",
+           "tests/test_posets.py tests/test_fol.py",
+           "transpose skips row 0"),
+    Mutant("orderlab/posets.py",
+           "            out.append((a, labels[low.bit_length() - 1]))",
+           "            if low > 1:\n                out.append((a, labels[low.bit_length() - 1]))",
+           "tests/test_posets.py tests/test_depletion.py",
+           "list_pairs drops the pairs into the first label (bit 0)"),
+    Mutant("orderlab/depletion.py",
+           "        for levels in (s[i:], s[i::-1]):",
+           "        for levels in (s[i:],):",
+           "tests/test_depletion.py",
+           "depletion_order sweeps only over the higher labels"),
+    Mutant("orderlab/posets.py",
+           "    key = (left, None if before is None else tuple(before))",
+           "    key = (left, None)",
+           "tests/test_posets.py",
+           "the linear_extension memo forgets the forced pair"),
+    Mutant("orderlab/forcing.py",
+           "if any(r & ~(1 << i) != (1 << n) - (2 << i) for i, r in enumerate(rows)):",
+           "if any(r != (1 << n) - (2 << i) for i, r in enumerate(rows)):",
+           "tests/test_forcing.py::test_chain_rule_matches_the_pairwise_rule",
+           "the chain rule counts the diagonal, refusing a formula that holds "
+           "of (t, t)"),
+    Mutant("orderlab/checks.py",
+           "        if swept[1] or swept != certificate:",
+           "        if swept[1]:",
+           "tests/test_tiepoint.py::test_tie_point_suite_holds_the_certificate_to_the_literal_sweep",
+           "criterion 13 stops comparing the literal sweep with the certificate"),
 ]
