@@ -53,14 +53,12 @@ def salient_violations_bigint(e, s, m_max):
 
 # --- probe-mask sweep -----------------------------------------------------------
 #
-# Probes are bitmasks over the 2^d cells.  For each probe u that avoids the
-# point's cell: u must lie under cover = below|above, split exactly into
-# u&below and u&above, and the parts must avoid each other.  Returns
-# (number checked, number violating).
+# Probes are bitmasks over the 2^d cells.  A probe u that avoids the point's
+# cell must lie under below|above and miss below&above.  Returns (number
+# checked, number violating).
 
 def probe_sweep(num_probes, x_bit, below, above):
     chunk = 1 << 20
-    cover = below | above
     checked = 0
     bad = 0
     start = 0
@@ -69,11 +67,8 @@ def probe_sweep(num_probes, x_bit, below, above):
         u = np.arange(start, stop, dtype=np.uint32)
         misses_x = (u >> np.uint32(x_bit)) & np.uint32(1) == 0
         checked += int(np.count_nonzero(misses_x))
-        outside = (u & np.uint32(~cover & 0xFFFFFFFF)) != 0
-        lo = u & np.uint32(below)
-        hi = u & np.uint32(above)
-        bad_split = (lo | hi) != u
-        bad_orth = (lo & hi) != 0
-        bad += int(np.count_nonzero(misses_x & (outside | bad_split | bad_orth)))
+        outside = (u & np.uint32(~(below | above) & 0xFFFFFFFF)) != 0
+        overlap = (u & np.uint32(below & above)) != 0
+        bad += int(np.count_nonzero(misses_x & (outside | overlap)))
         start = stop
     return checked, bad

@@ -313,46 +313,14 @@ def check_depletion_monotone(trials=4000, seed=1, max_elems=10, max_labels=5):
 
 # The smallest instance exhibiting extra comparabilities after shrinking the
 # index set: the middle fiber is unrelated to both endpoints, so the full
-# interval admits no walk while the two-label subset does.  Found by
-# search_strictness_witness and frozen here.
+# interval admits no walk while the two-label subset does.  Found by the
+# exhaustive search in tests/test_depletion.py and frozen here.
 REM0_FIXTURE = {
     "I": [0, 1, 2],
     "A": [],
     "F": {"0": [0], "1": [1], "2": [2]},
     "edges": [[0, 2]],
 }
-
-
-def search_strictness_witness(max_per_part=2, max_labels=3):
-    """Exhaustive hunt for an instance where the depleted relation over a
-    subset properly extends the restriction of the full one."""
-    labels = list(range(max_labels))
-    for core_size in range(0, 2):
-        for sizes in itertools.product(range(max_per_part + 1), repeat=max_labels):
-            if any(sz == 0 for sz in sizes[:1] + sizes[-1:]):
-                continue
-            ids = list(range(core_size + sum(sizes)))
-            core = ids[:core_size]
-            fibers = {}
-            at = core_size
-            for lab, sz in zip(labels, sizes):
-                fibers[lab] = ids[at:at + sz]
-                at += sz
-            pool = [(a, b) for a in ids for b in ids if a != b]
-            for mask in range(1 << len(pool)):
-                edges = [pool[i] for i in range(len(pool)) if mask >> i & 1]
-                try:
-                    order = make_poset(ids, edges)
-                    inst = DepletionInstance(labels, core, fibers, order)
-                except OrderlabError:
-                    continue
-                sub = (labels[0], labels[-1])
-                for x in fibers[labels[0]]:
-                    for y in fibers[labels[-1]]:
-                        if depletion_rel(inst, sub, x, y) and \
-                                not depletion_rel(inst, tuple(labels), x, y):
-                            return inst, sub, (x, y)
-    return None
 
 
 def check_strictness_fixture():

@@ -21,7 +21,8 @@ import time
 from . import checks as checksuite
 from .depletion import (DepletionInstance, depletion_order, find_walk,
                         frontier_sweep, maximal_star_set, star_condition)
-from .errors import ChainSpecError, DepthError, OrderlabError
+from .errors import (ChainSpecError, DepthError, DomainError, InputError,
+                     OrderlabError)
 from .fol import FiniteStructure, parse_formula
 from .forcing import (ExplicitChainFactor, default_schedule, generic_build,
                       pipeline_embed, verify_generic_embedding)
@@ -38,7 +39,10 @@ def _load_json(path, digests):
     with open(path, "rb") as fh:
         raw = fh.read()
     digests[path] = hashlib.sha256(raw).hexdigest()
-    return json.loads(raw.decode())
+    data = json.loads(raw.decode())
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: the document is not a JSON object")
+    return data
 
 
 def _emit(report, ok, pretty):
@@ -147,6 +151,9 @@ def _cmd_product(args, digests):
     ok = True
     for lit in data.get("literals", []):
         phi_lit = parse_formula(lit["formula"])
+        for v in lit["vectors"]:
+            if not isinstance(v, list):
+                raise DomainError(f"vector {v!r} is not a list")
         vectors = [tuple(v) for v in lit["vectors"]]
         holds, wit = atomic_los_check(rp, phi_lit, vectors)
         results.append({"formula": lit["formula"], "equivalence": holds,

@@ -105,12 +105,13 @@ class DepletionInstance:
     @classmethod
     def from_json_dict(cls, data):
         labels = int_ids(data["I"])
-        fibers = {int(k): tuple(v) for k, v in data["F"].items()}
-        elements = set(data["A"])
+        core = int_ids(data["A"])
+        fibers = {int(k): tuple(int_ids(v)) for k, v in data["F"].items()}
+        elements = set(core)
         for v in fibers.values():
             elements |= set(v)
         order = make_poset(elements, data["edges"])
-        return cls(labels, data["A"], fibers, order)
+        return cls(labels, core, fibers, order)
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,6 @@ class Walk:
     s: tuple
     steps: dict
     direction: str  # "ascending" | "descending"
-
-    def endpoints(self):
-        return self.steps[self.s[0]], self.steps[self.s[-1]]
 
 
 def verify_walk(inst: DepletionInstance, walk: Walk) -> bool:
@@ -141,14 +139,6 @@ def verify_walk(inst: DepletionInstance, walk: Walk) -> bool:
             if not leq(hi, lo):
                 return False
     return True
-
-
-def restrict_walk(walk: Walk, s) -> Walk:
-    """The walk restricted to a label subset with the same extremes."""
-    s = tuple(sorted(s))
-    if not s or {s[0], s[-1]} != {walk.s[0], walk.s[-1]}:
-        raise LevelError("restriction must keep the extreme labels")
-    return Walk(s, {xi: walk.steps[xi] for xi in s}, walk.direction)
 
 
 def frontier_sweep(inst, levels, start, ascending):

@@ -9,6 +9,10 @@ class OrderlabError(Exception):
     pass
 
 
+class InputError(OrderlabError):
+    """An input document does not follow its schema."""
+
+
 # --- partial orders -------------------------------------------------------
 
 class CycleError(OrderlabError):
@@ -101,7 +105,7 @@ class ChainTooShortError(OrderlabError):
     """A coordinate factor does not supply a long enough chain."""
 
 
-class ChainSpecError(OrderlabError):
+class ChainSpecError(InputError):
     """A chain-factor description does not follow its schema."""
 
 

@@ -106,6 +106,8 @@ class Or:
 
 def parse_formula(text):
     """Parse an s-expression into a formula tree."""
+    if not isinstance(text, str):
+        raise FormulaError(f"formula {text!r} is not a string")
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 

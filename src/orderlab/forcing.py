@@ -29,7 +29,7 @@ from .seqspace import SeqFun, eta, leq_from, lt_from, phi, position_profile
 class Condition:
     """An immutable triple (domain, depth, per-element value sequences)."""
 
-    __slots__ = ("domain", "depth", "_f", "_key")
+    __slots__ = ("domain", "depth", "_f")
 
     def __init__(self, domain, depth, f):
         self.domain = frozenset(domain)
@@ -37,14 +37,13 @@ class Condition:
         self._f = {a: tuple(f[a]) for a in self.domain}
         if any(len(s) != self.depth for s in self._f.values()):
             raise ProfileError("every value sequence must have the condition's depth")
-        self._key = None
 
     @classmethod
     def _trusted(cls, domain, depth, f):
         """A condition over a frozenset domain and an int depth whose f maps
         exactly the domain to tuples; nothing is copied or checked."""
         c = object.__new__(cls)
-        c.domain, c.depth, c._f, c._key = domain, depth, f, None
+        c.domain, c.depth, c._f = domain, depth, f
         return c
 
     def seq(self, a):
@@ -54,9 +53,7 @@ class Condition:
         return sorted(self._f.items())
 
     def key(self):
-        if self._key is None:
-            self._key = (self.domain, self.depth, tuple(sorted(self._f.items())))
-        return self._key
+        return (self.domain, self.depth, tuple(sorted(self._f.items())))
 
     def __eq__(self, other):
         if not isinstance(other, Condition):

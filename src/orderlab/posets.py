@@ -159,9 +159,13 @@ def list_pairs(labels, rows):
 
 
 def int_ids(ids):
-    """The ids as a list; raises DomainError naming the first id that is
-    not an int (ids are sorted, so mixed types cannot be ordered)."""
-    ids = list(ids)
+    """The ids as a list; raises DomainError naming ids that are not a
+    list, or the first id that is not an int (ids are sorted, so mixed
+    types cannot be ordered)."""
+    try:
+        ids = list(ids)
+    except TypeError:
+        raise DomainError(f"ids {ids!r} are not a list") from None
     for e in ids:
         if type(e) is not int:
             raise DomainError(f"element id {e!r} is not an integer")
@@ -320,9 +324,6 @@ class OrderMap:
     """An element assignment from a Poset or RelStructure into another carrier."""
     dom: object
     images: dict
-
-    def __call__(self, a):
-        return self.images[a]
 
 
 def is_order_embedding(f: OrderMap, p: Poset, q: Poset) -> bool:

@@ -68,19 +68,11 @@ class FilterFamily:
         return cls(ground, members)
 
     @classmethod
-    def trivial(cls, ground):
-        return cls(ground, [frozenset(range(ground))])
-
-    @classmethod
     def principal_ultrafilter(cls, ground, point):
         return cls.principal(ground, {point})
 
     def __contains__(self, subset):
         return frozenset(subset) in self.members
-
-    @property
-    def is_ultra(self):
-        return len(self.core) == 1
 
     def to_json_dict(self):
         return {"ground": self.ground,

@@ -80,11 +80,6 @@ def eta(n):
     return math.factorial(n)
 
 
-def eta_table(n):
-    """eta(0), ..., eta(n-1) as a list."""
-    return [eta(k) for k in range(n)]
-
-
 def salient_check(m, n):
     """True iff (m+1)*eta(n) exceeds sum_{j<n} j*eta(j) + m*eta(n)."""
     if n < 1:

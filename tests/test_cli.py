@@ -200,6 +200,40 @@ def test_relation_item_that_is_not_a_tuple_exits_two(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def malformed_request(tmp_path, case):
+    """A request whose document breaks its schema in one named way."""
+    array = write(tmp_path, "array.json", [1, 2])
+    structure = {"universe": [0, 1], "relations": {"R": {"arity": 2, "tuples": [[0, 1]]}}}
+    return {
+        "phi-array": ["phi", "--in", array],
+        "generic-array": ["forcing", "generic", "--poset", array, "--depth", "1"],
+        "depletion-array": ["depletion", "--in", array, "--s", "0,1"],
+        "depletion-core": ["depletion", "--in", write(tmp_path, "d.json", {
+            "I": [0, 1], "A": 5, "F": {"0": [0], "1": [1]}, "edges": []}),
+            "--s", "0,1"],
+        "chains-formula": ["chains", "--in", write(tmp_path, "c.json", {
+            "structure": structure, "formula": 5})],
+        "product-vector": ["product", "--in", write(tmp_path, "p.json", {
+            "factors": [structure] * 2, "filter": {"ground": 2, "core": [0]},
+            "literals": [{"formula": "(R x y)", "vectors": [0]}]})],
+    }[case]
+
+
+@pytest.mark.parametrize("case, error, named", [
+    ("phi-array", "InputError", "not a JSON object"),
+    ("generic-array", "InputError", "not a JSON object"),
+    ("depletion-array", "InputError", "not a JSON object"),
+    ("depletion-core", "DomainError", "ids 5 are not a list"),
+    ("chains-formula", "FormulaError", "formula 5 is not a string"),
+    ("product-vector", "DomainError", "vector 0 is not a list"),
+])
+def test_malformed_documents_exit_two(tmp_path, capsys, case, error, named):
+    code, out, err = run_cli(capsys, malformed_request(tmp_path, case))
+    assert code == 2 and out == ""
+    assert f"{error}: " in err and named in err
+    assert "Traceback" not in err
+
+
 def test_negative_build_depth_exits_two(tmp_path, capsys):
     e = write(tmp_path, "E.json", {"elements": [0, 1], "edges": [[0, 1]]})
     for name in ("generic", "pipeline"):

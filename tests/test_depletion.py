@@ -8,14 +8,54 @@ import pytest
 
 from orderlab import checks
 from orderlab.checks import (REM0_FIXTURE, check_depletion_monotone,
-                             random_depletion_instance,
-                             search_strictness_witness)
-from orderlab.depletion import (DepletionInstance, depletion_order,
+                             random_depletion_instance)
+from orderlab.depletion import (DepletionInstance, Walk, depletion_order,
                                 depletion_rel, find_walk, maximal_star_set,
-                                restrict_walk, star_condition, verify_walk)
+                                star_condition, verify_walk)
 from orderlab.errors import (DomainError, IndexLabelError, LevelError,
-                             MembershipError)
+                             MembershipError, OrderlabError)
 from orderlab.posets import Poset, make_poset
+
+
+def restrict_walk(walk, s):
+    """The walk restricted to a label subset with the same extremes."""
+    s = tuple(sorted(s))
+    if not s or {s[0], s[-1]} != {walk.s[0], walk.s[-1]}:
+        raise LevelError("restriction must keep the extreme labels")
+    return Walk(s, {xi: walk.steps[xi] for xi in s}, walk.direction)
+
+
+def search_strictness_witness(max_per_part=2, max_labels=3):
+    """Exhaustive hunt for an instance where the depleted relation over a
+    subset properly extends the restriction of the full one; it found
+    REM0_FIXTURE."""
+    labels = list(range(max_labels))
+    for core_size in range(0, 2):
+        for sizes in itertools.product(range(max_per_part + 1), repeat=max_labels):
+            if any(sz == 0 for sz in sizes[:1] + sizes[-1:]):
+                continue
+            ids = list(range(core_size + sum(sizes)))
+            core = ids[:core_size]
+            fibers = {}
+            at = core_size
+            for lab, sz in zip(labels, sizes):
+                fibers[lab] = ids[at:at + sz]
+                at += sz
+            pool = [(a, b) for a in ids for b in ids if a != b]
+            for mask in range(1 << len(pool)):
+                edges = [pool[i] for i in range(len(pool)) if mask >> i & 1]
+                try:
+                    order = make_poset(ids, edges)
+                    inst = DepletionInstance(labels, core, fibers, order)
+                except OrderlabError:
+                    continue
+                sub = (labels[0], labels[-1])
+                for x in fibers[labels[0]]:
+                    for y in fibers[labels[-1]]:
+                        if depletion_rel(inst, sub, x, y) and \
+                                not depletion_rel(inst, tuple(labels), x, y):
+                            return inst, sub, (x, y)
+    return None
 
 
 def chain_instance():

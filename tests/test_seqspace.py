@@ -5,9 +5,9 @@ import random
 import pytest
 
 from orderlab.errors import ProfileError
-from orderlab.seqspace import (SeqFun, eta, eta_profile, eta_table,
-                               leq_from, lt_from, phi, position_profile,
-                               position_seq, salient_check)
+from orderlab.seqspace import (SeqFun, eta, eta_profile, leq_from, lt_from,
+                               phi, position_profile, position_seq,
+                               salient_check)
 
 
 def eta_recursion(n_max):
@@ -23,7 +23,6 @@ def test_eta_frozen_values():
     assert eta(0) == 1
     assert eta(2) == 2
     assert eta(4) == 24
-    assert eta_table(5) == [1, 1, 2, 6, 24]
     with pytest.raises(ValueError):
         eta(-1)
 

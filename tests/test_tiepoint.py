@@ -228,6 +228,46 @@ def top_only(x, d, below, above):
                             (EMPTY,) * (d - 1) + (above,))
 
 
+def probe_failures(rep):
+    return [f for f in rep["failures"] if f["kind"].startswith("probe-")]
+
+
+def test_true_tie_check_fails_probes_inside_both_sides():
+    # every probe through 10 or 11 lies inside below & above
+    x = parse_point("0^omega")
+    below, above = Clopen.from_strings(["1"]), Clopen.from_strings(["01", "1"])
+    td = TieDecomposition(x, 2, (below, below), (above, above))
+    assert bulk_probe_check(td) == (8, 6)
+    rep = true_tie_check(td, [mask_to_clopen(m, 2) for m in range(16)])
+    assert rep["checked"] == 8
+    assert [f["kind"] for f in probe_failures(rep)] == ["probe-overlap"] * 6
+    assert rep["failures"][0]["kind"] == "orthogonality"
+
+
+def test_true_tie_check_counts_the_kernel_violations_on_random_triples():
+    # half the triples cover every cell but x's, so their violations come
+    # from the overlap alone; half are arbitrary masks
+    rng = random.Random(47)
+    violating = overlap_only = 0
+    for k in range(300):
+        d = k % 3 + 1
+        x = random_point(rng)
+        cells, x_bit = 1 << d, int(x.expand(d), 2)
+        low, high = rng.getrandbits(cells), rng.getrandbits(cells)
+        if k % 2:
+            rest = ((1 << cells) - 1) & ~(1 << x_bit)
+            low |= rest & ~high
+        below, above = mask_to_clopen(low, d), mask_to_clopen(high, d)
+        rep = true_tie_check(top_only(x, d, below, above),
+                             [mask_to_clopen(m, d) for m in range(1 << cells)])
+        kinds = [f["kind"] for f in probe_failures(rep)]
+        checked, bad = literal_sweep(x, d, below, above)
+        assert (rep["checked"], len(kinds)) == (checked, bad), (str(x), d, low, high)
+        violating += bad > 0
+        overlap_only += bad > 0 and "probe-cover" not in kinds
+    assert violating >= 100 and overlap_only >= 50
+
+
 def test_probe_certificate_matches_the_literal_sweep_on_every_point():
     # at depth d <= 4 the prefixes of length <= 3 and these periods reach
     # every cell

@@ -141,4 +141,58 @@ MUTANTS = [
            "        if swept[1]:",
            "tests/test_tiepoint.py::test_tie_point_suite_holds_the_certificate_to_the_literal_sweep",
            "criterion 13 stops comparing the literal sweep with the certificate"),
+    Mutant("orderlab/tiepoint.py",
+           "        elif not meet(u, overlap).is_empty:\n"
+           "            failures.append({\"kind\": \"probe-overlap\", \"probe\": sorted(u.antichain)})\n",
+           "",
+           "tests/test_tiepoint.py::test_true_tie_check_fails_probes_inside_both_sides",
+           "true_tie_check passes a probe inside below & above"),
+    Mutant("orderlab/_kernels.py",
+           "misses_x & (outside | overlap)",
+           "misses_x & outside",
+           "tests/test_tiepoint.py::test_probe_certificate_matches_the_literal_sweep_on_random_triples",
+           "probe_sweep passes a probe inside below & above"),
+    Mutant("orderlab/cli.py",
+           "    if not isinstance(data, dict):\n"
+           "        raise InputError(f\"{path}: the document is not a JSON object\")\n",
+           "",
+           "tests/test_cli.py::test_malformed_documents_exit_two",
+           "a document that is a JSON array escapes as a TypeError traceback"),
+    Mutant("orderlab/fol.py",
+           "    if not isinstance(text, str):\n        raise FormulaError",
+           "    if False:\n        raise FormulaError",
+           "tests/test_cli.py::test_malformed_documents_exit_two",
+           "a formula that is not a string escapes as an AttributeError traceback"),
+    Mutant("orderlab/posets.py",
+           "        outside = ~r\n        rr = r\n",
+           "        outside = ~r\n        rr = r & 1\n",
+           "tests/test_posets.py",
+           "is_transitive tests only the successors at bit 0"),
+    Mutant("orderlab/posets.py",
+           "        rows[i] |= 1 << j\n",
+           "        rows[j] |= 1 << i\n",
+           "tests/test_posets.py",
+           "load_pairs stores each pair reversed"),
+    Mutant("orderlab/redprod.py",
+           "        if len(mems) != 1 << (self.ground - len(core)):",
+           "        if False:",
+           "tests/test_redprod.py::test_filter_validation",
+           "FilterFamily drops its member count, so a family that is not "
+           "upward closed is accepted"),
+    Mutant("orderlab/tiepoint.py",
+           "(left[-1] + \"1\" * d)[:d]",
+           "(left[-1] + \"0\" * d)[:d]",
+           "tests/test_tiepoint.py",
+           "expansion_axiom_check pads both uncovered ends with 0s"),
+    Mutant("orderlab/depletion.py",
+           "    rows = inst.order._rows if ascending else inst.order._down_rows()",
+           "    rows = inst.order._down_rows()",
+           "tests/test_depletion.py",
+           "frontier_sweep takes the down rows on the way up"),
+    Mutant("orderlab/depletion.py",
+           "        cur = next(p for p in inst.fibers[levels[pos - 1]] if cand >> index[p] & 1)",
+           "        cur = [p for p in inst.fibers[levels[pos - 1]] if cand >> index[p] & 1][-1]",
+           "tests/test_depletion.py",
+           "find_walk steps to the last related element in fiber order, not "
+           "the first"),
 ]
