@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from functools import partial
 from operator import lt
 
 from . import _kernels
@@ -23,8 +24,8 @@ from .forcing import (Condition, _witness_pairs, amalgamate, extend_into_D,
                       extend_into_E, extends, generic_build, pipeline_embed,
                       projection, quotient_member, split_project, SplitInstance,
                       verify_generic_embedding)
-from .posets import (Poset, RelStructure, converse, enumerate_poset_isotypes,
-                     list_pairs, longest_chain, make_poset)
+from .posets import (Poset, RelStructure, enumerate_poset_isotypes, list_pairs,
+                     longest_chain, make_poset)
 from .redprod import FilterFamily, atomic_los_check, reduced_product
 from .seqspace import eta, phi, position_profile, position_seq
 from .tiepoint import (Clopen, Point, bulk_probe_check, clopen_to_mask,
@@ -651,7 +652,7 @@ def check_poset_invariants(trials=400, seed=10):
             not (m[i][j] and m[j][i]) for i in range(n) for j in range(n)) and all(
             m[i][k] for i in range(n) for j in range(n) for k in range(n)
             if m[i][j] and m[j][k])
-        if not good or converse(converse(p)) != p:
+        if not good or p.converse().converse() != p:
             failures.append({"poset": p.to_json_dict()})
             continue
         if len(longest_chain(p)) != chain_length_brute(p):
@@ -874,28 +875,38 @@ BUDGETS = {
 
 def run_all(budget="small", seed=0):
     """Every suite at the contract bounds, scaled by the budget for the
-    randomized trial counts."""
+    randomized trial counts.  A suite that raises is reported as failed,
+    with the exception, and the suites after it still run."""
     scale = BUDGETS[budget]
-    results = [
-        check_phi_strict_increase(),
-        check_salient(),
-        check_universal_witness(),
-        check_depletion_poset(trials=int(10000 * scale), seed=seed),
-        check_depletion_monotone(trials=int(4000 * scale), seed=seed + 1),
-        check_strictness_fixture(),
-        check_star_equivalence(trials=int(500 * scale), seed=seed + 2),
-        check_amalgamation(trials=int(1000 * scale), seed=seed + 3),
-        check_dense_entries(trials=int(1000 * scale), seed=seed + 4),
-        check_reduction(trials=int(1000 * scale), seed=seed + 5),
-        check_generic_embedding(),
-        check_pipeline(trials=int(50 * scale), seed=seed + 6),
-        check_atomic_los(trials=int(1000 * scale), seed=seed + 7),
-        check_tie_points(seed=seed + 8),
-        check_split_density(seed=seed + 9, trials=int(40 * scale)),
-        check_split_density_exhaustive(),
-        check_poset_invariants(trials=int(400 * scale), seed=seed + 10),
-        check_embed_roundtrip(trials=int(1000 * scale), seed=seed + 11),
-        check_clopen_ops(trials=int(600 * scale), seed=seed + 12),
-        check_product_congruence(trials=int(200 * scale), seed=seed + 13),
+    suites = [
+        partial(check_phi_strict_increase),
+        partial(check_salient),
+        partial(check_universal_witness),
+        partial(check_depletion_poset, trials=int(10000 * scale), seed=seed),
+        partial(check_depletion_monotone, trials=int(4000 * scale), seed=seed + 1),
+        partial(check_strictness_fixture),
+        partial(check_star_equivalence, trials=int(500 * scale), seed=seed + 2),
+        partial(check_amalgamation, trials=int(1000 * scale), seed=seed + 3),
+        partial(check_dense_entries, trials=int(1000 * scale), seed=seed + 4),
+        partial(check_reduction, trials=int(1000 * scale), seed=seed + 5),
+        partial(check_generic_embedding),
+        partial(check_pipeline, trials=int(50 * scale), seed=seed + 6),
+        partial(check_atomic_los, trials=int(1000 * scale), seed=seed + 7),
+        partial(check_tie_points, seed=seed + 8),
+        partial(check_split_density, seed=seed + 9, trials=int(40 * scale)),
+        partial(check_split_density_exhaustive),
+        partial(check_poset_invariants, trials=int(400 * scale), seed=seed + 10),
+        partial(check_embed_roundtrip, trials=int(1000 * scale), seed=seed + 11),
+        partial(check_clopen_ops, trials=int(600 * scale), seed=seed + 12),
+        partial(check_product_congruence, trials=int(200 * scale), seed=seed + 13),
     ]
+    results = []
+    for suite in suites:
+        t0 = time.perf_counter()
+        try:
+            results.append(suite())
+        except Exception as e:
+            results.append({"name": suite.func.__name__, "ok": False,
+                            "error": f"{type(e).__name__}: {e}",
+                            "elapsed_s": round(time.perf_counter() - t0, 3)})
     return results

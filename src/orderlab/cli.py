@@ -131,13 +131,13 @@ def _cmd_phi(args, digests):
 
 def _cmd_universal_embed(args, digests):
     s = RelStructure.from_json_dict(_load_json(args.infile, digests))
-    om = embed_structure(s)
-    ok = verify_embedding(s, om)
-    images = []
+    images = embed_structure(s)
+    ok = verify_embedding(s, images)
+    out = []
     for a in s.universe:
-        img = om.images[a]
-        images.append(img.describe() if isinstance(img, SparseNat) else img)
-    return {"images": images}, [{"name": "embedding-roundtrip", "ok": ok}]
+        img = images[a]
+        out.append(img.describe() if isinstance(img, SparseNat) else img)
+    return {"images": out}, [{"name": "embedding-roundtrip", "ok": ok}]
 
 
 def _cmd_product(args, digests):

@@ -70,13 +70,6 @@ class DepletionInstance:
         except KeyError:
             raise MembershipError(f"element {x!r} not in the instance") from None
 
-    def domain(self, s):
-        """Core plus the fibers of the labels in s."""
-        out = set(self.core)
-        for xi in s:
-            out |= self.fibers[xi]
-        return frozenset(out)
-
     def members(self, mask):
         """The elements whose order indices are set in mask, ascending."""
         els = self.order.elements
@@ -120,25 +113,6 @@ class Walk:
     s: tuple
     steps: dict
     direction: str  # "ascending" | "descending"
-
-
-def verify_walk(inst: DepletionInstance, walk: Walk) -> bool:
-    s = walk.s
-    if len(s) < 2 or set(walk.steps) != set(s):
-        return False
-    for xi in s:
-        if walk.steps[xi] not in inst.fibers[xi]:
-            return False
-    leq = inst.order.leq
-    for a, b in zip(s, s[1:]):
-        lo, hi = walk.steps[a], walk.steps[b]
-        if walk.direction == "ascending":
-            if not leq(lo, hi):
-                return False
-        else:
-            if not leq(hi, lo):
-                return False
-    return True
 
 
 def frontier_sweep(inst, levels, start, ascending):

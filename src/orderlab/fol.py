@@ -75,12 +75,6 @@ class FiniteStructure:
         return cls(data["universe"], rels)
 
 
-def linear_order_structure(n, name="R"):
-    """The strict linear order 0 < 1 < ... < n-1 as a structure."""
-    tuples = [(i, j) for i in range(n) for j in range(n) if i < j]
-    return FiniteStructure(range(n), {name: (2, tuples)})
-
-
 # --- formulas ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -151,18 +145,6 @@ def parse_formula(text):
     if pos != len(tokens):
         raise FormulaError("trailing tokens after formula")
     return node
-
-
-def format_formula(phi):
-    if isinstance(phi, Atom):
-        return "(" + " ".join((phi.name,) + phi.vars) + ")"
-    if isinstance(phi, Not):
-        return f"(not {format_formula(phi.arg)})"
-    if isinstance(phi, And):
-        return "(and " + " ".join(format_formula(a) for a in phi.args) + ")"
-    if isinstance(phi, Or):
-        return "(or " + " ".join(format_formula(a) for a in phi.args) + ")"
-    raise FormulaError(f"not a formula node: {phi!r}")
 
 
 def _atoms(phi):

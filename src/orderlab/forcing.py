@@ -70,27 +70,8 @@ class Condition:
         return {"D": sorted(self.domain), "n": self.depth,
                 "f": {str(a): list(v) for a, v in self.items()}}
 
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(data["D"], data["n"], {int(a): tuple(v) for a, v in data["f"].items()})
-
 
 EMPTY_CONDITION = Condition(frozenset(), 0, {})
-
-
-def is_condition(ground: Poset, p: Condition) -> bool:
-    """All invariants: domain inside the ground order, values within the
-    coordinate bounds, sequences of the declared depth."""
-    if not all(a in ground for a in p.domain):
-        return False
-    bounds = position_profile(p.depth)
-    for a in p.domain:
-        seq = p.seq(a)
-        if len(seq) != p.depth:
-            return False
-        if any(not 0 <= v < b for v, b in zip(seq, bounds)):
-            return False
-    return True
 
 
 def extends(ground: Poset, p: Condition, q: Condition) -> bool:

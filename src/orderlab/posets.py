@@ -8,8 +8,6 @@ scans cheap for the enumeration-heavy verification suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AsymmetryError, CycleError, DomainError
 
 
@@ -243,10 +241,6 @@ def make_poset(elements, edges):
     return Poset(elements, rows, _validated=True)
 
 
-def converse(p: Poset) -> Poset:
-    return p.converse()
-
-
 def longest_chain(p: Poset):
     """A maximum-length strictly increasing sequence; ties broken by the
     lexicographically least id sequence."""
@@ -317,33 +311,6 @@ class RelStructure:
     @classmethod
     def from_json_dict(cls, data):
         return cls.from_pairs(data["universe"], data["pairs"])
-
-
-@dataclass(frozen=True)
-class OrderMap:
-    """An element assignment from a Poset or RelStructure into another carrier."""
-    dom: object
-    images: dict
-
-
-def is_order_embedding(f: OrderMap, p: Poset, q: Poset) -> bool:
-    """True iff f is injective and a <= b in p exactly when f(a) <= f(b) in q."""
-    for a in p.elements:
-        if a not in f.images:
-            raise DomainError(f"map undefined at {a!r}")
-        if f.images[a] not in q:
-            raise DomainError(f"image {f.images[a]!r} not in codomain")
-    seen = set()
-    for a in p.elements:
-        fa = f.images[a]
-        if fa in seen:
-            return False
-        seen.add(fa)
-    for a in p.elements:
-        for b in p.elements:
-            if p.leq(a, b) != q.leq(f.images[a], f.images[b]):
-                return False
-    return True
 
 
 def linear_extension(p: Poset, subset=None, before=None):

@@ -4,10 +4,6 @@ A proper filter on a finite ground set is exactly the family of supersets of
 its (nonempty) core, so class formation and relation semantics reduce to
 agreement on the core.  The family is still stored and validated explicitly,
 and the definitional membership test is kept for double-evaluation checks.
-
-Thresholded coordinatewise comparison is the finite stand-in for eventual
-dominance over the tail filter: no proper filter on a finite ground set is
-nonprincipal, so tails are carried as explicit cut-offs instead.
 """
 
 from __future__ import annotations
@@ -15,8 +11,9 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 
-from .errors import ArityError, BudgetError, FilterError, FormulaError
-from .fol import Atom, FiniteStructure, Not, eval_pair, pair_rows, pair_sorts
+from .errors import (ArityError, BudgetError, DomainError, FilterError,
+                     FormulaError)
+from .fol import Atom, FiniteStructure, Not, pair_rows, pair_sorts
 from .posets import is_transitive, longest_chain_indices, transpose
 
 
@@ -150,7 +147,10 @@ class ReducedProduct:
         arity = self.factors[0].arity(name)
         if len(vectors) != arity:
             raise ArityError(f"{name} expects {arity} arguments")
-        combo = [self.class_of[v] for v in vectors]
+        try:
+            combo = [self.class_of[v] for v in vectors]
+        except KeyError as e:
+            raise DomainError(f"vector {list(e.args[0])} is not in the product") from None
         return self.atomic_index_set(name, combo) in self.filt
 
 
@@ -189,21 +189,6 @@ def atomic_los_check(rp: ReducedProduct, phi, vectors):
         if coord:
             index_set.add(n)
     return product_truth == (frozenset(index_set) in rp.filt), frozenset(index_set)
-
-
-def threshold_rel_product(factors, phi, left, right, m) -> bool:
-    """True iff at every coordinate j >= m the pair formula holds of
-    (left_j, right_j) and fails of (right_j, left_j)."""
-    factors = tuple(factors)
-    n = len(factors)
-    if len(left) != n or len(right) != n:
-        raise ArityError("representatives must be defined on all coordinates")
-    for j in range(max(m, 0), n):
-        if not eval_pair(factors[j], phi, left[j], right[j]):
-            return False
-        if eval_pair(factors[j], phi, right[j], left[j]):
-            return False
-    return True
 
 
 # --- chain search -------------------------------------------------------------

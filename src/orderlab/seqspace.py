@@ -80,14 +80,6 @@ def eta(n):
     return math.factorial(n)
 
 
-def salient_check(m, n):
-    """True iff (m+1)*eta(n) exceeds sum_{j<n} j*eta(j) + m*eta(n)."""
-    if n < 1:
-        raise ValueError("requires n >= 1")
-    e = eta(n)
-    return (m + 1) * e > sum(j * eta(j) for j in range(n)) + m * e
-
-
 def phi(f: SeqFun) -> SeqFun:
     """The weighted-digit map: phi(f)(0) = 0 and
     phi(f)(n+1) = sum_{j<=n} f(j)*eta(j).

@@ -74,13 +74,6 @@ class Clopen:
     def depth(self):
         return max((len(w) for w in self.antichain), default=0)
 
-    def to_json_dict(self):
-        return {"antichain": sorted(self.antichain)}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls.from_strings(data["antichain"])
-
 
 EMPTY = Clopen(frozenset())
 FULL = Clopen(frozenset({""}))

@@ -23,7 +23,7 @@ import sys
 from functools import cmp_to_key, total_ordering
 
 from .errors import DisjointnessError
-from .posets import OrderMap, RelStructure
+from .posets import RelStructure
 
 
 class Rel(enum.Enum):
@@ -295,8 +295,9 @@ def witness_above(f_set, g_set, bound):
     return _as_small_or_nat(as_nat(base).add_power(p, 1))
 
 
-def embed_structure(s: RelStructure) -> OrderMap:
-    """Embed a finite asymmetric structure, matching its relation exactly.
+def embed_structure(s: RelStructure) -> dict:
+    """Embed a finite asymmetric structure, matching its relation exactly;
+    returns the images by element.
 
     Elements are processed in increasing id order; each image is produced by
     witness_above against the images already chosen, so images are strictly
@@ -312,12 +313,12 @@ def embed_structure(s: RelStructure) -> OrderMap:
         else:
             images[x] = witness_above(fwd, bwd, bound)
         bound = images[x]
-    return OrderMap(dom=s, images=images)
+    return images
 
 
-def verify_embedding(s: RelStructure, om: OrderMap) -> bool:
+def verify_embedding(s: RelStructure, images: dict) -> bool:
     """Exact roundtrip: the induced relation on the images equals s."""
-    imgs = [om.images[x] for x in s.universe]
+    imgs = [images[x] for x in s.universe]
     for i, a in enumerate(imgs):
         for b in imgs[i + 1:]:
             if a == b:
@@ -328,6 +329,6 @@ def verify_embedding(s: RelStructure, om: OrderMap) -> bool:
                 continue
             expected = Rel.FORWARD if s.related(a, b) else (
                 Rel.BACKWARD if s.related(b, a) else Rel.UNRELATED)
-            if rel(om.images[a], om.images[b]) is not expected:
+            if rel(images[a], images[b]) is not expected:
                 return False
     return True

@@ -23,6 +23,7 @@ def _gate(number, title, result, max_seconds=None):
 
 def test_criterion_01_strict_increase_exhaustive():
     result = checks.check_phi_strict_increase(n_coords=6)
+    assert result["cases"] == 35970
     _gate(1, "weighted-digit lift strictly increases (exhaustive, 6 coords)",
           result, max_seconds=1.0)
 
@@ -44,39 +45,46 @@ def test_criterion_03_universal_witness_exhaustive():
 
 def test_criterion_04_depletion_is_partial_order():
     result = checks.check_depletion_poset(trials=10000, seed=0)
+    assert result["cases"] == 10000
     _gate(4, "10000 random depletions are strict orders inside the ambient one",
           result, max_seconds=60.0)
 
 
 def test_criterion_05_monotone_and_convex():
     result = checks.check_depletion_monotone(trials=4000, seed=1)
+    assert result["cases"] == 4000
     _gate(5, "index-subset monotonicity and convex agreement", result)
 
 
 def test_criterion_06_strictness_fixture():
     result = checks.check_strictness_fixture()
+    assert result["cases"] == 2  # the fixture's two relation checks
     _gate(6, "frozen fixture: relation over a subset, not over the full set",
           result)
 
 
 def test_criterion_07_star_equivalence():
     result = checks.check_star_equivalence(trials=500, seed=2, max_labels=6)
+    assert result["cases"] == 3482
     _gate(7, "full-interval criterion matches exhaustive subset search "
              "(500 instances)", result, max_seconds=120.0)
 
 
 def test_criterion_08_amalgamation():
     result = checks.check_amalgamation(trials=1000, seed=3)
+    assert result["cases"] == 1000
     _gate(8, "1000 random valid families amalgamate below every part", result)
 
 
 def test_criterion_09_dense_entry_and_reduction():
     entry = checks.check_dense_entries(exhaustive_n=4, max_depth=4,
                                        trials=1000, seed=4)
+    assert entry["cases"] == 2657486
     _gate("9a", "dense-set entry, exhaustive to 4 elements / depth 4 "
                 "plus 1000 random trials", entry)
     reduction = checks.check_reduction(exhaustive_n=4, max_depth=3,
                                        trials=1000, seed=5)
+    assert reduction["cases"] == 247228
     _gate("9b", "projection reduction, exhaustive small scale plus 1000 "
                 "random trials", reduction)
 
@@ -90,12 +98,14 @@ def test_criterion_10_generic_embedding_all_isotypes():
 
 def test_criterion_11_pipeline():
     result = checks.check_pipeline(trials=50, seed=6, max_n=5)
+    assert result["cases"] == 50
     _gate(11, "50 random posets compose through exact-length chain factors",
           result)
 
 
 def test_criterion_12_atomic_double_evaluation():
     result = checks.check_atomic_los(trials=1000, seed=7)
+    assert result["cases"] == 20463
     _gate(12, "literal double evaluation over 1000 random reduced products",
           result)
 

