@@ -15,7 +15,7 @@ import time
 from functools import partial
 from operator import lt
 
-from . import _kernels
+from . import _kernels, schema
 from .depletion import (DepletionInstance, depletion_order, depletion_rel,
                         star_condition)
 from .errors import BudgetError, OrderlabError
@@ -328,7 +328,7 @@ def check_strictness_fixture():
     """The frozen instance shows a pair related over the two extreme labels
     but not over the full label set."""
     t0 = time.perf_counter()
-    inst = DepletionInstance.from_json_dict(REM0_FIXTURE)
+    inst = schema.load("depletion instance", REM0_FIXTURE)
     failures = []
     if not depletion_rel(inst, (0, 2), 0, 2):
         failures.append({"kind": "sub-relation-missing"})

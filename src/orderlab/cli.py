@@ -19,30 +19,30 @@ import sys
 import time
 
 from . import checks as checksuite
-from .depletion import (DepletionInstance, depletion_order, find_walk,
-                        frontier_sweep, maximal_star_set, star_condition)
-from .errors import (ChainSpecError, DepthError, DomainError, InputError,
-                     OrderlabError)
-from .fol import FiniteStructure, parse_formula
-from .forcing import (ExplicitChainFactor, default_schedule, generic_build,
-                      pipeline_embed, verify_generic_embedding)
-from .posets import Poset, RelStructure
-from .redprod import (FilterFamily, atomic_los_check, longest_op_chain,
-                      reduced_product)
-from .seqspace import SeqFun, leq_from, lt_from, phi
+from . import schema
+from .depletion import (depletion_order, find_walk, frontier_sweep,
+                        maximal_star_set, star_condition)
+from .errors import DepthError, InputError, OrderlabError
+from .fol import parse_formula
+from .forcing import (default_schedule, generic_build, pipeline_embed,
+                      verify_generic_embedding)
+from .redprod import atomic_los_check, longest_op_chain, reduced_product
+from .seqspace import leq_from, lt_from, phi
 from .tiepoint import (bulk_probe_check, decomposition_invariant_failures,
                        expansion_axiom_check, parse_point, tie_decompose)
 from .universal import SparseNat, embed_structure, verify_embedding
 
 
-def _load_json(path, digests):
+def _load(kind, path, digests):
+    """The document at path, read as the given schema kind."""
     with open(path, "rb") as fh:
         raw = fh.read()
     digests[path] = hashlib.sha256(raw).hexdigest()
-    data = json.loads(raw.decode())
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: the document is not a JSON object")
-    return data
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return schema.load(kind, json.loads(text))
 
 
 def _emit(report, ok, pretty):
@@ -59,11 +59,14 @@ def _emit(report, ok, pretty):
 
 
 def _parse_labels(text):
-    return tuple(int(t) for t in text.split(",") if t != "")
+    try:
+        return tuple(int(t) for t in text.split(",") if t != "")
+    except ValueError:
+        raise InputError(f"--s {text!r}: labels must be comma-separated integers") from None
 
 
 def _cmd_depletion(args, digests):
-    inst = DepletionInstance.from_json_dict(_load_json(args.infile, digests))
+    inst = _load("depletion instance", args.infile, digests)
     s = _parse_labels(args.s)
     dep = depletion_order(inst, s)
     body = {"elements": list(dep.elements), "matrix": dep.matrix(),
@@ -72,7 +75,7 @@ def _cmd_depletion(args, digests):
 
 
 def _cmd_walk(args, digests):
-    inst = DepletionInstance.from_json_dict(_load_json(args.infile, digests))
+    inst = _load("depletion instance", args.infile, digests)
     s = _parse_labels(args.s)
     walk = find_walk(inst, s, args.x, args.y)
     if walk is None:
@@ -89,9 +92,11 @@ def _cmd_walk(args, digests):
 
 
 def _cmd_star(args, digests):
-    inst = DepletionInstance.from_json_dict(_load_json(args.infile, digests))
+    if (args.xi is None) != (args.eta is None):
+        raise InputError("--xi and --eta name one label pair: give both or neither")
+    inst = _load("depletion instance", args.infile, digests)
     results = []
-    if args.xi is not None and args.eta is not None:
+    if args.xi is not None:
         pairs = [(args.xi, args.eta)]
     else:
         pairs = [(a, b) for i, a in enumerate(inst.labels)
@@ -106,12 +111,12 @@ def _cmd_star(args, digests):
 
 
 def _cmd_phi(args, digests):
-    f = SeqFun.from_json_dict(_load_json(args.infile, digests))
+    f = _load("sequence", args.infile, digests)
     out = phi(f)
     body = {"phi": out.to_json_dict()}
     checks = [{"name": "phi", "ok": True}]
     if args.g:
-        g = SeqFun.from_json_dict(_load_json(args.g, digests))
+        g = _load("sequence", args.g, digests)
         m = args.m
         pg = phi(g)
         dominated = leq_from(f, g, m)
@@ -130,7 +135,7 @@ def _cmd_phi(args, digests):
 
 
 def _cmd_universal_embed(args, digests):
-    s = RelStructure.from_json_dict(_load_json(args.infile, digests))
+    s = _load("relation structure", args.infile, digests)
     images = embed_structure(s)
     ok = verify_embedding(s, images)
     out = []
@@ -141,19 +146,15 @@ def _cmd_universal_embed(args, digests):
 
 
 def _cmd_product(args, digests):
-    data = _load_json(args.infile, digests)
-    factors = [FiniteStructure.from_json_dict(d) for d in data["factors"]]
-    filt = FilterFamily.from_json_dict(data["filter"])
-    rp = reduced_product(factors, filt)
+    data = _load("product request", args.infile, digests)
+    filt = data["filter"]
+    rp = reduced_product(data["factors"], filt)
     body = {"classes": len(rp.class_reps), "vectors": len(rp.vectors),
             "filter_core": sorted(filt.core)}
     results = []
     ok = True
     for lit in data.get("literals", []):
         phi_lit = parse_formula(lit["formula"])
-        for v in lit["vectors"]:
-            if not isinstance(v, list):
-                raise DomainError(f"vector {v!r} is not a list")
         vectors = [tuple(v) for v in lit["vectors"]]
         holds, wit = atomic_los_check(rp, phi_lit, vectors)
         results.append({"formula": lit["formula"], "equivalence": holds,
@@ -164,16 +165,14 @@ def _cmd_product(args, digests):
 
 
 def _cmd_chains(args, digests):
-    data = _load_json(args.infile, digests)
-    s = FiniteStructure.from_json_dict(data["structure"])
-    phi_f = parse_formula(data["formula"])
-    chain = longest_op_chain(s, phi_f)
+    data = _load("chains request", args.infile, digests)
+    chain = longest_op_chain(data["structure"], parse_formula(data["formula"]))
     return ({"length": len(chain), "chain": [list(t) for t in chain]},
             [{"name": "chain-search", "ok": True}])
 
 
 def _cmd_forcing_generic(args, digests):
-    ground = Poset.from_json_dict(_load_json(args.poset, digests))
+    ground = _load("poset", args.poset, digests)
     schedule = None
     if args.seed is not None:
         schedule = default_schedule(ground, args.depth)
@@ -195,33 +194,9 @@ def _cmd_forcing_generic(args, digests):
                    "failures": rep["failures"]}]
 
 
-def _chain_factors(desc):
-    """None for ``{"kind": "eta"}``, the factor list for ``{"kind":
-    "explicit", "factors": [...]}``; ChainSpecError for anything else."""
-    kind = desc.get("kind") if isinstance(desc, dict) else None
-    if kind == "eta":
-        return None
-    if kind != "explicit":
-        raise ChainSpecError(f'chain factors need kind "eta" or "explicit", not {kind!r}')
-    if not isinstance(desc.get("factors"), list):
-        raise ChainSpecError("explicit chain factors need a list of factors")
-    factors = []
-    for j, d in enumerate(desc["factors"]):
-        if not (isinstance(d, dict) and {"structure", "formula", "chain"} <= d.keys()):
-            raise ChainSpecError(f"factor {j} needs structure, formula and chain")
-        chain = d["chain"]
-        if not (isinstance(chain, list) and all(isinstance(t, list) for t in chain)):
-            raise ChainSpecError(f"factor {j}: chain must be a list of tuples (lists)")
-        factors.append(ExplicitChainFactor(FiniteStructure.from_json_dict(d["structure"]),
-                                           parse_formula(d["formula"]), chain))
-    return factors
-
-
 def _cmd_forcing_pipeline(args, digests):
-    ground = Poset.from_json_dict(_load_json(args.poset, digests))
-    factors = None
-    if args.chains:
-        factors = _chain_factors(_load_json(args.chains, digests))
+    ground = _load("poset", args.poset, digests)
+    factors = _load("chain factors", args.chains, digests) if args.chains else None
     rep = pipeline_embed(ground, args.depth, factors)
     return rep, [{"name": "pipeline-embedding", "ok": rep["ok"]}]
 
@@ -341,7 +316,7 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         body, results = args.handler(args, digests)
-    except (OrderlabError, OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OrderlabError, OSError, json.JSONDecodeError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     ok = all(c.get("ok") for c in results)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexLabelError, LevelError, MembershipError
-from .posets import Poset, gather, int_ids, make_poset
+from .posets import Poset, gather
 
 
 class DepletionInstance:
@@ -94,17 +94,6 @@ class DepletionInstance:
             "F": {str(xi): sorted(self.fibers[xi]) for xi in self.labels},
             "edges": [list(p) for p in self.order.pairs()],
         }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        labels = int_ids(data["I"])
-        core = int_ids(data["A"])
-        fibers = {int(k): tuple(int_ids(v)) for k, v in data["F"].items()}
-        elements = set(core)
-        for v in fibers.values():
-            elements |= set(v)
-        order = make_poset(elements, data["edges"])
-        return cls(labels, core, fibers, order)
 
 
 @dataclass(frozen=True)

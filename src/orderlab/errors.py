@@ -10,7 +10,8 @@ class OrderlabError(Exception):
 
 
 class InputError(OrderlabError):
-    """An input document does not follow its schema."""
+    """An input document does not follow its schema, or a command-line
+    argument is malformed."""
 
 
 # --- partial orders -------------------------------------------------------
@@ -103,10 +104,6 @@ class HypothesisError(OrderlabError):
 
 class ChainTooShortError(OrderlabError):
     """A coordinate factor does not supply a long enough chain."""
-
-
-class ChainSpecError(InputError):
-    """A chain-factor description does not follow its schema."""
 
 
 # --- clopen algebra ---------------------------------------------------------

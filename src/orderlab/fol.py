@@ -30,8 +30,6 @@ class FiniteStructure:
         for name, (arity, tuples) in relations.items():
             tset = set()
             for t in tuples:
-                if not isinstance(t, (list, tuple)):
-                    raise DomainError(f"relation {name}: item {t!r} is not a tuple")
                 tset.add(tuple(int_ids(t)))
             for t in tset:
                 if len(t) != arity:
@@ -68,12 +66,6 @@ class FiniteStructure:
             },
         }
 
-    @classmethod
-    def from_json_dict(cls, data):
-        rels = {name: (spec["arity"], spec["tuples"])
-                for name, spec in data["relations"].items()}
-        return cls(data["universe"], rels)
-
 
 # --- formulas ----------------------------------------------------------------
 
@@ -100,8 +92,6 @@ class Or:
 
 def parse_formula(text):
     """Parse an s-expression into a formula tree."""
-    if not isinstance(text, str):
-        raise FormulaError(f"formula {text!r} is not a string")
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 

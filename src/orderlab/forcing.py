@@ -22,7 +22,7 @@ from .errors import (AgreementError, AmalgamationError, ChainTooShortError,
                      DepthError, HypothesisError, PreconditionError,
                      ProfileError, RootError, ScheduleError)
 from .fol import FiniteStructure, pair_rows
-from .posets import Poset, linear_extension
+from .posets import Poset, int_ids, linear_extension
 from .seqspace import SeqFun, eta, leq_from, lt_from, phi, position_profile
 
 
@@ -427,7 +427,7 @@ class ExplicitChainFactor:
     __slots__ = ("length",)
 
     def __init__(self, structure: FiniteStructure, formula, chain):
-        rows = pair_rows(structure, formula, chain)
+        rows = pair_rows(structure, formula, [int_ids(t) for t in chain])
         n = len(rows)
         # row i, diagonal aside, must be exactly the positions above i
         if any(r & ~(1 << i) != (1 << n) - (2 << i) for i, r in enumerate(rows)):

@@ -109,10 +109,6 @@ class Poset:
     def to_json_dict(self):
         return {"elements": list(self.elements), "edges": [list(p) for p in self.pairs()]}
 
-    @classmethod
-    def from_json_dict(cls, data):
-        return make_poset(data["elements"], data["edges"])
-
 
 # --- bitset relations -----------------------------------------------------------
 #
@@ -157,13 +153,9 @@ def list_pairs(labels, rows):
 
 
 def int_ids(ids):
-    """The ids as a list; raises DomainError naming ids that are not a
-    list, or the first id that is not an int (ids are sorted, so mixed
-    types cannot be ordered)."""
-    try:
-        ids = list(ids)
-    except TypeError:
-        raise DomainError(f"ids {ids!r} are not a list") from None
+    """The ids as a list; raises DomainError naming the first id that is
+    not an int (ids are sorted, so mixed types cannot be ordered)."""
+    ids = list(ids)
     for e in ids:
         if type(e) is not int:
             raise DomainError(f"element id {e!r} is not an integer")
@@ -307,10 +299,6 @@ class RelStructure:
 
     def to_json_dict(self):
         return {"universe": list(self.universe), "pairs": [list(p) for p in self.pairs()]}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls.from_pairs(data["universe"], data["pairs"])
 
 
 def linear_extension(p: Poset, subset=None, before=None):

@@ -24,6 +24,15 @@ def _ground(ground):
     return ground
 
 
+def _id_set(ids):
+    """The ids as a frozenset; raises FilterError when they cannot be one
+    (an id that is a list or an object)."""
+    try:
+        return frozenset(ids)
+    except TypeError:
+        raise FilterError(f"{ids!r} is not a set of ids") from None
+
+
 class FilterFamily:
     """An explicit proper filter on ground set 0..ground-1."""
 
@@ -32,7 +41,7 @@ class FilterFamily:
     def __init__(self, ground, members):
         self.ground = _ground(ground)
         full = frozenset(range(ground))
-        mems = frozenset(frozenset(m) for m in members)
+        mems = frozenset(_id_set(m) for m in members)
         if full not in mems:
             raise FilterError("the ground set must belong to the filter")
         if frozenset() in mems:
@@ -54,7 +63,7 @@ class FilterFamily:
     @classmethod
     def principal(cls, ground, core):
         """The filter of all supersets of core."""
-        core = frozenset(core)
+        core = _id_set(core)
         if not core:
             raise FilterError("a proper filter needs a nonempty core")
         rest = sorted(frozenset(range(_ground(ground))) - core)
@@ -74,14 +83,6 @@ class FilterFamily:
     def to_json_dict(self):
         return {"ground": self.ground,
                 "members": sorted(sorted(m) for m in self.members)}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        """Either form of the filter schema: the members listed, or the
-        core whose supersets they are."""
-        if "members" in data:
-            return cls(data["ground"], [frozenset(m) for m in data["members"]])
-        return cls.principal(data["ground"], data["core"])
 
 
 class ReducedProduct:
@@ -147,10 +148,12 @@ class ReducedProduct:
         arity = self.factors[0].arity(name)
         if len(vectors) != arity:
             raise ArityError(f"{name} expects {arity} arguments")
-        try:
-            combo = [self.class_of[v] for v in vectors]
-        except KeyError as e:
-            raise DomainError(f"vector {list(e.args[0])} is not in the product") from None
+        combo = []
+        for v in vectors:
+            try:
+                combo.append(self.class_of[v])
+            except (KeyError, TypeError):  # TypeError: an id that is a list
+                raise DomainError(f"vector {list(v)} is not in the product") from None
         return self.atomic_index_set(name, combo) in self.filt
 
 

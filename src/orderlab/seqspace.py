@@ -59,10 +59,6 @@ class SeqFun:
     def to_json_dict(self):
         return {"bounds": list(self.profile), "vals": list(self.vals)}
 
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(tuple(data["bounds"]), tuple(data["vals"]))
-
 
 def position_seq(vals):
     """SeqFun over the position profile max(k, 1)."""

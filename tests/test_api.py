@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import orderlab
-from orderlab import _kernels, fol
+from orderlab import _kernels, errors, fol, schema
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,7 +48,26 @@ def test_retired_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"orderlab.{module}"), name)
 
 
+def readme_kinds():
+    """The kinds of the README's Input schemas list, in order."""
+    section = README.read_text().split("\n### Input schemas\n", 1)[1]
+    listing = next(p for p in section.split("\n\n") if p.startswith("- "))
+    return re.findall(r"^- ([a-z ]+): ", listing, re.M)
+
+
+def test_readme_lists_the_schema_kinds():
+    assert readme_kinds() == list(schema.KINDS)
+
+
+@pytest.mark.parametrize("cls", ["Poset", "RelStructure", "DepletionInstance",
+                                 "FiniteStructure", "FilterFamily", "SeqFun"])
+def test_documents_are_decoded_by_the_schema_only(cls):
+    assert not hasattr(getattr(orderlab, cls), "from_json_dict")
+    assert hasattr(getattr(orderlab, cls), "to_json_dict")
+
+
 def test_retired_methods_are_gone():
+    assert not hasattr(errors, "ChainSpecError")
     assert not hasattr(orderlab.DepletionInstance, "domain")
     assert not hasattr(orderlab.Condition, "from_json_dict")
     assert not hasattr(orderlab.Clopen, "to_json_dict")

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -10,8 +12,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orderlab import checks, cli
+from orderlab import checks, cli, errors
 from orderlab.cli import main
 
 from oracles import linear_order_structure
@@ -147,10 +151,13 @@ def test_forcing_pipeline_bad_formula_on_one_element_chain_exits_two(tmp_path, c
 def test_forcing_pipeline_malformed_chain_factors_exit_two(tmp_path, capsys):
     bad_chain = linear_chain_factors([1, 1, 2, 6, 24, 120])
     bad_chain["factors"][2]["chain"] = [0]
-    for chains, named in ((bad_chain, "factor 2"), ({"kind": "eat"}, "'eat'")):
+    for chains, named in (
+            (bad_chain, "chain factors: $.factors[2].chain[0]: not a JSON array (got int)"),
+            ({"kind": "eat"}, "chain factors: $: kind 'eat' is neither"),
+            ({"kind": "explicit"}, "chain factors: $: kind 'explicit' is neither")):
         code, out, err = run_pipeline(tmp_path, capsys, chains)
         assert code == 2 and out == ""
-        assert "ChainSpecError" in err and named in err
+        assert f"InputError: {named}" in err
         assert "Traceback" not in err
 
 
@@ -193,11 +200,19 @@ def not_a_tuple_request(tmp_path, command):
             "--chains", write(tmp_path, "chains.json", chains)]
 
 
+NOT_A_TUPLE_PATHS = {
+    "chains": "chains request: $.structure.relations.R.tuples[0]",
+    "product": "product request: $.factors[0].relations.R.tuples[0]",
+    "pipeline": "chain factors: $.factors[1].structure.relations.R.tuples[0]",
+}
+
+
 @pytest.mark.parametrize("command", ["chains", "product", "pipeline"])
 def test_relation_item_that_is_not_a_tuple_exits_two(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, not_a_tuple_request(tmp_path, command))
     assert code == 2 and out == ""
-    assert "DomainError" in err and "relation R: item 0" in err
+    named = NOT_A_TUPLE_PATHS[command]
+    assert f"InputError: {named}: not a JSON array (got int)" in err
     assert "Traceback" not in err
 
 
@@ -230,9 +245,10 @@ def malformed_request(tmp_path, case):
     ("phi-array", "InputError", "not a JSON object"),
     ("generic-array", "InputError", "not a JSON object"),
     ("depletion-array", "InputError", "not a JSON object"),
-    ("depletion-core", "DomainError", "ids 5 are not a list"),
-    ("chains-formula", "FormulaError", "formula 5 is not a string"),
-    ("product-vector", "DomainError", "vector 0 is not a list"),
+    ("depletion-core", "InputError", "depletion instance: $.A: not a JSON array (got int)"),
+    ("chains-formula", "InputError", "chains request: $.formula: not a JSON string (got int)"),
+    ("product-vector", "InputError",
+     "product request: $.literals[0].vectors[0]: not a JSON array (got int)"),
     ("product-outside", "DomainError", "vector [7] is not in the product"),
     ("product-label", "DomainError", "vector ['a'] is not in the product"),
 ])
@@ -241,6 +257,235 @@ def test_malformed_documents_exit_two(tmp_path, capsys, case, error, named):
     assert code == 2 and out == ""
     assert f"{error}: " in err and named in err
     assert "Traceback" not in err
+
+
+# valid documents of every kind a subcommand reads; each case of the fault
+# table below breaks one of them in one place
+STRUCTURE = {"universe": [0, 1], "relations": {"R": {"arity": 2, "tuples": [[0, 1]]}}}
+VALID = {
+    "sequence": {"bounds": [1, 1, 2], "vals": [0, 0, 1]},
+    "poset": {"elements": [0, 1], "edges": [[0, 1]]},
+    "depletion instance": {"I": [0, 1], "A": [], "F": {"0": [0], "1": [1]},
+                           "edges": [[0, 1]]},
+    "relation structure": {"universe": [0, 1, 2], "pairs": [[0, 1], [2, 1]]},
+    "product request": {"factors": [STRUCTURE] * 2,
+                        "filter": {"ground": 2, "core": [0]},
+                        "literals": [{"formula": "(R x y)", "vectors": [[0, 0], [1, 1]]}]},
+    "chains request": {"structure": STRUCTURE, "formula": "(R x0 y0)"},
+    "chain factors": {"kind": "explicit", "factors": [
+        {"structure": STRUCTURE, "formula": "(R x0 y0)", "chain": [[0]]}]},
+}
+
+
+def request(tmp_path, kind, doc):
+    """argv of the first subcommand that reads a document of the kind."""
+    path = write(tmp_path, "doc.json", doc)
+    poset = write(tmp_path, "E.json", {"elements": [0], "edges": []})
+    return {
+        "sequence": ["phi", "--in", path],
+        "poset": ["forcing", "generic", "--poset", path, "--depth", "1"],
+        "depletion instance": ["depletion", "--in", path, "--s", "0,1"],
+        "relation structure": ["universal-embed", "--in", path],
+        "product request": ["product", "--in", path],
+        "chains request": ["chains", "--in", path],
+        "chain factors": ["forcing", "pipeline", "--poset", poset, "--depth", "0",
+                          "--chains", path],
+    }[kind]
+
+
+DELETE = object()
+
+
+def broken(kind, path, value):
+    """The valid document of the kind with the node at path set to value,
+    or its key deleted for DELETE."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(VALID[kind]))
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def fault(kind, *path, value=5):
+    """The request reading the valid document of the kind with the node at
+    path set to value."""
+    return lambda tmp_path: request(tmp_path, kind, broken(kind, path, value))
+
+
+def labels(command):
+    """The command on a valid instance with --s a,b."""
+    extra = ["--x", "0", "--y", "1"] if command == "walk" else []
+    return lambda tmp_path: [command, "--in", write(tmp_path, "i.json", VALID[
+        "depletion instance"]), "--s", "a,b"] + extra
+
+
+def latin1(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"bounds": [1], "vals": [0], "note": "\xe9"}'.encode("latin-1"))
+    return ["phi", "--in", str(path)]
+
+
+# inputs that printed a traceback (the 16 shape faults), or exited 2 only as
+# a bare KeyError or ValueError, before the schema layer
+BAD_INPUTS = {
+    "phi-bounds": (fault("sequence", "bounds"),
+                   "InputError: sequence: $.bounds: not a JSON array (got int)"),
+    "phi-vals": (fault("sequence", "vals"),
+                 "InputError: sequence: $.vals: not a JSON array (got int)"),
+    "generic-edges": (fault("poset", "edges"),
+                      "InputError: poset: $.edges: not a JSON array (got int)"),
+    "product-vectors": (fault("product request", "literals", 0, "vectors"),
+                        "InputError: product request: $.literals[0].vectors: "
+                        "not a JSON array (got int)"),
+    "product-literal": (fault("product request", "literals", 0),
+                        "InputError: product request: $.literals[0]: not a JSON object (got int)"),
+    "product-factors": (fault("product request", "factors"),
+                        "InputError: product request: $.factors: not a JSON array (got int)"),
+    "product-filter": (fault("product request", "filter"),
+                       "InputError: product request: $.filter: not a JSON object (got int)"),
+    "product-members": (fault("product request", "filter", "members"),
+                        "InputError: product request: $.filter.members: "
+                        "not a JSON array (got int)"),
+    "product-core": (fault("product request", "filter", "core"),
+                     "InputError: product request: $.filter.core: not a JSON array (got int)"),
+    "chains-structure": (fault("chains request", "structure"),
+                         "InputError: chains request: $.structure: not a JSON object (got int)"),
+    "chains-relations": (fault("chains request", "structure", "relations"),
+                         "InputError: chains request: $.structure.relations: "
+                         "not a JSON object (got int)"),
+    "chains-R": (fault("chains request", "structure", "relations", "R"),
+                 "InputError: chains request: $.structure.relations.R: "
+                 "not a JSON object (got int)"),
+    "chains-tuples": (fault("chains request", "structure", "relations", "R", "tuples"),
+                      "InputError: chains request: $.structure.relations.R.tuples: "
+                      "not a JSON array (got int)"),
+    "embed-pairs": (fault("relation structure", "pairs"),
+                    "InputError: relation structure: $.pairs: not a JSON array (got int)"),
+    "depletion-F": (fault("depletion instance", "F"),
+                    "InputError: depletion instance: $.F: not a JSON object (got int)"),
+    "pipeline-structure": (fault("chain factors", "factors", 0, "structure"),
+                           "InputError: chain factors: $.factors[0].structure: "
+                           "not a JSON object (got int)"),
+    "phi-no-bounds": (fault("sequence", "bounds", value=DELETE),
+                      "InputError: sequence: $: missing key 'bounds'"),
+    "depletion-fiber-key": (fault("depletion instance", "F", value={"x": [0], "1": [1]}),
+                            "InputError: depletion instance: $.F: key 'x' is not an integer"),
+    "depletion-labels": (labels("depletion"), "InputError: --s 'a,b'"),
+    "walk-labels": (labels("walk"), "InputError: --s 'a,b'"),
+    "not-utf-8": (latin1, "InputError: "),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_two_with_a_named_error(tmp_path, capsys, case):
+    argv, named = BAD_INPUTS[case]
+    code, out, err = run_cli(capsys, argv(tmp_path))
+    assert code == 2 and out == ""
+    assert f"error: {named}" in err and "Traceback" not in err
+    if case == "not-utf-8":
+        assert "not UTF-8" in err
+
+
+def test_a_misspelt_key_is_refused_not_skipped(tmp_path, capsys):
+    # with "literal" skipped, the failing literal below would never be
+    # checked and product would exit 0
+    factors = [STRUCTURE, {"universe": [0, 1], "relations": {"R": {"arity": 2, "tuples": []}}}]
+    literal = [{"formula": "(not (R x y))", "vectors": [[0, 0], [1, 1]]}]
+    product = {"factors": factors, "filter": {"ground": 2, "core": [0, 1]}}
+    code, _, _ = run_cli(capsys, request(tmp_path, "product request",
+                                         dict(product, literals=literal)))
+    assert code == 1
+    for kind, doc, named in (
+            ("product request", dict(product, literal=literal), "$: unknown key 'literal'"),
+            ("chains request", broken("chains request", ("structure", "relation"), {}),
+             "$.structure: unknown key 'relation'")):
+        code, out, err = run_cli(capsys, request(tmp_path, kind, doc))
+        assert code == 2 and out == ""
+        assert f"error: InputError: {kind}: {named}" in err and "Traceback" not in err
+
+
+def test_star_needs_both_labels_or_neither(tmp_path, capsys):
+    inst = write(tmp_path, "inst.json", VALID["depletion instance"])
+    for flags in (["--xi", "0"], ["--eta", "1"]):
+        code, out, err = run_cli(capsys, ["star", "--in", inst] + flags)
+        assert code == 2 and out == ""
+        assert "error: InputError: --xi and --eta" in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, ["star", "--in", inst, "--xi", "0", "--eta", "1"])
+    assert code == 0 and len(json.loads(out)["pairs"]) == 1
+
+
+def test_a_library_bug_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    def bug(*args, **kwargs):
+        raise KeyError("bounds")
+
+    monkeypatch.setattr(cli, "phi", bug)
+    f = write(tmp_path, "f.json", VALID["sequence"])
+    with pytest.raises(KeyError):
+        main(["phi", "--in", f])
+
+
+ERROR_NAMES = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.OrderlabError)}
+# one value of each JSON type; a replacement takes one of another type
+JSON_VALUES = [0, 7, -1, 1.5, "a", "", True, None, [], [0], [[0]], {}, {"a": 0}]
+
+
+def nodes(doc, path=()):
+    """The path of every node of the document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for step, value in items:
+        yield from nodes(value, path + (step,))
+
+
+def fuzz_argvs(tmp_path, kind, doc):
+    """argv of every subcommand that reads a document of the kind, reading
+    doc for it and the valid documents for the others."""
+    put = {k: write(tmp_path, k.replace(" ", "-") + ".json", doc if k == kind else v)
+           for k, v in VALID.items()}
+    inst, seq, poset = put["depletion instance"], put["sequence"], put["poset"]
+    good_seq = write(tmp_path, "good.json", VALID["sequence"])
+    argvs = [["depletion", "--in", inst, "--s", "0,1"],
+             ["walk", "--in", inst, "--s", "0,1", "--x", "0", "--y", "1"],
+             ["star", "--in", inst],
+             ["phi", "--in", seq, "--g", good_seq],
+             ["phi", "--in", good_seq, "--g", seq],
+             ["universal-embed", "--in", put["relation structure"]],
+             ["product", "--in", put["product request"]],
+             ["chains", "--in", put["chains request"]],
+             ["forcing", "generic", "--poset", poset, "--depth", "1"],
+             ["forcing", "pipeline", "--poset", poset, "--depth", "0",
+              "--chains", put["chain factors"]]]
+    return [argv for argv in argvs if put[kind] in argv]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_fuzzed_documents_never_escape_main(tmp_path_factory, data):
+    kind = data.draw(st.sampled_from(sorted(VALID)))
+    path = data.draw(st.sampled_from(list(nodes(VALID[kind]))))
+    old = VALID[kind]
+    for step in path:
+        old = old[step]
+    choices = [v for v in JSON_VALUES if type(v) is not type(old)]
+    if path and isinstance(path[-1], str):
+        choices.append(DELETE)
+    doc = broken(kind, path, data.draw(st.sampled_from(choices)))
+    for argv in fuzz_argvs(tmp_path_factory.mktemp("fuzz"), kind, doc):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            name = err.getvalue().split("error: ", 1)[1].split(":", 1)[0]
+            assert name in ERROR_NAMES, (argv, err.getvalue())
 
 
 def test_negative_build_depth_exits_two(tmp_path, capsys):

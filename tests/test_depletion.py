@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from orderlab import checks
+from orderlab import checks, schema
 from orderlab.checks import (REM0_FIXTURE, check_depletion_monotone,
                              random_depletion_instance)
 from orderlab.depletion import (DepletionInstance, Walk, depletion_order,
@@ -194,7 +194,7 @@ def test_singleton_chain_through_every_level():
 
 
 def test_strictness_fixture_and_search_agree():
-    inst = DepletionInstance.from_json_dict(REM0_FIXTURE)
+    inst = schema.load("depletion instance", REM0_FIXTURE)
     assert depletion_rel(inst, (0, 2), 0, 2)
     assert not depletion_rel(inst, (0, 1, 2), 0, 2)
     found = search_strictness_witness()
@@ -342,13 +342,13 @@ def test_maximal_star_set_extremes():
 
 
 def test_json_round_trip():
-    inst = DepletionInstance.from_json_dict(REM0_FIXTURE)
+    inst = schema.load("depletion instance", REM0_FIXTURE)
     assert inst.to_json_dict() == {
         "I": [0, 1, 2], "A": [], "F": {"0": [0], "1": [1], "2": [2]},
         "edges": [[0, 2]]}
     for bad in ([0], [0, 1, 2]):
         with pytest.raises(DomainError, match=re.escape(repr(bad))):
-            DepletionInstance.from_json_dict(dict(REM0_FIXTURE, edges=[bad]))
+            schema.load("depletion instance", dict(REM0_FIXTURE, edges=[bad]))
 
 
 # --- the per-pair walk search the bitset layer replaced, kept as an oracle --

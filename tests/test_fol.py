@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderlab import schema
 from orderlab.errors import ArityError, DomainError, FormulaError
 from orderlab.fol import (And, Atom, FiniteStructure, Not, Or, eval_pair,
                           eval_qf, pair_rows, pair_sorts, parse_formula)
@@ -94,7 +95,7 @@ def test_linear_order_structure():
 
 def test_structure_json_round_trip():
     s = edge_structure()
-    assert FiniteStructure.from_json_dict(s.to_json_dict()).to_json_dict() \
+    assert schema.load("finite structure", s.to_json_dict()).to_json_dict() \
         == s.to_json_dict()
 
 

@@ -5,8 +5,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderlab import schema
 from orderlab.checks import chain_length_brute, check_poset_invariants
-from orderlab.errors import CycleError, DomainError
+from orderlab.errors import CycleError, DomainError, InputError
 from orderlab.posets import (Poset, RelStructure, enumerate_poset_isotypes,
                              is_transitive, linear_extension, list_pairs,
                              load_pairs, longest_chain, make_poset, transpose)
@@ -293,7 +294,7 @@ def test_isotypes_pairwise_nonisomorphic_small():
 
 def test_json_round_trip():
     p = make_poset(range(5), {(0, 3), (3, 4), (1, 2)})
-    again = Poset.from_json_dict(p.to_json_dict())
+    again = schema.load("poset", p.to_json_dict())
     assert again == p
 
 
@@ -524,11 +525,15 @@ def test_restrict_is_the_sliced_matrix(n, mask, keep):
 
 def test_malformed_pairs_raise_domain_error():
     for bad in ([0], [0, 1, 2], 5, [[0], 1]):
-        for call in (lambda: make_poset(range(3), [(0, 1), bad]),
-                     lambda: RelStructure.from_pairs(range(3), [bad]),
-                     lambda: Poset.from_json_dict({"elements": [0, 1, 2],
-                                                   "edges": [bad]}),
-                     lambda: RelStructure.from_json_dict({"universe": [0, 1, 2],
-                                                          "pairs": [bad]})):
+        calls = [lambda: make_poset(range(3), [(0, 1), bad]),
+                 lambda: RelStructure.from_pairs(range(3), [bad])]
+        if isinstance(bad, list):  # the schema refuses a pair that is no array
+            calls += [lambda: schema.load("poset", {"elements": [0, 1, 2],
+                                                    "edges": [bad]}),
+                      lambda: schema.load("relation structure", {
+                          "universe": [0, 1, 2], "pairs": [bad]})]
+        for call in calls:
             with pytest.raises(DomainError, match=re.escape(repr(bad))):
                 call()
+    with pytest.raises(InputError, match=re.escape("poset: $.edges[0]: not a JSON array")):
+        schema.load("poset", {"elements": [0, 1, 2], "edges": [5]})

@@ -4,6 +4,7 @@ from functools import reduce
 
 import pytest
 
+from orderlab import schema
 from orderlab.checks import check_product_congruence
 from orderlab.errors import (ArityError, BudgetError, DomainError, FilterError,
                              FormulaError)
@@ -90,9 +91,9 @@ def test_filter_validation():
 
 def test_filter_json_forms():
     filt = FilterFamily.principal(3, {0, 2})
-    assert FilterFamily.from_json_dict({"ground": 3, "core": [0, 2]}).members \
+    assert schema.load("filter", {"ground": 3, "core": [0, 2]}).members \
         == filt.members
-    assert FilterFamily.from_json_dict(filt.to_json_dict()).members == filt.members
+    assert schema.load("filter", filt.to_json_dict()).members == filt.members
 
 
 def test_holds_names_a_vector_outside_the_product():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from orderlab import schema
 from orderlab.errors import ProfileError
 from orderlab.seqspace import (SeqFun, eta, eta_profile, leq_from, lt_from,
                                phi, position_profile, position_seq)
@@ -147,4 +148,4 @@ def test_strict_increase_randomized_wider():
 
 def test_json_round_trip():
     f = position_seq((0, 0, 1, 2))
-    assert SeqFun.from_json_dict(f.to_json_dict()) == f
+    assert schema.load("sequence", f.to_json_dict()) == f

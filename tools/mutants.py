@@ -83,11 +83,6 @@ MUTANTS = [
            "zip(ab, ab)",
            "tests/test_redprod.py tests/test_cli.py::test_chains_golden",
            "the chain search takes the forward relation for the backward one"),
-    Mutant("orderlab/cli.py",
-           "isinstance(chain, list) and all(isinstance(t, list) for t in chain)",
-           "isinstance(chain, list)",
-           "tests/test_cli.py::test_forcing_pipeline_malformed_chain_factors_exit_two",
-           "a chain entry that is not a list escapes as a TypeError traceback"),
     Mutant("orderlab/tiepoint.py",
            "    for u in (complement(join(td.below, td.above)), meet(td.below, td.above)):",
            "    for u in (complement(join(td.below, td.above)),):",
@@ -152,17 +147,6 @@ MUTANTS = [
            "misses_x & outside",
            "tests/test_tiepoint.py::test_probe_certificate_matches_the_literal_sweep_on_random_triples",
            "probe_sweep passes a probe inside below & above"),
-    Mutant("orderlab/cli.py",
-           "    if not isinstance(data, dict):\n"
-           "        raise InputError(f\"{path}: the document is not a JSON object\")\n",
-           "",
-           "tests/test_cli.py::test_malformed_documents_exit_two",
-           "a document that is a JSON array escapes as a TypeError traceback"),
-    Mutant("orderlab/fol.py",
-           "    if not isinstance(text, str):\n        raise FormulaError",
-           "    if False:\n        raise FormulaError",
-           "tests/test_cli.py::test_malformed_documents_exit_two",
-           "a formula that is not a string escapes as an AttributeError traceback"),
     Mutant("orderlab/posets.py",
            "        outside = ~r\n        rr = r\n",
            "        outside = ~r\n        rr = r & 1\n",
@@ -202,13 +186,58 @@ MUTANTS = [
            "run_all lets a suite's exception escape, so check-all prints a "
            "traceback and no report"),
     Mutant("orderlab/redprod.py",
-           "        try:\n"
-           "            combo = [self.class_of[v] for v in vectors]\n"
-           "        except KeyError as e:\n"
-           "            raise DomainError(f\"vector {list(e.args[0])} is not in the product\") from None\n",
-           "        combo = [self.class_of[v] for v in vectors]\n",
+           "            try:\n"
+           "                combo.append(self.class_of[v])\n"
+           "            except (KeyError, TypeError):  # TypeError: an id that is a list\n"
+           "                raise DomainError(f\"vector {list(v)} is not in the product\") from None\n",
+           "            combo.append(self.class_of[v])\n",
            "tests/test_redprod.py::test_holds_names_a_vector_outside_the_product "
            "tests/test_cli.py::test_malformed_documents_exit_two",
            "ReducedProduct.holds lets a vector outside the product escape as a "
            "bare KeyError"),
+    Mutant("orderlab/schema.py",
+           "    _expect(value, dict)\n",
+           "",
+           "tests/test_cli.py::test_malformed_documents_exit_two",
+           "the schema does not test that an object is an object, so a document "
+           "that is a JSON array reads as one missing its keys"),
+    Mutant("orderlab/schema.py",
+           "    if shape is str:\n        _expect(value, str)\n",
+           "    if shape is str:\n",
+           "tests/test_cli.py::test_malformed_documents_exit_two",
+           "a formula that is not a string escapes as an AttributeError traceback"),
+    Mutant("orderlab/schema.py",
+           "\"chain\": [IDS]",
+           "\"chain\": IDS",
+           "tests/test_cli.py::test_forcing_pipeline_malformed_chain_factors_exit_two",
+           "a chain entry that is not a list escapes as a TypeError traceback"),
+    Mutant("orderlab/schema.py",
+           "        if shape[0] is None:\n            return value\n",
+           "        if True:\n            return value\n",
+           "tests/test_cli.py::test_relation_item_that_is_not_a_tuple_exits_two",
+           "the schema does not descend into list items, so a relation item "
+           "that is not a tuple escapes as a TypeError traceback"),
+    Mutant("orderlab/schema.py",
+           "        if name in value:\n",
+           "        if name == key and name in value:\n",
+           "tests/test_cli.py::test_product_command_pass_and_fail",
+           "the schema reads an optional key as absent, so product drops its "
+           "literals and passes a failing one"),
+    Mutant("orderlab/schema.py",
+           "    if len(out) < len(value):",
+           "    if False:",
+           "tests/test_cli.py::test_a_misspelt_key_is_refused_not_skipped",
+           "the schema skips a key it does not know, so a misspelt "
+           "\"literals\" turns a failing product into a pass"),
+    Mutant("orderlab/schema.py",
+           "        walked = _walk(KINDS[shape], value)\n",
+           "        walked = value\n",
+           "tests/test_cli.py::test_bad_input_exits_two_with_a_named_error",
+           "the schema does not follow a named kind, so a nested shape fault "
+           "escapes as a traceback"),
+    Mutant("orderlab/cli.py",
+           "    except (OrderlabError, OSError, json.JSONDecodeError) as e:",
+           "    except (OrderlabError, OSError, json.JSONDecodeError, KeyError) as e:",
+           "tests/test_cli.py::test_a_library_bug_is_not_a_usage_error",
+           "main reads a KeyError from a library bug as a usage error"),
 ]
