@@ -15,12 +15,19 @@ import numpy as np
 #
 # Count m in [0, m_max] violating (m+1)*e > s + m*e, i.e. e <= s would make
 # every m fail while e > s makes every m pass; the sweep still evaluates each
-# m literally.  Caller guarantees (m_max+1)*e fits int64.
+# m literally.
 #
 # The sweep walks the range in blocks of SWEEP_BLOCK coefficients and reuses
 # preallocated block-sized work arrays, so the working set (about 1 MB)
 # stays in cache.  The sweep is memory-bound: with blocks of 2^24 values it
-# runs about four times slower and peaks above 500 MB.
+# runs about four times slower and peaks above 500 MB.  Each block makes
+# five array passes: m*e as the precomputed row i*e plus start*e, then
+# (m+1)*e, s + m*e, the comparison and the count.
+#
+# The int64 arithmetic is exact as long as (m_max+1)*e and s + m_max*e fit,
+# since every value formed is at most one of the two: check_salient refuses
+# any term where (e+1)*e or s + e*e reaches 2^62 before it sweeps m up to
+# m_max = e.
 
 SWEEP_BLOCK = 1 << 15
 
@@ -29,18 +36,16 @@ def salient_violations(e, s, m_max):
     e64 = np.int64(e)
     s64 = np.int64(s)
     width = min(SWEEP_BLOCK, m_max + 1)
-    offsets = np.arange(width, dtype=np.int64)
-    m = np.empty(width, dtype=np.int64)
+    row = np.arange(width, dtype=np.int64) * e64  # i*e for i < width
     prod = np.empty(width, dtype=np.int64)
     lhs = np.empty(width, dtype=np.int64)
     hit = np.empty(width, dtype=np.bool_)
     bad = 0
     for start in range(0, m_max + 1, SWEEP_BLOCK):
         k = min(SWEEP_BLOCK, m_max + 1 - start)
-        mk = np.add(offsets[:k], np.int64(start), out=m[:k])
-        t = np.multiply(mk, e64, out=prod[:k])
+        t = np.add(row[:k], np.int64(start * e), out=prod[:k])  # m*e
         left = np.add(t, e64, out=lhs[:k])
-        right = np.add(t, s64, out=mk)
+        right = np.add(t, s64, out=t)
         bad += int(np.count_nonzero(np.less_equal(left, right, out=hit[:k])))
     return bad
 

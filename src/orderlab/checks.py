@@ -219,33 +219,37 @@ def check_universal_witness(universe=13, max_size=5):
     failures = []
     cases = 0
     base = list(range(universe))
+    bound = 3 ** universe
+    forward, backward, unrelated = Rel.FORWARD, Rel.BACKWARD, Rel.UNRELATED
     for k in range(1, max_size + 1):
         for members in itertools.combinations(base, k):
             for pick in range(1 << k):
-                f_set = frozenset(m for i, m in enumerate(members) if pick >> i & 1)
-                g_set = frozenset(members) - f_set
+                f_set = [m for i, m in enumerate(members) if pick >> i & 1]
+                g_set = [m for i, m in enumerate(members) if not pick >> i & 1]
                 n = witness(f_set, g_set)
                 cases += 1
                 # digits above the universe vanish since n < 3**universe, so
                 # unrelatedness to m in [universe, n) is structural; the
-                # smaller positions are checked one by one, plus samples
-                ok = n < 3 ** universe
-                for m in base:
-                    if m in f_set:
-                        want = Rel.FORWARD
-                    elif m in g_set:
-                        want = Rel.BACKWARD
-                    elif m < n:
-                        want = Rel.UNRELATED
-                    else:
-                        continue  # nothing is prescribed about larger numbers
-                    if rel(m, n) is not want:
-                        ok = False
+                # positions below n and the prescribed ones are checked one
+                # by one against the expected directions, plus samples
+                want = [unrelated] * universe
+                for m in f_set:
+                    want[m] = forward
+                for m in g_set:
+                    want[m] = backward
+                top = n if n < universe else universe
+                positions, expected = base[:top], want[:top]
+                if members[-1] >= top:  # a wrong witness: check the members above it too
+                    extra = [m for m in members if m >= top]
+                    positions += extra
+                    expected += [want[m] for m in extra]
+                got = list(map(rel, positions, itertools.repeat(n)))
+                ok = n < bound and got == expected
                 for m in (universe, universe + 5, n - 1):
-                    if universe <= m < n and rel(m, n) is not Rel.UNRELATED:
+                    if universe <= m < n and rel(m, n) is not unrelated:
                         ok = False
                 if not ok:
-                    failures.append({"F": sorted(f_set), "G": sorted(g_set), "n": n})
+                    failures.append({"F": f_set, "G": g_set, "n": n})
     return _result("universal-witness", failures, cases, t0)
 
 

@@ -25,12 +25,16 @@ def _ground(ground):
 
 
 def _id_set(ids):
-    """The ids as a frozenset; raises FilterError when they cannot be one
-    (an id that is a list or an object)."""
+    """The ids as a frozenset; raises FilterError when they are not an
+    iterable of ints."""
     try:
-        return frozenset(ids)
+        ids = list(ids)
     except TypeError:
         raise FilterError(f"{ids!r} is not a set of ids") from None
+    for i in ids:
+        if type(i) is not int:
+            raise FilterError(f"filter id {i!r} is not an integer")
+    return frozenset(ids)
 
 
 class FilterFamily:
@@ -40,8 +44,11 @@ class FilterFamily:
 
     def __init__(self, ground, members):
         self.ground = _ground(ground)
-        full = frozenset(range(ground))
         mems = frozenset(_id_set(m) for m in members)
+        # no member as large as the ground set: refused before range(ground)
+        if ground > max(map(len, mems), default=0):
+            raise FilterError("the ground set must belong to the filter")
+        full = frozenset(range(ground))
         if full not in mems:
             raise FilterError("the ground set must belong to the filter")
         if frozenset() in mems:
@@ -49,12 +56,11 @@ class FilterFamily:
         for m in mems:
             if not m <= full:
                 raise FilterError("member outside the ground set")
-        for a in mems:
-            for b in mems:
-                if a & b not in mems:
-                    raise FilterError("family not closed under intersection")
-        # the core is a member now, so every member lies among its supersets
+        # all members contain the core, so they are exactly its supersets
+        # when the core is a member and they number 2^(ground - |core|)
         core = reduce(frozenset.__and__, mems)
+        if core not in mems:
+            raise FilterError("family not closed under intersection")
         if len(mems) != 1 << (self.ground - len(core)):
             raise FilterError("family not upward closed")
         self.members = mems
@@ -66,7 +72,13 @@ class FilterFamily:
         core = _id_set(core)
         if not core:
             raise FilterError("a proper filter needs a nonempty core")
-        rest = sorted(frozenset(range(_ground(ground))) - core)
+        ground = _ground(ground)
+        # 2^free members: more than MAX_VECTORS exactly when free reaches
+        # its bit length
+        free = ground - sum(0 <= i < ground for i in core)
+        if free >= ReducedProduct.MAX_VECTORS.bit_length():
+            raise BudgetError(f"a filter with 2^{free} members is too large")
+        rest = sorted(frozenset(range(ground)) - core)
         members = []
         for r in range(len(rest) + 1):
             for extra in itertools.combinations(rest, r):
@@ -154,6 +166,8 @@ class ReducedProduct:
                 combo.append(self.class_of[v])
             except (KeyError, TypeError):  # TypeError: an id that is a list
                 raise DomainError(f"vector {list(v)} is not in the product") from None
+            if not all(type(x) is int for x in v):  # 0.0 and True find the class of 0 and 1
+                raise DomainError(f"vector {list(v)} is not in the product")
         return self.atomic_index_set(name, combo) in self.filt
 
 

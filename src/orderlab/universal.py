@@ -41,6 +41,9 @@ _HASH_MODULUS = sys.hash_info.modulus
 # when m is the smaller and when m is the larger
 _DIRS_UP = (Rel.UNRELATED, Rel.FORWARD, Rel.BACKWARD)
 _DIRS_DOWN = (Rel.UNRELATED, Rel.BACKWARD, Rel.FORWARD)
+# 3^m for the positions m < 64 of the hot calls; a plain int may still be
+# above 2^64, so rel falls back to 3 ** m from position 64 on
+_POW3 = tuple(3 ** m for m in range(64))
 
 
 @total_ordering
@@ -240,9 +243,13 @@ def rel(m, n) -> Rel:
             raise ValueError("naturals only")
         # the digit read inline, as in ternary_digit: this is the hot call
         if m < n:
-            return _DIRS_UP[n // 3 ** m % 3] if m < n.bit_length() else Rel.UNRELATED
+            if m >= n.bit_length():
+                return Rel.UNRELATED
+            return _DIRS_UP[n // (_POW3[m] if m < 64 else 3 ** m) % 3]
         if n < m:
-            return _DIRS_DOWN[m // 3 ** n % 3] if n < m.bit_length() else Rel.UNRELATED
+            if n >= m.bit_length():
+                return Rel.UNRELATED
+            return _DIRS_DOWN[m // (_POW3[n] if n < 64 else 3 ** n) % 3]
         return Rel.UNRELATED
     _require_naturals(m, n)
     c = _compare(m, n)
@@ -264,7 +271,7 @@ def witness(f_set, g_set):
             raise DisjointnessError("the two prescribed sets overlap")
         if len(fs) < len(f_set) or len(gs) < len(g_set):
             raise ValueError("duplicate positions in the support")
-        n = sum(3 ** x for x in fs) + 2 * sum(3 ** x for x in gs)
+        n = sum([_POW3[x] for x in fs]) + 2 * sum([_POW3[x] for x in gs])
         if n < _SMALL_LIMIT:
             return n
     _require_naturals(*f_set, *g_set)

@@ -379,6 +379,13 @@ BAD_INPUTS = {
     "depletion-labels": (labels("depletion"), "InputError: --s 'a,b'"),
     "walk-labels": (labels("walk"), "InputError: --s 'a,b'"),
     "not-utf-8": (latin1, "InputError: "),
+    # float and boolean ids, which exited 0 as the ints they equal
+    "product-float-ids": (fault("product request", "literals", 0, "vectors",
+                                value=[[0.0, False], [True, 1]]),
+                          "DomainError: vector [0.0, False] is not in the product"),
+    "filter-float-ids": (fault("product request", "filter",
+                               value={"ground": 2, "members": [[0, True], [0.0]]}),
+                         "FilterError: filter id True is not an integer"),
 }
 
 

@@ -9,8 +9,8 @@ from orderlab.checks import check_product_congruence
 from orderlab.errors import (ArityError, BudgetError, DomainError, FilterError,
                              FormulaError)
 from orderlab.fol import FiniteStructure, eval_pair, parse_formula
-from orderlab.redprod import (FilterFamily, atomic_los_check, longest_op_chain,
-                              reduced_product)
+from orderlab.redprod import (FilterFamily, ReducedProduct, atomic_los_check,
+                              longest_op_chain, reduced_product)
 
 from oracles import linear_order_structure
 
@@ -24,8 +24,9 @@ F_NONE = rel_factor([])
 
 
 def ref_filter_family(ground, members):
-    """The filter checks with upward closure tested superset by superset:
-    the error message, or the members and the core."""
+    """The filter checks with meet closure tested pair by pair and upward
+    closure superset by superset: the error message, or the members and the
+    core."""
     full = frozenset(range(ground))
     mems = frozenset(frozenset(m) for m in members)
     if full not in mems:
@@ -35,16 +36,19 @@ def ref_filter_family(ground, members):
     for m in mems:
         if not m <= full:
             return "member outside the ground set"
-    for a in mems:
-        for b in mems:
-            if a & b not in mems:
-                return "family not closed under intersection"
-    for a in mems:
-        for up in map(frozenset, itertools.chain.from_iterable(
-                itertools.combinations(full - a, r) for r in range(len(full - a) + 1))):
-            if a | up not in mems:
-                return "family not upward closed"
-    return mems, reduce(frozenset.__and__, mems)
+    closed = all(a & b in mems for a in mems for b in mems)
+    upward = all(a | frozenset(up) in mems for a in mems for r in range(len(full - a) + 1)
+                 for up in itertools.combinations(full - a, r))
+    core = reduce(frozenset.__and__, mems)
+    if closed and upward:
+        return mems, core
+    # a refusal names a property the family lacks: closure when the meet of
+    # all members is missing, else upward closure
+    if core not in mems:
+        assert not closed
+        return "family not closed under intersection"
+    assert not upward
+    return "family not upward closed"
 
 
 def test_filter_family_matches_superset_oracle():
@@ -89,6 +93,25 @@ def test_filter_validation():
             FilterFamily.principal(ground, {0})
 
 
+def test_filter_ids_and_sizes_are_checked_before_the_family_is_built():
+    for ids in ([0, 1.0], [True, 1], [0, "1"], [0, [1]]):
+        with pytest.raises(FilterError, match="is not an integer"):
+            FilterFamily(2, [[0, 1], ids])
+        with pytest.raises(FilterError, match="is not an integer"):
+            FilterFamily.principal(2, ids)
+    # 2^13 members, each validated once: the pairwise meet check took minutes
+    assert len(FilterFamily.principal(14, {0}).members) == 1 << 13
+    assert len(FilterFamily.principal(17, {0}).members) == ReducedProduct.MAX_VECTORS
+    with pytest.raises(BudgetError, match="2\\^17 members"):
+        FilterFamily.principal(18, {0})
+    with pytest.raises(BudgetError):
+        FilterFamily.principal(10 ** 12, {0})
+    with pytest.raises(FilterError, match="the ground set must belong"):
+        FilterFamily.principal(3, {0, 5})
+    with pytest.raises(FilterError, match="the ground set must belong"):
+        FilterFamily(10 ** 12, [[0]])
+
+
 def test_filter_json_forms():
     filt = FilterFamily.principal(3, {0, 2})
     assert schema.load("filter", {"ground": 3, "core": [0, 2]}).members \
@@ -98,7 +121,7 @@ def test_filter_json_forms():
 
 def test_holds_names_a_vector_outside_the_product():
     rp = reduced_product([F_EDGE] * 3, FilterFamily(3, [range(3)]))
-    for vector in ((0, 7, 0), (0, 0), ("a", 0, 0)):
+    for vector in ((0, 7, 0), (0, 0), ("a", 0, 0), (0.0, 0, 0), (0, True, 0)):
         with pytest.raises(DomainError, match=r"vector \[.*\] is not in the product"):
             rp.holds("R", [(0, 0, 0), vector])
 

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orderlab import checks
 from orderlab.checks import check_embed_roundtrip
 from orderlab.errors import AsymmetryError, DisjointnessError
 from orderlab.posets import RelStructure
 from orderlab.universal import (Rel, SparseNat, as_nat, embed_structure, rel,
                                 ternary_digit, verify_embedding, witness,
                                 witness_above)
+
+from oracles import universal_witness_failures
 
 
 def test_rel_frozen_examples():
@@ -75,6 +78,55 @@ def test_witness_property_small_sweep():
                         assert rel(m, n) is Rel.BACKWARD
                     elif m < n:
                         assert rel(m, n) is Rel.UNRELATED
+
+
+def drop_one_g_digit(f_set, g_set):
+    return witness(f_set, sorted(g_set)[1:])
+
+
+def misreport_position_2(m, n):
+    r = rel(m, n)
+    return Rel.BACKWARD if m == 2 and r is Rel.UNRELATED else r
+
+
+@pytest.mark.parametrize("wit, rl, ok", [
+    (witness, rel, True),
+    (drop_one_g_digit, rel, False),
+    (witness, misreport_position_2, False),
+])
+def test_universal_witness_suite_matches_member_loop(monkeypatch, wit, rl, ok):
+    calls = []
+
+    def counted(m, n):
+        calls.append((m, n))
+        return rl(m, n)
+
+    monkeypatch.setattr(checks, "witness", wit)
+    monkeypatch.setattr(checks, "rel", counted)
+    got = checks.check_universal_witness(6, 3)
+    suite_calls = list(calls)
+    calls.clear()
+    cases, failures = universal_witness_failures(6, 3, wit, counted)
+    assert got["ok"] is ok and got["cases"] == cases == 232
+    assert got.get("failures", []) == failures[:5]
+    assert suite_calls == calls  # the same rel calls, in the same order
+
+
+def test_rel_and_witness_beyond_the_power_table():
+    # a plain int above 2^64 has digit positions past the 3^m table
+    assert rel(100, 3 ** 200 + 3 ** 100) is Rel.FORWARD
+    assert rel(3 ** 200 + 2 * 3 ** 100, 100) is Rel.FORWARD
+    assert rel(64, 3 ** 64) is Rel.FORWARD and rel(63, 2 * 3 ** 63) is Rel.BACKWARD
+    # what the int lane refuses, it refuses as before
+    assert witness([True], []) == 3  # a bool takes the sparse lane, as the natural 1
+    for args, error, message in (
+            (([1.0], []), ValueError, "naturals only"),
+            (([-1], []), ValueError, "naturals only"),
+            (([1], [1]), DisjointnessError, "overlap"),
+            (([1, 1], []), ValueError, "duplicate positions"),
+            (([], [2, 2]), ValueError, "duplicate positions")):
+        with pytest.raises(error, match=message):
+            witness(*args)
 
 
 def test_sparse_nat_agrees_with_ints():

@@ -240,4 +240,20 @@ MUTANTS = [
            "    except (OrderlabError, OSError, json.JSONDecodeError, KeyError) as e:",
            "tests/test_cli.py::test_a_library_bug_is_not_a_usage_error",
            "main reads a KeyError from a library bug as a usage error"),
+    Mutant("orderlab/checks.py",
+           "                for m in g_set:\n                    want[m] = backward\n",
+           "",
+           "tests/test_universal.py::test_universal_witness_suite_matches_member_loop",
+           "criterion 3 expects no BACKWARD mark, so it fails every case with "
+           "a G position"),
+    Mutant("orderlab/universal.py",
+           "_DIRS_UP[n // (_POW3[m] if m < 64 else 3 ** m) % 3]",
+           "_DIRS_UP[n // (_POW3[m + 1] if m < 64 else 3 ** m) % 3]",
+           "tests/test_universal.py::test_rel_frozen_examples",
+           "rel reads the digit one position above the smaller number"),
+    Mutant("orderlab/universal.py",
+           "+ 2 * sum([_POW3[x] for x in gs])",
+           "+ sum([_POW3[x] for x in gs])",
+           "tests/test_universal.py::test_witness_frozen_examples",
+           "witness weights the G positions by 1, so they point forward"),
 ]
