@@ -18,7 +18,6 @@ import random
 import sys
 import time
 
-from . import checks as checksuite
 from . import schema
 from .depletion import (depletion_order, find_walk, frontier_sweep,
                         maximal_star_set, star_condition)
@@ -225,7 +224,9 @@ def _cmd_tiepoint(args, digests):
 
 
 def _cmd_check_all(args, digests):
-    results = checksuite.run_all(budget=args.budget, seed=args.seed or 0)
+    from . import checks  # loaded only by the request that runs the suites
+
+    results = checks.run_all(budget=args.budget, seed=args.seed or 0)
     for c in results:
         print(f"  {c['name']}: {c['elapsed_s']}s", file=sys.stderr)
     # wall times are volatile; the canonical report carries verdicts only
@@ -304,7 +305,9 @@ def _parser():
     p.set_defaults(handler=_cmd_tiepoint)
 
     p = sub.add_parser("check-all", help="run every verification suite")
-    p.add_argument("--budget", choices=sorted(checksuite.BUDGETS), default="small")
+    # sorted(checks.BUDGETS), spelled out so that building the parser does
+    # not load the suites; tests/test_cli.py holds the two equal
+    p.add_argument("--budget", choices=("large", "medium", "small"), default="small")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_check_all)
     return parser

@@ -15,38 +15,32 @@ orthogonal to each other and avoiding the point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .errors import CanonicalityError, DepthError
 
 
 def _check_word(w):
-    if not isinstance(w, str) or any(c not in "01" for c in w):
+    if not isinstance(w, str) or w.strip("01"):  # a character other than 0 and 1
         raise CanonicalityError(f"not a binary word: {w!r}")
 
 
-def _sibling(w):
-    return w[:-1] + ("1" if w[-1] == "0" else "0")
-
-
 def canonical_antichain(words):
-    """Canonicalize a union of cylinders: absorb extensions into prefixes,
-    then merge complete sibling pairs upward until none remain."""
+    """Canonicalize a union of cylinders in one pass over the sorted words.
+    A word's extensions follow it directly, so each word extending the last
+    one kept is absorbed; a word ending in 1 merges with its 0-sibling when
+    that is on top of the stack, and the parent merges on while it pairs."""
     words = set(words)
     for w in words:
         _check_word(w)
-    words = {w for w in words
-             if not any(w[:k] in words for k in range(len(w)))}
-    merged = True
-    while merged:
-        merged = False
-        for w in words:
-            if w and _sibling(w) in words:
-                words.discard(w)
-                words.discard(_sibling(w))
-                words.add(w[:-1])
-                merged = True
-                break
-    return frozenset(words)
+    stack = []
+    for w in sorted(words):
+        if stack and w.startswith(stack[-1]):
+            continue
+        while w.endswith("1") and stack and stack[-1] == w[:-1] + "0":
+            w = stack.pop()[:-1]
+        stack.append(w)
+    return frozenset(stack)
 
 
 @dataclass(frozen=True)
@@ -57,10 +51,12 @@ class Clopen:
     def __post_init__(self):
         for w in self.antichain:
             _check_word(w)
-            for v in self.antichain:
-                if w != v and v.startswith(w):
-                    raise CanonicalityError("antichain contains a prefix pair")
-            if w and _sibling(w) in self.antichain:
+        # sorted, a word that is a prefix of a later word is one of the next
+        # word, and in a prefix-free list siblings are neighbours
+        for a, b in pairwise(sorted(self.antichain)):
+            if b.startswith(a):
+                raise CanonicalityError("antichain contains a prefix pair")
+            if a.endswith("0") and b == a[:-1] + "1":
                 raise CanonicalityError("antichain contains a sibling pair")
 
     @classmethod

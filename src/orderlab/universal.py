@@ -218,8 +218,11 @@ def _as_small_or_nat(x):
 
 
 def _require_naturals(*xs):
+    """Refuse anything but SparseNats and non-negative ints; a bool is an
+    int subclass but not a natural, as in every id list."""
     for x in xs:
-        if not isinstance(x, SparseNat) and not (isinstance(x, int) and x >= 0):
+        if not isinstance(x, SparseNat) and not (
+                isinstance(x, int) and not isinstance(x, bool) and x >= 0):
             raise ValueError("naturals only")
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 
+from orderlab.errors import CanonicalityError
 from orderlab.fol import FiniteStructure
 from orderlab.universal import Rel
 
@@ -44,3 +45,46 @@ def universal_witness_failures(universe, max_size, witness, rel):
                 if not ok:
                     failures.append({"F": sorted(f_set), "G": sorted(g_set), "n": n})
     return cases, failures
+
+
+def _check_word(w):
+    if not isinstance(w, str) or any(c not in "01" for c in w):
+        raise CanonicalityError(f"not a binary word: {w!r}")
+
+
+def _sibling(w):
+    return w[:-1] + ("1" if w[-1] == "0" else "0")
+
+
+def canonical_antichain_by_restarts(words):
+    """canonical_antichain as a scan that restarts after every sibling merge
+    (quadratic in the antichain): the body before it became one pass over
+    the sorted words."""
+    words = set(words)
+    for w in words:
+        _check_word(w)
+    words = {w for w in words
+             if not any(w[:k] in words for k in range(len(w)))}
+    merged = True
+    while merged:
+        merged = False
+        for w in words:
+            if w and _sibling(w) in words:
+                words.discard(w)
+                words.discard(_sibling(w))
+                words.add(w[:-1])
+                merged = True
+                break
+    return frozenset(words)
+
+
+def check_antichain_pairwise(antichain):
+    """Clopen's validation comparing every pair of words: the body before it
+    compared neighbours in sorted order."""
+    for w in antichain:
+        _check_word(w)
+        for v in antichain:
+            if w != v and v.startswith(w):
+                raise CanonicalityError("antichain contains a prefix pair")
+        if w and _sibling(w) in antichain:
+            raise CanonicalityError("antichain contains a sibling pair")

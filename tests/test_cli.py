@@ -750,10 +750,16 @@ def test_parser_is_built_once_and_survives_usage_errors(capsys, monkeypatch):
     assert built == []
 
 
-def test_module_entry_point():
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
+    env = src_env()
 
     def run(*args):
         return subprocess.run([sys.executable, "-m", "orderlab", *args],
@@ -763,6 +769,40 @@ def test_module_entry_point():
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["point"] == "01^omega"
     assert run().returncode == 2  # a subcommand is required
+
+
+def run_python(code, *args):
+    """Run code in a fresh interpreter; its stdout."""
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=src_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_start_up_loads_only_what_the_request_runs(tmp_path):
+    f = write(tmp_path, "f.json", {"bounds": [1, 1, 2, 3], "vals": [0, 0, 1, 2]})
+    single = run_python(
+        "import contextlib, io, sys\n"
+        "from orderlab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert cli.main(['tiepoint', '--point', '01^omega', '--depth', '4']) == 0\n"
+        "    assert cli.main(['phi', '--in', sys.argv[1]]) == 0\n"
+        "print(sorted({'numpy', 'orderlab.checks'} & set(sys.modules)))\n", f)
+    assert single.split() == ["[]"]
+    suites = run_python(
+        "import sys\n"
+        "from orderlab import checks\n"
+        "print('numpy' in sys.modules)\n"
+        "assert checks.check_salient(n_max=2)['ok']\n"
+        "print('numpy' in sys.modules)\n")
+    assert suites.split() == ["False", "True"]  # numpy loads on the first kernel call
+
+
+def test_budget_choices_are_the_suite_budgets():
+    check_all = next(a for a in cli._parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices["check-all"]
+    budget = next(a for a in check_all._actions if a.dest == "budget")
+    assert tuple(budget.choices) == tuple(sorted(checks.BUDGETS))
 
 
 def test_pretty_flag(tmp_path, capsys):

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import canonical_antichain_by_restarts, check_antichain_pairwise
 from orderlab import _kernels, checks
 from orderlab.checks import check_clopen_ops
 from orderlab.errors import BudgetError, CanonicalityError, DepthError
@@ -136,6 +137,72 @@ def test_presentation_independence():
             else:
                 blown.append(w)
         assert Clopen.from_strings(blown) == u
+
+
+def _outcome(fn, arg):
+    """fn(arg), or the type and message of what it raised."""
+    try:
+        return "value", fn(arg)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _faults(words, canonical=False):
+    """The faults in a set of words, by brute force: its non-binary words
+    and, unless the words are only to be canonicalized (which takes prefix
+    and sibling pairs in its stride), its prefix and sibling pairs."""
+    bad = [w for w in words if any(c not in "01" for c in w)]
+    if canonical:
+        return len(bad)
+    prefix = [(v, w) for v in words for w in words if v != w and w.startswith(v)]
+    sibling = [w for w in words if w not in bad and w.endswith("0")
+               and w[:-1] + "1" in words]
+    return len(bad) + len(prefix) + len(sibling)
+
+
+def _random_word(rng, max_len):
+    n = rng.randint(0, max_len)
+    return format(rng.getrandbits(n), f"0{n}b") if n else ""
+
+
+def _validate(words):
+    Clopen(words)
+
+
+def _assert_same(fn, oracle, arg, faults):
+    got, want = _outcome(fn, arg), _outcome(oracle, arg)
+    if faults > 1:  # which fault is reported first follows the set's order
+        assert got[0] is want[0] and got[0] != "value", arg
+    else:
+        assert got == want, arg
+
+
+def test_canonicalization_matches_the_restarting_scan():
+    rng = random.Random(19)
+    inputs = [[format(b, f"0{d}b") if d else "" for b in range(1 << d) if mask >> b & 1]
+              for d in range(4) for mask in range(1 << (1 << d))]
+    inputs += [[format(b, f"0{d}b") for b in range(1 << d) if mask >> b & 1]
+               for d in (4, 5) for mask in (rng.getrandbits(1 << d) for _ in range(600))]
+    for _ in range(4000):
+        words = [_random_word(rng, 5) for _ in range(rng.randint(0, 12))]
+        for _ in range(rng.choice([0, 0, 0, 0, 0, 0, 0, 1, 1, 2])):
+            words.insert(rng.randint(0, len(words)), rng.choice(["2", "0x", "1a0"]))
+        inputs.append(words)
+    antichains = []
+    for words in inputs:
+        faults = _faults(set(words), canonical=True)
+        _assert_same(canonical_antichain, canonical_antichain_by_restarts, words, faults)
+        if not faults:
+            antichains.append(canonical_antichain(words))
+    # validation: canonical antichains, each also with one word added, and
+    # the raw word sets
+    for ac in antichains:
+        extra = rng.choice([_random_word(rng, 6), "2", "01x"])
+        for words in (ac, ac | {extra}):
+            _assert_same(_validate, check_antichain_pairwise, words, _faults(words))
+    for words in inputs:
+        words = frozenset(words)
+        _assert_same(_validate, check_antichain_pairwise, words, _faults(words))
 
 
 def test_points_and_contains():

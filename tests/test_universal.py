@@ -118,8 +118,8 @@ def test_rel_and_witness_beyond_the_power_table():
     assert rel(3 ** 200 + 2 * 3 ** 100, 100) is Rel.FORWARD
     assert rel(64, 3 ** 64) is Rel.FORWARD and rel(63, 2 * 3 ** 63) is Rel.BACKWARD
     # what the int lane refuses, it refuses as before
-    assert witness([True], []) == 3  # a bool takes the sparse lane, as the natural 1
     for args, error, message in (
+            (([True], []), ValueError, "naturals only"),
             (([1.0], []), ValueError, "naturals only"),
             (([-1], []), ValueError, "naturals only"),
             (([1], [1]), DisjointnessError, "overlap"),
@@ -222,7 +222,13 @@ def test_non_integer_inputs_rejected():
                  lambda: rel(1.0, 4), lambda: rel(4, 1.0), lambda: rel(2.5, 2.5),
                  lambda: rel(1.5, as_nat(3)), lambda: witness_above([1.5], [], 3),
                  lambda: witness_above([], [], 2.0), lambda: ternary_digit(5.0, 1),
-                 lambda: SparseNat([(0.5, 1)]), lambda: SparseNat.from_int(1.5)):
+                 lambda: SparseNat([(0.5, 1)]), lambda: SparseNat.from_int(1.5),
+                 # bool is an int subclass; as in every id list, not a natural
+                 lambda: rel(True, 3), lambda: rel(3, False), lambda: rel(True, as_nat(3)),
+                 lambda: witness([True], []), lambda: witness([], [0, False]),
+                 lambda: witness_above([0], [1], True), lambda: ternary_digit(3, True),
+                 lambda: ternary_digit(True, 0), lambda: SparseNat([(True, 1)]),
+                 lambda: SparseNat.from_int(True)):
         with pytest.raises(ValueError, match="naturals only"):
             call()
 
