@@ -25,7 +25,7 @@ from .fol import FiniteStructure, parse_formula
 from .redprod import (FilterFamily, ReducedProduct, atomic_los_check,
                       longest_op_chain, reduced_product)
 from .forcing import (Condition, EMPTY_CONDITION, ExplicitChainFactor,
-                      GenericEmbedding, SplitInstance, amalgamate,
+                      GenericEmbedding, SplitInstance, amalgamate, entry_op,
                       extend_into_D, extend_into_E, extends, generic_build,
                       pipeline_embed, projection, quotient_member,
                       split_project, verify_generic_embedding)
@@ -53,9 +53,10 @@ __all__ = [
     "reduced_product",
     # forcing
     "Condition", "EMPTY_CONDITION", "ExplicitChainFactor", "GenericEmbedding",
-    "SplitInstance", "amalgamate", "extend_into_D", "extend_into_E",
-    "extends", "generic_build", "pipeline_embed", "projection",
-    "quotient_member", "split_project", "verify_generic_embedding",
+    "SplitInstance", "amalgamate", "entry_op", "extend_into_D",
+    "extend_into_E", "extends", "generic_build", "pipeline_embed",
+    "projection", "quotient_member", "split_project",
+    "verify_generic_embedding",
     # tiepoint
     "Clopen", "Point", "TieDecomposition", "complement", "contains",
     "expansion_axiom_check", "join", "leq", "meet", "parse_point",

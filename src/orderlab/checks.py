@@ -20,10 +20,9 @@ from .depletion import (DepletionInstance, depletion_order, depletion_rel,
                         star_condition)
 from .errors import BudgetError, OrderlabError
 from .fol import Atom, FiniteStructure, Not
-from .forcing import (Condition, _witness_pairs, amalgamate, extend_into_D,
-                      extend_into_E, extends, generic_build, pipeline_embed,
-                      projection, quotient_member, split_project, SplitInstance,
-                      verify_generic_embedding)
+from .forcing import (Condition, _witness_pairs, amalgamate, entry_op, extends,
+                      generic_build, pipeline_embed, projection, quotient_member,
+                      split_project, SplitInstance, verify_generic_embedding)
 from .posets import (Poset, RelStructure, enumerate_poset_isotypes, list_pairs,
                      longest_chain, make_poset)
 from .redprod import FilterFamily, atomic_los_check, reduced_product
@@ -423,17 +422,17 @@ def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
     failures = []
     cases = 0
 
-    def entry(ground, p, req):
-        """Apply ("D", n, a) or ("E", n, a, b) to p and check the result."""
+    def entry(ground, p, req, op):
+        """Apply req's op, ("D", n, a) or ("E", n, a, b), to p and check the
+        result."""
         nonlocal cases
         cases += 1
+        q = op(p)
         if req[0] == "D":
             _, n, a = req
-            q = extend_into_D(ground, p, n, a)
             landed = q.depth >= n and a in q.domain
         else:
             _, n, a, b = req
-            q = extend_into_E(ground, p, n, a, b)
             landed = any(map(lt, q.seq(a)[n:], q.seq(b)[n:]))
         if not (extends(ground, q, p) and landed):
             failures.append({"poset": ground.to_json_dict(),
@@ -443,25 +442,28 @@ def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
         for ground in enumerate_poset_isotypes(size):
             els = ground.elements
             pairs = _witness_pairs(ground)
-            # the isotype's requests, in grid order
+            # the isotype's requests, in grid order, each compiled once
             reqs = []
             for n in range(max_depth + 1):
                 reqs += [("D", n, a) for a in els]
                 reqs += [("E", n, a, b) for a, b in pairs]
+            ops = [(req, entry_op(ground, req)) for req in reqs]
             for d in range(max_depth + 1):
                 for p in _conditions(ground, els, d):
-                    for req in reqs:
-                        entry(ground, p, req)
+                    for req, op in ops:
+                        entry(ground, p, req, op)
     rng = random.Random(seed)
     for t in range(trials):
         ground = random_poset(rng, rng.randint(1, 6))
         p = random_condition(rng, ground, max_depth=6)
         n = rng.randint(0, 8)
         a = rng.choice(ground.elements)
-        entry(ground, p, ("D", n, a))
+        req = ("D", n, a)
+        entry(ground, p, req, entry_op(ground, req))
         b = rng.choice(ground.elements)
         if a != b and not ground.leq(b, a):
-            entry(ground, p, ("E", n, a, b))
+            req = ("E", n, a, b)
+            entry(ground, p, req, entry_op(ground, req))
     return _result("dense-set-entry", failures, cases, t0)
 
 

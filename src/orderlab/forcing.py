@@ -120,6 +120,28 @@ def _max_pad(ground, f, domain, a, lo, hi):
     return tuple(map(max, zip(*below)))
 
 
+def _lower_set(ground, a):
+    """The elements at or below a, read off a's down-row as _max_pad reads
+    them."""
+    i = ground.index_of(a)
+    r = ground._down_rows()[i] | 1 << i
+    els = ground.elements
+    out = []
+    while r:
+        low = r & -r
+        r ^= low
+        out.append(els[low.bit_length() - 1])
+    return out
+
+
+def _entry_pad(f, below, depth):
+    """An entering element's values: per coordinate below depth, the max of
+    f over the elements of its lower set ``below`` that f maps (0 when
+    none)."""
+    cols = [f[e] for e in below if e in f]
+    return tuple(map(max, zip(*cols))) if cols else (0,) * depth
+
+
 def amalgamate(ground: Poset, parts, root) -> Condition:
     """A common extension of pairwise root-compatible conditions.
 
@@ -172,63 +194,99 @@ def amalgamate(ground: Poset, parts, root) -> Condition:
     return Condition._trusted(root | private, depth, f)
 
 
+def entry_op(ground: Poset, req):
+    """The entry operation of one request, checked once: a callable p -> q.
+
+    ``("D", n, a)`` enters the set of conditions of depth >= n whose domain
+    contains a.  The new element takes the maximum over its lower bounds in
+    the old domain at existing coordinates; coordinates beyond the old depth
+    are zero-filled for everybody, which is the same rule applied at a fresh
+    coordinate.  An element outside the ground is a ScheduleError.
+
+    ``("E", n, a, b)`` enters the set of conditions carrying a strict
+    witness f(a)(k) < f(b)(k) at some k >= n, and is defined only when b is
+    not below a (PreconditionError; an unknown id is a DomainError).  A
+    missing a or b enters first as the D rule at depth 0 would add it: by
+    the maximum over its lower bounds in p's domain (a, not being above b,
+    adds nothing to b's).  New coordinates are coloured by rank in a linear
+    extension placing a before b, wherever the ranks fit the coordinate
+    bound; rank colouring respects every related pair at once and makes the
+    witness strict.
+
+    An op keeps what does not depend on p for as long as it lives: the
+    lower sets of a and b, found on first use, and a witness op's colouring
+    per (domain, depth) of the condition it colours.
+
+    Either op returns p itself when p already qualifies.
+    """
+    kind = req[0]
+    if kind == "D":
+        _, n, a = req
+        if a not in ground:
+            raise ScheduleError(f"element {a!r} not in the ground order")
+        lower = {}
+
+        def op(p):
+            old, depth = p._f, p.depth
+            if a in old and depth >= n:
+                return p
+            zeros = (0,) * (n - depth)  # empty when the depth stays
+            f = {e: s + zeros for e, s in old.items()}
+            if a not in old:
+                if not lower:
+                    lower[a] = _lower_set(ground, a)
+                f[a] = _entry_pad(old, lower[a], depth) + zeros
+            return Condition._trusted(p.domain | {a}, max(n, depth), f)
+        return op
+    if kind != "E":
+        raise ScheduleError(f"unknown request kind {kind!r}")
+    _, n, a, b = req
+    if a == b or ground.lt(b, a):
+        raise PreconditionError("defined only when b is not below a")
+    lower = {}
+    colourings = {}
+
+    def op(p):
+        old, depth, domain = p._f, p.depth, p.domain
+        if a not in old or b not in old:
+            if not lower:
+                lower[a], lower[b] = _lower_set(ground, a), _lower_set(ground, b)
+            fa = old[a] if a in old else _entry_pad(old, lower[a], depth)
+            fb = old[b] if b in old else _entry_pad(old, lower[b], depth)
+            domain = domain | {a, b}
+            old = {**old, a: fa, b: fb}
+        else:
+            fa, fb = old[a], old[b]
+        if any(map(lt, fa[n:], fb[n:])):
+            return p if domain is p.domain else Condition._trusted(domain, depth, old)
+        key = (domain, depth)
+        colouring = colourings.get(key)
+        if colouring is None:
+            size = len(domain)
+            k = max(n, depth, size + 2)
+            # coordinates depth..k: zero below size, where a rank may not
+            # fit the bound, and the rank from size on
+            zeros = (0,) * max(0, size - depth)
+            width = k + 1 - max(depth, size)
+            order = linear_extension(ground, domain, before=(a, b))
+            colouring = colourings[key] = k + 1, {e: zeros + (r,) * width
+                                                  for r, e in enumerate(order)}
+        k1, tails = colouring
+        return Condition._trusted(domain, k1, {e: old[e] + t for e, t in tails.items()})
+    return op
+
+
 def extend_into_D(ground: Poset, p: Condition, n: int, a) -> Condition:
     """Least-effort entry into the set of conditions of depth >= n whose
-    domain contains a.  Idempotent when p already qualifies.
-
-    The new element takes the maximum over its lower bounds in the old
-    domain at existing coordinates; coordinates beyond the old depth are
-    zero-filled for everybody, which is the same rule applied at a fresh
-    coordinate.
-    """
-    if a not in ground:
-        raise ScheduleError(f"element {a!r} not in the ground order")
-    old = p._f
-    if a in old and p.depth >= n:
-        return p
-    if n <= p.depth:  # the depth stays: only a's values are new
-        f = dict(old)
-        f[a] = _max_pad(ground, old, old, a, 0, p.depth)
-        return Condition._trusted(p.domain | {a}, p.depth, f)
-    zeros = (0,) * (n - p.depth)
-    f = {b: s + zeros for b, s in old.items()}
-    if a not in old:
-        f[a] = _max_pad(ground, old, old, a, 0, p.depth) + zeros
-    return Condition._trusted(p.domain | {a}, n, f)
+    domain contains a; ``entry_op(ground, ("D", n, a))(p)``."""
+    return entry_op(ground, ("D", n, a))(p)
 
 
 def extend_into_E(ground: Poset, p: Condition, n: int, a, b) -> Condition:
     """Entry into the set of conditions carrying a strict witness
-    f(a)(k) < f(b)(k) at some coordinate k >= n.  Defined only when b is
-    not below a in the ground order.  Idempotent when p already qualifies.
-
-    A missing a or b enters first as extend_into_D(., 0, .) would add it:
-    by the maximum over its lower bounds in p's domain (a, not being above
-    b, adds nothing to b's).  New coordinates are coloured by rank in a
-    linear extension placing a before b, wherever the ranks fit the
-    coordinate bound; rank colouring respects every related pair at once
-    and makes the witness strict.
-    """
-    if a == b or ground.lt(b, a):
-        raise PreconditionError("defined only when b is not below a")
-    old, depth, domain = p._f, p.depth, p.domain
-    fa = old[a] if a in old else _max_pad(ground, old, old, a, 0, depth)
-    fb = old[b] if b in old else _max_pad(ground, old, old, b, 0, depth)
-    if a not in old or b not in old:
-        domain = domain | {a, b}
-        old = {**old, a: fa, b: fb}
-    for k in range(n, depth):
-        if fa[k] < fb[k]:
-            return p if domain is p.domain else Condition._trusted(domain, depth, old)
-    size = len(domain)
-    k = max(n, depth, size + 2)
-    # coordinates depth..k: zero below size, where a rank may not fit the
-    # bound, and the rank from size on
-    zeros = (0,) * max(0, size - depth)
-    width = k + 1 - max(depth, size)
-    order = linear_extension(ground, domain, before=(a, b))
-    return Condition._trusted(domain, k + 1, {e: old[e] + zeros + (r,) * width
-                                              for r, e in enumerate(order)})
+    f(a)(k) < f(b)(k) at some coordinate k >= n, defined only when b is not
+    below a; ``entry_op(ground, ("E", n, a, b))(p)``."""
+    return entry_op(ground, ("E", n, a, b))(p)
 
 
 def projection(sub_elements, p: Condition) -> Condition:
@@ -286,6 +344,31 @@ def _witness_pairs(ground: Poset):
             if a != b and (b, a) not in below]
 
 
+def _meet(ground, p, req, entry_depth):
+    """Meet the strict-witness request ("E", n, a, b): p, or its extension
+    with a's and b's entry depths recorded, and the last coordinate carrying
+    f(a) < f(b).  A request p meets already is read off p, with no op.  A
+    request with b at or below a still reaches the op's check: the ops keep
+    f monotone on every related pair, so such a pair has no witness."""
+    _, n, a, b = req
+    f = p._f
+    if a in f and b in f:
+        fa, fb = f[a], f[b]
+        k = p.depth - 1
+        while k >= n and not fa[k] < fb[k]:
+            k -= 1
+        if k >= n:
+            return p, k
+    p = entry_op(ground, req)(p)
+    entry_depth.setdefault(a, p.depth)
+    entry_depth.setdefault(b, p.depth)
+    fa, fb = p._f[a], p._f[b]
+    k = p.depth - 1
+    while not fa[k] < fb[k]:
+        k -= 1
+    return p, k
+
+
 def generic_build(ground: Poset, budget: int, schedule=None) -> GenericEmbedding:
     """Fold the schedule from the empty condition and read off the embedding.
 
@@ -293,45 +376,50 @@ def generic_build(ground: Poset, budget: int, schedule=None) -> GenericEmbedding
     and every strict-witness request for each ordered pair (a, b) with b not
     below a, so the result is an order embedding into the sequence space
     under thresholded comparison, with strict witnesses past every requested
-    depth.
+    depth.  Without a schedule the build meets the default one in closed
+    form: its domain/depth requests give the all-zero condition of depth
+    ``budget`` on the whole ground, every element entering at depth 0, and
+    its witness requests are met at level 0, pair by pair.  That meets every
+    later level too: the all-zero start carries no witness, and every
+    colouring adds coordinates from the budget on, so each pair's witness
+    lies at or beyond every level up to the budget.
     """
     if budget < 0:
         raise DepthError(f"build depth {budget} is negative")
-    if schedule is None:
-        schedule = default_schedule(ground, budget)
     els = frozenset(ground.elements)
-    p = EMPTY_CONDITION
-    entry_depth = {}
-    # last[(a, b)]: the last coordinate with f(a) < f(b), set once a request
-    # for the pair has been met; extensions keep old coordinates, so a later
-    # request for the pair at n <= last is met already
-    last = {}
-    for req in schedule:
-        kind = req[0]
-        if kind == "E":
-            _, n, a, b = req
-            if n <= last.get((a, b), -1):
-                continue
-            if a not in els or b not in els:
-                raise ScheduleError("strict-witness request outside the ground order")
-            p = extend_into_E(ground, p, n, a, b)
-            entry_depth.setdefault(a, p.depth)
-            entry_depth.setdefault(b, p.depth)
-            fa, fb = p._f[a], p._f[b]
-            k = p.depth - 1
-            while not fa[k] < fb[k]:
-                k -= 1
-            last[(a, b)] = k
-        elif kind == "D":
-            _, n, a = req
-            # a request already met leaves p as it is, and a in the domain
-            # has its entry depth
-            if n <= p.depth and a in p._f:
-                continue
-            p = extend_into_D(ground, p, n, a)  # ScheduleError outside ground
-            entry_depth.setdefault(a, p.depth)
-        else:
-            raise ScheduleError(f"unknown request kind {kind!r}")
+    if schedule is None:
+        p = Condition._trusted(els, budget,
+                               dict.fromkeys(ground.elements, (0,) * budget))
+        entry_depth = dict.fromkeys(ground.elements, 0)
+        for a, b in _witness_pairs(ground):
+            p, _ = _meet(ground, p, ("E", 0, a, b), entry_depth)
+    else:
+        p = EMPTY_CONDITION
+        entry_depth = {}
+        # last[(a, b)]: the last coordinate with f(a) < f(b), set once a
+        # request for the pair has been met; extensions keep old
+        # coordinates, so a later request for the pair at n <= last is met
+        # already
+        last = {}
+        for req in schedule:
+            kind = req[0]
+            if kind == "E":
+                _, n, a, b = req
+                if n <= last.get((a, b), -1):
+                    continue
+                if a not in els or b not in els:
+                    raise ScheduleError("strict-witness request outside the ground order")
+                p, last[(a, b)] = _meet(ground, p, req, entry_depth)
+            elif kind == "D":
+                _, n, a = req
+                # a request already met leaves p as it is, and a in the
+                # domain has its entry depth
+                if n <= p.depth and a in p._f:
+                    continue
+                p = entry_op(ground, req)(p)  # ScheduleError outside ground
+                entry_depth.setdefault(a, p.depth)
+            else:
+                raise ScheduleError(f"unknown request kind {kind!r}")
     missing = els - p.domain
     if missing:
         raise ScheduleError(f"schedule never introduced elements {sorted(missing)}")

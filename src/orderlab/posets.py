@@ -16,14 +16,13 @@ class Poset:
 
     ``rows[i]`` has bit ``j`` set iff ``elements[i] < elements[j]``.  The
     relation is transitively closed, irreflexive and (hence) antisymmetric.
-    Instances are immutable and safe to share; ``strict_pairs``, the
-    down-set bitsets and ``linear_extension`` results are computed on first
-    use and cached on the instance.
+    Instances are immutable and safe to share; ``strict_pairs`` and the
+    down-set bitsets are computed on first use and cached on the instance.
     """
 
     # the cache slots stay unset until first use, so construction pays
     # nothing for them
-    __slots__ = ("elements", "_index", "_rows", "_pairs", "_downs", "_linext")
+    __slots__ = ("elements", "_index", "_rows", "_pairs", "_downs")
 
     def __init__(self, elements, rows, _validated=False):
         self.elements = tuple(sorted(elements))
@@ -305,8 +304,7 @@ def linear_extension(p: Poset, subset=None, before=None):
     """A linear extension of p (restricted to subset), with before=(a, b)
     forcing a strictly earlier than b.  Requires that b is not below a.
 
-    Deterministic: smallest available id first.  Results are cached on p
-    by (subset as a bitset, before); each call returns a fresh list.
+    Deterministic: smallest available id first.
     """
     if subset is None:
         left = (1 << len(p.elements)) - 1
@@ -318,13 +316,6 @@ def linear_extension(p: Poset, subset=None, before=None):
                 left |= 1 << index[e]
         except KeyError:
             raise DomainError(f"element {e!r} not in poset") from None
-    key = (left, None if before is None else tuple(before))
-    try:
-        memo = p._linext
-    except AttributeError:
-        memo = p._linext = {}
-    if key in memo:
-        return list(memo[key])
     below = p._down_rows()
     if before is not None:
         a, b = before
@@ -348,7 +339,6 @@ def linear_extension(p: Poset, subset=None, before=None):
             raise CycleError("no linear extension exists")
         out.append(p.elements[low.bit_length() - 1])
         left ^= low
-    memo[key] = tuple(out)
     return out
 
 

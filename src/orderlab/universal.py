@@ -59,11 +59,13 @@ class SparseNat:
     __slots__ = ("support", "_small")
 
     def __init__(self, support):
-        sup = tuple((pos, d) for pos, d in support if d)
-        for pos, d in sup:
-            if d not in (1, 2):
+        sup = []
+        for pos, d in support:
+            if type(d) is not int or d not in (0, 1, 2):
                 raise ValueError("digits must be 1 or 2")
-            _require_naturals(pos)
+            if d:
+                sup.append((pos, d))
+                _require_naturals(pos)
         self.support = tuple(sorted(sup, key=_POS_KEY, reverse=True))
         for (p, _), (q, _) in zip(self.support, self.support[1:]):
             if _compare(p, q) == 0:

@@ -12,14 +12,14 @@ from orderlab.checks import (_conditions, _draw, check_dense_entries,
                              check_reduction, random_condition,
                              random_extension, random_poset, random_root_family)
 from orderlab.errors import (AgreementError, AmalgamationError,
-                             ChainTooShortError, DepthError, FormulaError,
-                             HypothesisError, PreconditionError, ProfileError,
-                             RootError, ScheduleError)
+                             ChainTooShortError, DepthError, DomainError,
+                             FormulaError, HypothesisError, PreconditionError,
+                             ProfileError, RootError, ScheduleError)
 from orderlab.forcing import (Condition, EMPTY_CONDITION, ExplicitChainFactor,
-                              amalgamate, default_schedule, extend_into_D,
-                              extend_into_E, extends, generic_build,
-                              pipeline_embed, projection, quotient_member,
-                              split_project, SplitInstance,
+                              amalgamate, default_schedule, entry_op,
+                              extend_into_D, extend_into_E, extends,
+                              generic_build, pipeline_embed, projection,
+                              quotient_member, split_project, SplitInstance,
                               verify_generic_embedding)
 from orderlab.fol import (And, Atom, FiniteStructure, Not, Or, eval_pair,
                           pair_sorts, parse_formula)
@@ -580,18 +580,37 @@ def test_extends_itself_matches_reference():
             assert extends(ground, p, copy) is ref_extends(ground, p, copy) is True
 
 
+def entry_requests(ground, levels):
+    """Every ("D", m, a) and every defined ("E", m, a, b) for m in levels."""
+    els = ground.elements
+    return [req for m in levels for a in els
+            for req in [("D", m, a)] + [("E", m, a, b) for b in els
+                                        if a != b and not ground.leq(b, a)]]
+
+
+def ref_entry(ground, p, req):
+    if req[0] == "D":
+        return ref_extend_into_D(ground, p, *req[1:])
+    return ref_extend_into_E(ground, p, *req[1:])
+
+
+def assert_entry_matches_reference(ground, p, req, q):
+    want = ref_entry(ground, p, req)
+    assert q == want, (ground, p, req)
+    assert (q is p) == (want is p), (ground, p, req)
+
+
 def assert_entry_operations_match_reference(grounds):
+    # one op per request, applied to every condition of depth <= 3 in turn,
+    # and the one-shot wrappers on the same cases
     for ground in grounds:
-        els = ground.elements
+        ops = [(req, entry_op(ground, req)) for req in entry_requests(ground, range(5))]
         for p in _enumerate_conditions(ground, 3):
-            for m in range(5):
-                for a in els:
-                    assert extend_into_D(ground, p, m, a) == \
-                        ref_extend_into_D(ground, p, m, a)
-                    for b in els:
-                        if a != b and not ground.leq(b, a):
-                            assert extend_into_E(ground, p, m, a, b) == \
-                                ref_extend_into_E(ground, p, m, a, b)
+            for req, op in ops:
+                assert_entry_matches_reference(ground, p, req, op(p))
+                one_shot = extend_into_D if req[0] == "D" else extend_into_E
+                assert_entry_matches_reference(ground, p, req,
+                                               one_shot(ground, p, *req[1:]))
 
 
 def test_entry_operations_match_reference_on_small_grids():
@@ -600,6 +619,67 @@ def test_entry_operations_match_reference_on_small_grids():
 
 def test_entry_operations_match_reference_on_relabelled_grids():
     assert_entry_operations_match_reference(relabelled_grounds())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_entry_operations_match_reference_on_drawn_conditions(seed, relabelled):
+    rng = random.Random(seed)
+    ground = random_poset(rng, rng.randint(1, 5))
+    p = random_condition(rng, ground, max_depth=6)
+    if relabelled:
+        def new_id(a):
+            return 3 * (len(ground) - a) - 7
+
+        p = Condition(map(new_id, p.domain), p.depth,
+                      {new_id(a): v for a, v in p.items()})
+        ground = relabel(ground, new_id)
+    for req in entry_requests(ground, range(p.depth + 3)):
+        assert_entry_matches_reference(ground, p, req, entry_op(ground, req)(p))
+
+
+def test_one_op_serves_conditions_of_every_domain_and_depth():
+    # conditions of mixed domains and depths in random order through one
+    # op per request, each answer against a fresh op: a colouring kept for
+    # the wrong domain or depth shows here
+    rng = random.Random(21)
+    applied = 0
+    for _ in range(20):
+        ground = random_poset(rng, rng.randint(2, 5))
+        conds = [random_condition(rng, ground, max_depth=6) for _ in range(30)]
+        conds += [random_extension(rng, ground, p) for p in conds]
+        rng.shuffle(conds)
+        for req in entry_requests(ground, (0, 2, 5, 9)):
+            op = entry_op(ground, req)
+            for p in conds:
+                assert op(p) == entry_op(ground, req)(p), (ground, p, req)
+                applied += 1
+    assert applied > 50000, applied
+
+
+def test_entry_op_refuses_bad_requests_when_compiled():
+    # the errors and messages of the one-shot operations, raised before any
+    # condition is seen
+    p = Condition({0}, 1, {0: (0,)})
+    for req, one_shot, error, message in [
+            (("D", 1, 99), lambda: extend_into_D(E3, p, 1, 99),
+             ScheduleError, "element 99 not in the ground order"),
+            (("E", 1, 0, 99), lambda: extend_into_E(E3, p, 1, 0, 99),
+             DomainError, "element 99 not in poset"),
+            (("E", 1, 99, 0), lambda: extend_into_E(E3, p, 1, 99, 0),
+             DomainError, "element 99 not in poset"),
+            (("E", 1, 2, 2), lambda: extend_into_E(E3, p, 1, 2, 2),
+             PreconditionError, "defined only when b is not below a"),
+            (("E", 0, 1, 0), lambda: extend_into_E(E3, p, 0, 1, 0),
+             PreconditionError, "defined only when b is not below a"),
+            (("X", 0, 1), None, ScheduleError, "unknown request kind 'X'")]:
+        with pytest.raises(error) as compiled:
+            entry_op(E3, req)
+        assert str(compiled.value) == message
+        if one_shot is not None:
+            with pytest.raises(error) as called:
+                one_shot()
+            assert str(called.value) == message
 
 
 def ref_max_pad(ground, f, domain, a, lo, hi):
@@ -786,6 +866,21 @@ def outcome(build, *args):
         return build(*args)
     except Exception as e:
         return type(e), str(e)
+
+
+def test_closed_form_build_matches_the_default_schedule_fold():
+    # the explicit fold of default_schedule is the closed form's oracle
+    built = 0
+    for n in range(7):
+        for g in enumerate_poset_isotypes(n):
+            grounds = [g, relabel(g, lambda a: 3 * (n - a) - 7)] if n <= 4 else [g]
+            for ground in grounds:
+                for budget in (0, 1, 2, 5, 16):
+                    assert read_off(generic_build(ground, budget)) == read_off(
+                        generic_build(ground, budget, default_schedule(ground, budget))), \
+                        (ground, budget)
+                    built += 1
+    assert built == 5 * (406 + 25)
 
 
 def frontier_schedules(ground, budget, rng):

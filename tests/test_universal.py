@@ -231,6 +231,13 @@ def test_non_integer_inputs_rejected():
                  lambda: SparseNat.from_int(True)):
         with pytest.raises(ValueError, match="naturals only"):
             call()
+    # a digit must be an int, even when it equals 1 or 2
+    for call in (lambda: SparseNat([(2, 2.0)]), lambda: SparseNat([(0, True)]),
+                 lambda: SparseNat([(0, False)]), lambda: SparseNat([(1, 0.0)]),
+                 lambda: SparseNat([(0, None)]), lambda: SparseNat([(0, 3)])):
+        with pytest.raises(ValueError, match="digits must be 1 or 2"):
+            call()
+    assert SparseNat([(4, 0), (1, 2)]).support == ((1, 2),)  # int 0 is dropped
 
 
 def test_witness_duplicates_and_overlap_on_both_lanes():
