@@ -26,9 +26,8 @@ from .redprod import (FilterFamily, ReducedProduct, atomic_los_check,
                       longest_op_chain, reduced_product)
 from .forcing import (Condition, EMPTY_CONDITION, ExplicitChainFactor,
                       GenericEmbedding, SplitInstance, amalgamate, entry_op,
-                      extend_into_D, extend_into_E, extends, generic_build,
-                      pipeline_embed, projection, quotient_member,
-                      split_project, verify_generic_embedding)
+                      extends, generic_build, pipeline_embed, projection,
+                      quotient_member, split_project, verify_generic_embedding)
 from .tiepoint import (Clopen, Point, TieDecomposition, complement, contains,
                        expansion_axiom_check, join, leq, meet, parse_point,
                        tie_decompose, true_tie_check)
@@ -53,9 +52,8 @@ __all__ = [
     "reduced_product",
     # forcing
     "Condition", "EMPTY_CONDITION", "ExplicitChainFactor", "GenericEmbedding",
-    "SplitInstance", "amalgamate", "entry_op", "extend_into_D",
-    "extend_into_E", "extends", "generic_build", "pipeline_embed",
-    "projection", "quotient_member", "split_project",
+    "SplitInstance", "amalgamate", "entry_op", "extends", "generic_build",
+    "pipeline_embed", "projection", "quotient_member", "split_project",
     "verify_generic_embedding",
     # tiepoint
     "Clopen", "Point", "TieDecomposition", "complement", "contains",

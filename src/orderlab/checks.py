@@ -120,11 +120,11 @@ def random_extension(rng, ground: Poset, p: Condition, extra_elems=(),
     return q
 
 
-def random_root_family(rng, max_elems=6):
+def random_root_family(rng):
     """Parts sharing a root template, as every amalgamation use requires:
     pairwise intersections equal the root, values on the root drawn from one
     deep template (so the deep side is monotone on related root pairs)."""
-    ground = random_poset(rng, rng.randint(1, max_elems))
+    ground = random_poset(rng, rng.randint(1, 6))
     elems = list(ground.elements)
     rng.shuffle(elems)
     root_size = rng.randint(0, max(0, len(elems) - 2))
@@ -153,10 +153,10 @@ def random_tuples(rng, n, arity):
             if rng.random() < 0.4]
 
 
-def random_structure(rng, max_universe=3, max_rels=2):
-    n = rng.randint(1, max_universe)
+def random_structure(rng):
+    n = rng.randint(1, 3)
     rels = {}
-    for r in range(rng.randint(1, max_rels)):
+    for r in range(rng.randint(1, 2)):
         arity = rng.randint(1, 2)
         rels[f"R{r}"] = (arity, random_tuples(rng, n, arity))
     return FiniteStructure(range(n), rels)
@@ -252,13 +252,13 @@ def check_universal_witness(universe=13, max_size=5):
     return _result("universal-witness", failures, cases, t0)
 
 
-def check_depletion_poset(trials=10000, seed=0, max_elems=10, max_labels=5):
+def check_depletion_poset(trials=10000, seed=0):
     """The depleted relation is a strict order contained in the ambient one."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for t in range(trials):
-        inst = random_depletion_instance(rng, max_elems, max_labels)
+        inst = random_depletion_instance(rng)
         k = rng.randint(2, len(inst.labels))
         s = tuple(sorted(rng.sample(inst.labels, k)))
         try:
@@ -274,14 +274,14 @@ def check_depletion_poset(trials=10000, seed=0, max_elems=10, max_labels=5):
     return _result("depletion-partial-order", failures, trials, t0)
 
 
-def check_depletion_monotone(trials=4000, seed=1, max_elems=10, max_labels=5):
+def check_depletion_monotone(trials=4000, seed=1):
     """Shrinking the index set only adds comparabilities; convex subsets
     agree with the restriction."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for t in range(trials):
-        inst = random_depletion_instance(rng, max_elems, max_labels)
+        inst = random_depletion_instance(rng)
         kt = rng.randint(2, len(inst.labels))
         tset = tuple(sorted(rng.sample(inst.labels, kt)))
         ks = rng.randint(2, len(tset))
@@ -340,14 +340,14 @@ def check_strictness_fixture():
     return _result("shrink-strictness-fixture", failures, 2, t0)
 
 
-def check_star_equivalence(trials=500, seed=2, max_labels=6, max_elems=10):
+def check_star_equivalence(trials=500, seed=2, max_labels=6):
     """The full-interval criterion agrees with the exhaustive subset search."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     cases = 0
     for t in range(trials):
-        inst = random_depletion_instance(rng, max_elems, max_labels)
+        inst = random_depletion_instance(rng, 10, max_labels)
         for i, xi in enumerate(inst.labels):
             for eta_lab in inst.labels[i + 1:]:
                 cases += 1
@@ -360,13 +360,13 @@ def check_star_equivalence(trials=500, seed=2, max_labels=6, max_elems=10):
     return _result("star-criterion-equivalence", failures, cases, t0)
 
 
-def check_amalgamation(trials=1000, seed=3, max_elems=6):
+def check_amalgamation(trials=1000, seed=3):
     """The constructed amalgam extends every part, over valid families."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for t in range(trials):
-        ground, parts, root = random_root_family(rng, max_elems)
+        ground, parts, root = random_root_family(rng)
         try:
             q = amalgamate(ground, parts, root)
         except OrderlabError as e:
@@ -533,7 +533,7 @@ def check_generic_embedding(max_n=6, budget=16):
     return _result("generic-embedding", failures, cases, t0, budget=budget)
 
 
-def check_pipeline(trials=50, seed=6, max_n=5, budget=3):
+def check_pipeline(trials=50, seed=6, max_n=5):
     """Random posets compose through the full pipeline with chain factors of
     the exact recursion lengths."""
     t0 = time.perf_counter()
@@ -541,7 +541,7 @@ def check_pipeline(trials=50, seed=6, max_n=5, budget=3):
     failures = []
     for t in range(trials):
         ground = random_poset(rng, rng.randint(1, max_n))
-        rep = pipeline_embed(ground, budget)
+        rep = pipeline_embed(ground, 3)
         if not rep["ok"]:
             failures.append({"poset": ground.to_json_dict(),
                              "pairs": [p for p in rep["pairs"] if not p["ok"]]})
@@ -594,7 +594,7 @@ def check_atomic_los(trials=1000, seed=7):
     return _result("atomic-los", failures, cases, t0)
 
 
-def check_tie_points(depth=4, seed=8, op_sample=256):
+def check_tie_points(depth=4, seed=8):
     """All point prefixes at the given depth: the decomposition's invariants,
     the literal probe sweep over every clopen of that depth (32-bit masks, so
     depth <= 5) against its closed form, a sampled sweep through the
@@ -620,7 +620,7 @@ def check_tie_points(depth=4, seed=8, op_sample=256):
             failures.append({"point": str(x), "swept": swept, "certificate": certificate})
             continue
         sample = [mask_to_clopen(rng.getrandbits(1 << depth), depth)
-                  for _ in range(op_sample)]
+                  for _ in range(256)]
         rep = true_tie_check(td, sample)
         if not rep["ok"]:
             failures.append({"point": str(x), "sampled": rep["failures"]})
@@ -666,14 +666,14 @@ def check_poset_invariants(trials=400, seed=10):
     return _result("poset-invariants", failures, trials, t0)
 
 
-def check_embed_roundtrip(trials=1000, seed=11, max_size=8):
+def check_embed_roundtrip(trials=1000, seed=11):
     """Embedding a random asymmetric structure reproduces its relation
     matrix exactly."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
-        n = rng.randint(1, max_size)
+        n = rng.randint(1, 8)
         pairs = []
         seen = set()
         for i in range(n):
@@ -687,12 +687,13 @@ def check_embed_roundtrip(trials=1000, seed=11, max_size=8):
     return _result("universal-embedding-roundtrip", failures, trials, t0)
 
 
-def check_clopen_ops(trials=600, seed=12, depth=4):
+def check_clopen_ops(trials=600, seed=12):
     """The antichain operations agree with plain cell-set arithmetic, and
     every nonempty clopen strictly contains a nonempty smaller one."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
+    depth = 4
     full = (1 << (1 << depth)) - 1
     for _ in range(trials):
         mu, mv = rng.getrandbits(1 << depth), rng.getrandbits(1 << depth)
@@ -750,7 +751,7 @@ def check_product_congruence(trials=200, seed=13):
     return _result("product-congruence-and-collapse", failures, trials, t0)
 
 
-def check_split_density(seed=9, trials=40, cap_extra=1):
+def check_split_density(seed=9, trials=40):
     """Projection pairs: side projections preserve extension, and pairs of
     side conditions below a projected condition that agree with a fixed
     overlap embedding amalgamate back, with side projections below the pair."""
@@ -796,8 +797,8 @@ def check_split_density(seed=9, trials=40, cap_extra=1):
         # side conditions below the projections, agreeing with the overlap
         # embedding; their amalgam projects below each of them
         for _ in range(4):
-            du = rng.randint(depth_p, min(depth_p + cap_extra, up_depth))
-            dv = rng.randint(depth_p, min(depth_p + cap_extra, up_depth))
+            du = rng.randint(depth_p, min(depth_p + 1, up_depth))
+            dv = rng.randint(depth_p, min(depth_p + 1, up_depth))
             dom_u = set(pa.domain) | {a for a in inst.left if rng.random() < 0.5}
             dom_v = set(pb.domain) | {b for b in inst.right if rng.random() < 0.5}
             u = _draw(rng, dom_u, du, base=pa, fixed=upsilon)
@@ -822,12 +823,11 @@ def check_split_density(seed=9, trials=40, cap_extra=1):
     return _result("split-projection-density", failures, cases, t0)
 
 
-def check_split_density_exhaustive(depth_cap=4):
+def check_split_density_exhaustive():
     """Exhaustive density on two frozen split instances: for every base
     condition agreeing with the overlap embedding and every pair of side
     conditions below its projections (same agreement, bounded depth), the
-    amalgam's side projections land below the pair.  Oversized pair grids
-    are cut to a deterministic prefix."""
+    amalgam's side projections land below the pair."""
     t0 = time.perf_counter()
     failures = []
     cases = 0
@@ -840,18 +840,16 @@ def check_split_density_exhaustive(depth_cap=4):
     for inst in instances:
         ground = inst.ground
         overlap = sorted(inst.overlap)
-        ups = generic_build(ground.restrict(overlap), depth_cap)
+        ups = generic_build(ground.restrict(overlap), 4)
         upsilon = {a: ups.values[a] for a in overlap}
         up_depth = min(len(v) for v in upsilon.values())
-        cap = min(depth_cap, up_depth)
+        cap = min(4, up_depth)
 
         for p in _conditions(ground, ground.elements, cap - 1, fixed=upsilon):
             pa = projection(inst.left, p)
             pb = projection(inst.right, p)
             us = list(_conditions(ground, inst.left, cap, base=pa, fixed=upsilon))
             vs = list(_conditions(ground, inst.right, cap, base=pb, fixed=upsilon))
-            if len(us) * len(vs) > 4000:
-                us, vs = us[:60], vs[:60]
             for u in us:
                 for v in vs:
                     cases += 1

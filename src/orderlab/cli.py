@@ -57,6 +57,15 @@ def _emit(report, ok, pretty):
     return 0 if ok else 1
 
 
+def _refuse_long_ints(what, ln_size):
+    """A DepthError, raised before the value is built, for a report integer
+    of about e**ln_size with more digits than str() converts
+    (sys.get_int_max_str_digits(); 0: no limit)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and ln_size >= limit * math.log(10):
+        raise DepthError(f"{what} has over {limit} digits")
+
+
 def _parse_labels(text):
     try:
         return tuple(int(t) for t in text.split(",") if t != "")
@@ -111,11 +120,14 @@ def _cmd_star(args, digests):
 
 def _cmd_phi(args, digests):
     f = _load("sequence", args.infile, digests)
+    g = _load("sequence", args.g, digests) if args.g else None
+    # the lift of n coordinates carries the bound eta(n) = n!
+    n = max(len(f), len(g) if args.g else 0)
+    _refuse_long_ints(f"the lift's bound eta({n})", math.lgamma(n + 1))
     out = phi(f)
     body = {"phi": out.to_json_dict()}
     checks = [{"name": "phi", "ok": True}]
     if args.g:
-        g = _load("sequence", args.g, digests)
         m = args.m
         pg = phi(g)
         dominated = leq_from(f, g, m)
@@ -196,15 +208,20 @@ def _cmd_forcing_generic(args, digests):
 def _cmd_forcing_pipeline(args, digests):
     ground = _load("poset", args.poset, digests)
     factors = _load("chain factors", args.chains, digests) if args.chains else None
+    # the build's depth w is at most max(depth, n + 2) plus one coordinate
+    # per witness pair, and every lifted position lies below eta(w) = w!
+    n = len(ground)
+    w = max(args.depth, n + 2) + n * (n - 1) - len(ground.strict_pairs())
+    _refuse_long_ints(f"depth {args.depth}: the bound {w}!", math.lgamma(w + 1))
     rep = pipeline_embed(ground, args.depth, factors)
     return rep, [{"name": "pipeline-embedding", "ok": rep["ok"]}]
 
 
 def _cmd_tiepoint(args, digests):
     x = parse_point(args.point)
-    limit = sys.get_int_max_str_digits()  # 0: no limit
-    if limit and args.depth >= math.log2(limit / math.log10(2) + 1):
-        raise DepthError(f"depth {args.depth}: probes_checked has over {limit} digits")
+    # probes_checked is 2^(2^d - 1); at depth 64 it passes every limit
+    _refuse_long_ints(f"depth {args.depth}: probes_checked",
+                      (2.0 ** min(args.depth, 64) - 1) * math.log(2))
     td = tie_decompose(x, args.depth)
     inv = decomposition_invariant_failures(td)
     checked, bad = bulk_probe_check(td)

@@ -101,28 +101,8 @@ def _monotone(ground, f, dom, lo, hi):
     return True
 
 
-def _max_pad(ground, f, domain, a, lo, hi):
-    """Per coordinate j in lo..hi-1, the max of f[b][j] over b in domain at
-    or below a (0 when none).  The lower set is a's down-row, read through
-    the ground's index."""
-    i = ground.index_of(a)
-    r = ground._down_rows()[i] | 1 << i
-    els = ground.elements
-    below = []
-    while r:
-        low = r & -r
-        r ^= low
-        b = els[low.bit_length() - 1]
-        if b in domain:
-            below.append(f[b][lo:hi])
-    if not below:
-        return (0,) * (hi - lo)
-    return tuple(map(max, zip(*below)))
-
-
 def _lower_set(ground, a):
-    """The elements at or below a, read off a's down-row as _max_pad reads
-    them."""
+    """The elements at or below a, read off a's down-row."""
     i = ground.index_of(a)
     r = ground._down_rows()[i] | 1 << i
     els = ground.elements
@@ -181,13 +161,15 @@ def amalgamate(ground: Poset, parts, root) -> Condition:
                 if p._f[a][:d] != q._f[a][:d]:
                     raise AgreementError(f"parts disagree on root element {a!r}")
     depth = deep.depth
-    f = {a: deep._f[a] for a in root}
+    on_root = {a: deep._f[a] for a in root}
+    f = dict(on_root)
     for p in parts:
         for a in p.domain - root:
             if p.depth == depth:
                 f[a] = p._f[a]
             else:
-                f[a] = p._f[a] + _max_pad(ground, f, root, a, p.depth, depth)
+                pad = _entry_pad(on_root, _lower_set(ground, a), depth)
+                f[a] = p._f[a] + pad[p.depth:]
     if not _monotone(ground, f, root, low.depth, depth):
         raise AmalgamationError(
             "no common extension: a deep part is non-monotone on the root")

@@ -2,15 +2,19 @@
 exports exactly that list."""
 
 import importlib
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import orderlab
-from orderlab import _kernels, errors, fol, schema
+from orderlab import _kernels, errors, fol, forcing, schema
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def readme_api():
@@ -77,6 +81,33 @@ def test_retired_methods_are_gone():
 def test_benchmark_wrapped_oracles_stay_unexported():
     # perfbench/tracing.py wraps these by name, so they stay in src/
     for module, name in ((fol, "eval_qf"), (fol, "eval_pair"),
-                         (_kernels, "salient_violations_bigint")):
+                         (_kernels, "salient_violations_bigint"),
+                         (forcing, "extend_into_D"), (forcing, "extend_into_E")):
         assert callable(getattr(module, name))
         assert not hasattr(orderlab, name)
+
+
+TRACE_METRICS = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+from orderlab import checks, cli
+import tracing, worker
+tracer = tracing.Tracer()
+tracing.install(tracer)
+print(json.dumps({"notes": tracer.notes,
+                  "metrics": sorted(worker.layer_metrics(tracer, [1.0]))}))
+"""
+
+
+def test_every_listed_benchmark_metric_is_traced():
+    # the tracer skips a name that left src/ with a note and the run still
+    # exits 0, so a listed per-layer metric would go missing unseen; read
+    # the benchmark's files in a fresh interpreter, as its worker does
+    done = subprocess.run(
+        [sys.executable, "-c", TRACE_METRICS, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True, text=True, check=True)
+    traced = json.loads(done.stdout)
+    assert traced["notes"] == []
+    listed = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    produced = set(traced["metrics"]) | {"cli.stdout_bytes", "trace.overhead_s"}
+    assert sorted(listed - produced) == []

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -704,6 +705,42 @@ def test_tiepoint_depth_beyond_kernel_exits_two(capsys):
         assert time.perf_counter() - t0 < 1.0
         assert code == 2 and out == ""
         assert "DepthError" in err and "Traceback" not in err
+
+
+def test_values_past_the_digit_limit_are_refused_up_front(tmp_path, capsys):
+    assert sys.get_int_max_str_digits() == 4300
+
+    def seq(n):
+        return write(tmp_path, f"s{n}.json",
+                     {"bounds": [max(k, 1) for k in range(n)], "vals": [0] * n})
+
+    # phi: the lift of n coordinates carries eta(n) = n!, which has 4,300
+    # digits at n = 1,558 and 4,303 at n = 1,559
+    short, long, too_long = seq(1), seq(1558), seq(1559)
+    for argv in (["--in", long], ["--in", long, "--g", long]):
+        code, out, _ = run_cli(capsys, ["phi", *argv])
+        assert code == 0 and json.loads(out)["phi"]["bounds"][-1] == math.factorial(1558)
+    for argv in (["--in", too_long], ["--in", short, "--g", too_long]):
+        code, out, err = run_cli(capsys, ["phi", *argv])
+        assert code == 2 and out == ""
+        assert "DepthError" in err and "eta(1559)" in err
+    # pipeline on 4 elements with 11 witness pairs: the build's depth is at
+    # most depth + 11 and every position lies below its factorial, so depth
+    # 1,547 (bound 1,558!) runs and 1,548 (bound 1,559!) is refused
+    one_edge = write(tmp_path, "P.json", {"elements": [0, 1, 2, 3], "edges": [[0, 1]]})
+    code, out, _ = run_cli(capsys, ["forcing", "pipeline", "--poset", one_edge,
+                                    "--depth", "1547"])
+    assert code == 0 and json.loads(out)["ok"]
+    for depth in (1548, 10 ** 9):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, ["forcing", "pipeline", "--poset", one_edge,
+                                          "--depth", str(depth)])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert "DepthError" in err and "Traceback" not in err
+    # tiepoint: probes_checked = 2^(2^d - 1) has 2,466 digits at depth 13
+    code, out, _ = run_cli(capsys, ["tiepoint", "--point", "1(10)^omega", "--depth", "13"])
+    assert code == 0 and json.loads(out)["probes_checked"] == 2 ** (2 ** 13 - 1)
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
