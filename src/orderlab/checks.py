@@ -20,7 +20,7 @@ from .depletion import (DepletionInstance, depletion_order, depletion_rel,
                         star_condition)
 from .errors import BudgetError, OrderlabError
 from .fol import Atom, FiniteStructure, Not
-from .forcing import (Condition, _witness_pairs, amalgamate, entry_op, extends,
+from .forcing import (Condition, amalgamate, default_schedule, entry_op, extends,
                       generic_build, pipeline_embed, projection, quotient_member,
                       split_project, SplitInstance, verify_generic_embedding)
 from .posets import (Poset, RelStructure, enumerate_poset_isotypes, list_pairs,
@@ -440,16 +440,11 @@ def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
 
     for size in range(1, exhaustive_n + 1):
         for ground in enumerate_poset_isotypes(size):
-            els = ground.elements
-            pairs = _witness_pairs(ground)
-            # the isotype's requests, in grid order, each compiled once
-            reqs = []
-            for n in range(max_depth + 1):
-                reqs += [("D", n, a) for a in els]
-                reqs += [("E", n, a, b) for a, b in pairs]
-            ops = [(req, entry_op(ground, req)) for req in reqs]
+            # the isotype's requests, each compiled once
+            ops = [(req, entry_op(ground, req))
+                   for req in default_schedule(ground, max_depth)]
             for d in range(max_depth + 1):
-                for p in _conditions(ground, els, d):
+                for p in _conditions(ground, ground.elements, d):
                     for req, op in ops:
                         entry(ground, p, req, op)
     rng = random.Random(seed)

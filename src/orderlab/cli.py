@@ -41,7 +41,11 @@ def _load(kind, path, digests):
         text = raw.decode()
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    return schema.load(kind, json.loads(text))
+    try:
+        doc = json.loads(text)
+    except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
+        raise InputError(f"{path}: not a JSON document ({e})") from None
+    return schema.load(kind, doc)
 
 
 def _emit(report, ok, pretty):
@@ -64,6 +68,13 @@ def _refuse_long_ints(what, ln_size):
     limit = sys.get_int_max_str_digits()
     if limit and ln_size >= limit * math.log(10):
         raise DepthError(f"{what} has over {limit} digits")
+
+
+# forcing generic refuses a depth d once (d + 1) * (n * n - s + 1) passes
+# this, for n elements and s strict pairs.  Per level, the default schedule
+# has n * n - s requests, which --seed keeps whole; that is at least the n
+# coordinates the build holds, and the 1 is the position profile's
+_MAX_GENERIC_CELLS = 10 ** 6
 
 
 def _parse_labels(text):
@@ -184,6 +195,11 @@ def _cmd_chains(args, digests):
 
 def _cmd_forcing_generic(args, digests):
     ground = _load("poset", args.poset, digests)
+    n = len(ground)
+    cells = (args.depth + 1) * (n * n - len(ground.strict_pairs()) + 1)
+    if cells > _MAX_GENERIC_CELLS:
+        raise DepthError(f"depth {args.depth} on {n} elements: {cells} schedule "
+                         f"requests and coordinates, over {_MAX_GENERIC_CELLS}")
     schedule = None
     if args.seed is not None:
         schedule = default_schedule(ground, args.depth)
@@ -336,7 +352,7 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         body, results = args.handler(args, digests)
-    except (OrderlabError, OSError, json.JSONDecodeError) as e:
+    except (OrderlabError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     ok = all(c.get("ok") for c in results)

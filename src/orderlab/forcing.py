@@ -326,45 +326,21 @@ def _witness_pairs(ground: Poset):
             if a != b and (b, a) not in below]
 
 
-def _meet(ground, p, req, entry_depth):
-    """Meet the strict-witness request ("E", n, a, b): p, or its extension
-    with a's and b's entry depths recorded, and the last coordinate carrying
-    f(a) < f(b).  A request p meets already is read off p, with no op.  A
-    request with b at or below a still reaches the op's check: the ops keep
-    f monotone on every related pair, so such a pair has no witness."""
-    _, n, a, b = req
-    f = p._f
-    if a in f and b in f:
-        fa, fb = f[a], f[b]
-        k = p.depth - 1
-        while k >= n and not fa[k] < fb[k]:
-            k -= 1
-        if k >= n:
-            return p, k
-    p = entry_op(ground, req)(p)
-    entry_depth.setdefault(a, p.depth)
-    entry_depth.setdefault(b, p.depth)
-    fa, fb = p._f[a], p._f[b]
-    k = p.depth - 1
-    while not fa[k] < fb[k]:
-        k -= 1
-    return p, k
-
-
 def generic_build(ground: Poset, budget: int, schedule=None) -> GenericEmbedding:
-    """Fold the schedule from the empty condition and read off the embedding.
+    """Fold a schedule of requests into a condition and read off the embedding.
 
     The default schedule meets every domain/depth request up to the budget
     and every strict-witness request for each ordered pair (a, b) with b not
     below a, so the result is an order embedding into the sequence space
     under thresholded comparison, with strict witnesses past every requested
     depth.  Without a schedule the build meets the default one in closed
-    form: its domain/depth requests give the all-zero condition of depth
-    ``budget`` on the whole ground, every element entering at depth 0, and
-    its witness requests are met at level 0, pair by pair.  That meets every
-    later level too: the all-zero start carries no witness, and every
-    colouring adds coordinates from the budget on, so each pair's witness
-    lies at or beyond every level up to the budget.
+    form: it folds ``default_schedule(ground, 0)`` from the all-zero
+    condition of depth ``budget`` on the whole ground, every element
+    entering at depth 0.  Its domain/depth requests are met already, and
+    meeting each witness request at level 0 meets every later level too:
+    the all-zero start carries no witness, and every colouring adds
+    coordinates from the budget on, so each pair's witness lies at or
+    beyond every level up to the budget.
     """
     if budget < 0:
         raise DepthError(f"build depth {budget} is negative")
@@ -373,35 +349,51 @@ def generic_build(ground: Poset, budget: int, schedule=None) -> GenericEmbedding
         p = Condition._trusted(els, budget,
                                dict.fromkeys(ground.elements, (0,) * budget))
         entry_depth = dict.fromkeys(ground.elements, 0)
-        for a, b in _witness_pairs(ground):
-            p, _ = _meet(ground, p, ("E", 0, a, b), entry_depth)
+        schedule = default_schedule(ground, 0)
     else:
         p = EMPTY_CONDITION
         entry_depth = {}
-        # last[(a, b)]: the last coordinate with f(a) < f(b), set once a
-        # request for the pair has been met; extensions keep old
-        # coordinates, so a later request for the pair at n <= last is met
-        # already
-        last = {}
-        for req in schedule:
-            kind = req[0]
-            if kind == "E":
-                _, n, a, b = req
-                if n <= last.get((a, b), -1):
-                    continue
-                if a not in els or b not in els:
-                    raise ScheduleError("strict-witness request outside the ground order")
-                p, last[(a, b)] = _meet(ground, p, req, entry_depth)
-            elif kind == "D":
-                _, n, a = req
-                # a request already met leaves p as it is, and a in the
-                # domain has its entry depth
-                if n <= p.depth and a in p._f:
-                    continue
-                p = entry_op(ground, req)(p)  # ScheduleError outside ground
+    # last[(a, b)]: the last coordinate with f(a) < f(b), set once a request
+    # for the pair has been met; extensions keep old coordinates, so a later
+    # request for the pair at n <= last is met already
+    last = {}
+    for req in schedule:
+        kind = req[0]
+        if kind == "E":
+            _, n, a, b = req
+            if n <= last.get((a, b), -1):
+                continue
+            if a not in els or b not in els:
+                raise ScheduleError("strict-witness request outside the ground order")
+            # a request p meets already is read off p, with no op.  A request
+            # with b at or below a still reaches the op's check: the ops keep
+            # f monotone on every related pair, so such a pair has no witness
+            f = p._f
+            k = n - 1
+            if a in f and b in f:
+                fa, fb = f[a], f[b]
+                k = p.depth - 1
+                while k >= n and not fa[k] < fb[k]:
+                    k -= 1
+            if k < n:
+                p = entry_op(ground, req)(p)
                 entry_depth.setdefault(a, p.depth)
-            else:
-                raise ScheduleError(f"unknown request kind {kind!r}")
+                entry_depth.setdefault(b, p.depth)
+                fa, fb = p._f[a], p._f[b]
+                k = p.depth - 1
+                while not fa[k] < fb[k]:
+                    k -= 1
+            last[(a, b)] = k
+        elif kind == "D":
+            _, n, a = req
+            # a request already met leaves p as it is, and a in the domain
+            # has its entry depth
+            if n <= p.depth and a in p._f:
+                continue
+            p = entry_op(ground, req)(p)  # ScheduleError outside ground
+            entry_depth.setdefault(a, p.depth)
+        else:
+            raise ScheduleError(f"unknown request kind {kind!r}")
     missing = els - p.domain
     if missing:
         raise ScheduleError(f"schedule never introduced elements {sorted(missing)}")
@@ -464,20 +456,13 @@ class SplitInstance:
         if self.left | self.right != frozenset(self.ground.elements):
             raise HypothesisError("the two sides must cover the ground order")
         object.__setattr__(self, "overlap", self.left & self.right)
+        leq = self.ground.leq
         for a in self.left:
             for b in self.right:
-                up = self.ground.leq(a, b)
-                interp_up = any(self.ground.leq(a, d) and self.ground.leq(d, b)
-                                for d in self.overlap)
-                if up != interp_up:
-                    raise HypothesisError(
-                        f"pair ({a!r}, {b!r}) fails upward interpolation")
-                down = self.ground.leq(b, a)
-                interp_down = any(self.ground.leq(b, d) and self.ground.leq(d, a)
-                                  for d in self.overlap)
-                if down != interp_down:
-                    raise HypothesisError(
-                        f"pair ({a!r}, {b!r}) fails downward interpolation")
+                for x, y, way in ((a, b, "upward"), (b, a, "downward")):
+                    if leq(x, y) != any(leq(x, d) and leq(d, y) for d in self.overlap):
+                        raise HypothesisError(
+                            f"pair ({a!r}, {b!r}) fails {way} interpolation")
 
 
 def split_project(inst: SplitInstance, p: Condition):

@@ -202,8 +202,6 @@ class TieDecomposition:
 def tie_decompose(x: Point, d: int) -> TieDecomposition:
     """Split each depth's cells at the point's prefix p: the cells below p
     branch off it at one of its 1s, the cells above at one of its 0s."""
-    if d < 1:
-        raise DepthError("decompositions need depth >= 1")
     p = x.expand(d)
     below = tuple(Clopen(frozenset(p[:k] + "0" for k in range(i) if p[k] == "1"))
                   for i in range(1, d + 1))

@@ -506,6 +506,40 @@ def test_negative_build_depth_exits_two(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_generic_build_depth_past_the_cell_limit_exits_two(tmp_path, capsys, monkeypatch):
+    # a 2-element chain counts 4 per level: 2 domain requests, 1 witness
+    # request and the position profile's coordinate; the empty order counts
+    # the profile's coordinate alone
+    chain = write(tmp_path, "E.json", {"elements": [0, 1], "edges": [[0, 1]]})
+    empty = write(tmp_path, "O.json", {"elements": [], "edges": []})
+    for poset in (chain, empty):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, ["forcing", "generic", "--poset", poset,
+                                          "--depth", "1000000000"])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert "DepthError: depth 1000000000" in err and "Traceback" not in err
+    monkeypatch.setattr(cli, "_MAX_GENERIC_CELLS", 40)
+    for seed in ([], ["--seed", "3"]):
+        code, out, _ = run_cli(capsys, ["forcing", "generic", "--poset", chain,
+                                        "--depth", "9", *seed])
+        assert code == 0 and json.loads(out)["depth"] >= 9
+        code, out, err = run_cli(capsys, ["forcing", "generic", "--poset", chain,
+                                          "--depth", "10", *seed])
+        assert code == 2 and out == "" and "DepthError" in err
+
+
+def test_an_integer_past_the_digit_limit_in_a_document_exits_two(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, on an
+    # integer literal of more than sys.get_int_max_str_digits() digits
+    f = tmp_path / "f.json"
+    f.write_text('{"bounds": [' + "9" * 5000 + '], "vals": [0]}')
+    code, out, err = run_cli(capsys, ["phi", "--in", str(f)])
+    assert code == 2 and out == ""
+    assert f"error: InputError: {f}: not a JSON document" in err
+    assert "Traceback" not in err
+
+
 def test_walk_and_depletion_commands(tmp_path, capsys):
     inst = write(tmp_path, "inst.json",
                  {"I": [0, 1, 2], "A": [], "F": {"0": [0], "1": [1], "2": [2]},

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import itertools
@@ -7,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderlab import forcing
+from orderlab import cli, forcing
 from orderlab.checks import (_conditions, _draw, check_dense_entries,
                              check_reduction, random_condition,
                              random_extension, random_poset, random_root_family)
@@ -881,6 +882,33 @@ def test_closed_form_build_matches_the_default_schedule_fold():
                         (ground, budget)
                     built += 1
     assert built == 5 * (406 + 25)
+
+
+def test_the_fold_compiles_an_op_only_for_a_request_p_does_not_meet(
+        tmp_path, monkeypatch):
+    # the closed-form builds hold 8,046 witness requests and the seeded ones
+    # 11,540 requests; a fold that compiles an op for each, as
+    # ref_generic_build does, compiles that many
+    compiled = []
+
+    def counting_entry_op(ground, req):
+        compiled.append(req)
+        return entry_op(ground, req)
+
+    monkeypatch.setattr(forcing, "entry_op", counting_entry_op)
+    for n in range(7):
+        for ground in enumerate_poset_isotypes(n):
+            generic_build(ground, 16)
+    assert len(compiled) == 2035
+    compiled.clear()
+    poset = tmp_path / "poset.json"
+    for ground in enumerate_poset_isotypes(4):
+        poset.write_text(json.dumps(ground.to_json_dict()))
+        for seed in range(5):
+            args = argparse.Namespace(poset=str(poset), depth=10, seed=seed)
+            _, [verdict] = cli._cmd_forcing_generic(args, {})
+            assert verdict["ok"]
+    assert len(compiled) == 739
 
 
 def frontier_schedules(ground, budget, rng):
