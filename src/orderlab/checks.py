@@ -721,10 +721,11 @@ def check_product_congruence(trials=200, seed=13):
         rp = reduced_product(factors, filt)
         core = filt.core
         bad = False
-        for v in rp.vectors:
+        vectors = rp.vectors
+        for v in vectors:
             w = tuple(rng.randrange(size) if n not in core else v[n]
                       for n in range(k))
-            u = rng.choice(rp.vectors)
+            u = rng.choice(vectors)
             if not rp.same_class(v, w) or rp.holds("R", [v, u]) != rp.holds("R", [w, u]):
                 bad = True
         point = rng.randrange(k)

@@ -14,7 +14,6 @@ import functools
 import hashlib
 import json
 import math
-import random
 import sys
 import time
 
@@ -23,7 +22,7 @@ from .depletion import (depletion_order, find_walk, frontier_sweep,
                         maximal_star_set, star_condition)
 from .errors import DepthError, InputError, OrderlabError
 from .fol import parse_formula
-from .forcing import (default_schedule, generic_build, pipeline_embed,
+from .forcing import (generic_build, pipeline_embed, shuffled_schedule,
                       verify_generic_embedding)
 from .redprod import atomic_los_check, longest_op_chain, reduced_product
 from .seqspace import leq_from, lt_from, phi
@@ -171,8 +170,8 @@ def _cmd_product(args, digests):
     data = _load("product request", args.infile, digests)
     filt = data["filter"]
     rp = reduced_product(data["factors"], filt)
-    body = {"classes": len(rp.class_reps), "vectors": len(rp.vectors),
-            "filter_core": sorted(filt.core)}
+    classes, vectors = rp.counts()
+    body = {"classes": classes, "vectors": vectors, "filter_core": sorted(filt.core)}
     results = []
     ok = True
     for lit in data.get("literals", []):
@@ -202,10 +201,7 @@ def _cmd_forcing_generic(args, digests):
                          f"requests and coordinates, over {_MAX_GENERIC_CELLS}")
     schedule = None
     if args.seed is not None:
-        schedule = default_schedule(ground, args.depth)
-        random.Random(args.seed).shuffle(schedule)
-        # domain entries must still come first for every element
-        schedule = [("D", 0, a) for a in ground.elements] + schedule
+        schedule = shuffled_schedule(ground, args.depth, args.seed)
     ge = generic_build(ground, args.depth, schedule)
     rep = verify_generic_embedding(ge)
     body = {

@@ -11,11 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import groupby
+from itertools import chain, groupby
 from operator import and_, itemgetter, or_
 
 from .errors import ArityError, DomainError, FormulaError
 from .posets import int_ids
+
+
+def _first_fault(name, arity, items, uset):
+    """Raise the error of the first fault among a relation's tuples: every
+    id is checked before any arity, and the arities and universe membership
+    tuple by tuple in set order."""
+    tset = {tuple(int_ids(t)) for t in items}
+    for t in tset:
+        if len(t) != arity:
+            raise ArityError(f"tuple {t} has wrong arity for {name}")
+        if not set(t) <= uset:
+            raise DomainError(f"tuple {t} leaves the universe")
 
 
 class FiniteStructure:
@@ -28,15 +40,20 @@ class FiniteStructure:
         uset = set(self.universe)
         rels = {}
         for name, (arity, tuples) in relations.items():
-            tset = set()
-            for t in tuples:
-                tset.add(tuple(int_ids(t)))
-            for t in tset:
-                if len(t) != arity:
-                    raise ArityError(f"tuple {t} has wrong arity for {name}")
-                if not set(t) <= uset:
-                    raise DomainError(f"tuple {t} leaves the universe")
-            rels[name] = (arity, frozenset(tset))
+            items = list(tuples)
+            # ids, arities and membership in bulk passes, the ids before any
+            # tuple is hashed (True and 1.0 equal 1); a fault is named by the
+            # tuple-by-tuple check
+            try:
+                rows = list(map(tuple, items))
+            except TypeError:  # an item that is not iterable
+                rows = None
+            if (rows is None
+                    or not set(map(type, chain.from_iterable(rows))) <= {int}
+                    or any(n != arity for n in set(map(len, rows)))
+                    or not uset.issuperset(chain.from_iterable(rows))):
+                _first_fault(name, arity, items, uset)
+            rels[name] = (arity, frozenset(rows))
         self.relations = rels
 
     def holds(self, name, args):

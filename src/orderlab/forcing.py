@@ -14,6 +14,7 @@ schedule, and verification passes are pure.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import lt
@@ -316,6 +317,26 @@ def default_schedule(ground: Poset, budget: int):
     pairs = _witness_pairs(ground)
     return ([("D", n, a) for n in range(budget + 1) for a in ground.elements]
             + [("E", n, a, b) for n in range(budget + 1) for a, b in pairs])
+
+
+def shuffled_schedule(ground: Poset, budget: int, seed):
+    """A level-0 domain request for every element, then the requests of
+    ``default_schedule(ground, budget)`` in the order that
+    ``random.Random(seed).shuffle`` puts them in.  The shuffle draws from
+    the length alone, so it permutes the indices instead, and each index
+    becomes its request only when the fold reaches it."""
+    els = ground.elements
+    pairs = _witness_pairs(ground)
+    domain = (budget + 1) * len(els)
+    order = list(range(domain + (budget + 1) * len(pairs)))
+    random.Random(seed).shuffle(order)
+    yield from (("D", 0, a) for a in els)
+    for i in order:
+        if i < domain:
+            yield ("D", i // len(els), els[i % len(els)])
+        else:
+            n, k = divmod(i - domain, len(pairs))
+            yield ("E", n, *pairs[k])
 
 
 def _witness_pairs(ground: Poset):

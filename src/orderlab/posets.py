@@ -240,20 +240,27 @@ def longest_chain(p: Poset):
 
 def longest_chain_indices(rows):
     """A maximum-length chain of the strict order whose ``rows[i]`` is the
-    bitset of the indices above i (transitively closed), as indices; ties
-    broken by the lexicographically least index sequence."""
+    bitset of the indices above i, as indices; ties broken by the
+    lexicographically least index sequence.  None when the relation is not
+    transitive: the sweep that fills the chain lengths also tests that each
+    successor's row lies inside its predecessor's."""
     n = len(rows)
     if n == 0:
         return []
     # transitivity makes ascending successor count a reverse topological
     # order, so chain lengths fill in a single sweep
     length = [1] * n
-    for i in sorted(range(n), key=lambda i: rows[i].bit_count()):
-        best = 0
+    for i in sorted(range(n), key=[r.bit_count() for r in rows].__getitem__):
         r = rows[i]
+        outside = ~r
+        best = 0
         while r:
             low = r & -r
-            best = max(best, length[low.bit_length() - 1])
+            j = low.bit_length() - 1
+            if rows[j] & outside:
+                return None
+            if length[j] > best:
+                best = length[j]
             r ^= low
         length[i] = 1 + best
     # level[h]: the indices whose longest chain upward has h elements

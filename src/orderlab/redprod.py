@@ -9,12 +9,14 @@ and the definitional membership test is kept for double-evaluation checks.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import reduce
+from operator import itemgetter
 
 from .errors import (ArityError, BudgetError, DomainError, FilterError,
                      FormulaError)
 from .fol import Atom, FiniteStructure, Not, pair_rows, pair_sorts
-from .posets import is_transitive, longest_chain_indices, transpose
+from .posets import longest_chain_indices, transpose
 
 
 def _ground(ground):
@@ -100,12 +102,17 @@ class FilterFamily:
 class ReducedProduct:
     """Quotient of a finite direct product by agreement on a filter set.
 
-    Relations are evaluated on demand from the coordinatewise satisfaction
-    set; a proper filter on a finite ground set is determined by its core,
-    so evaluating at representatives is class-independent.
+    A proper filter on a finite ground set is determined by its core, so a
+    class is fixed by its core coordinates: its representative keeps them
+    and takes every other coordinate at its factor's least element, the
+    first vector of the class in product order.  Relations are evaluated
+    on demand at the vectors given, which is class-independent, since filter
+    membership reads only the core.  The vectors and the class
+    representatives, both in product order, are built when first read.
     """
 
-    __slots__ = ("factors", "filt", "vectors", "class_reps", "class_of")
+    __slots__ = ("factors", "filt", "_ids", "_core_key", "_rep_values", "_vectors",
+                 "_class_reps")
 
     MAX_VECTORS = 65536
 
@@ -129,17 +136,40 @@ class ReducedProduct:
             raise BudgetError(f"direct product with {total} vectors is too large")
         self.factors = factors
         self.filt = filt
-        self.vectors = tuple(itertools.product(*(f.universe for f in factors)))
-        core = sorted(filt.core)
-        reps = {}
-        class_of = {}
-        for v in self.vectors:
-            key = tuple(v[n] for n in core)
-            if key not in reps:
-                reps[key] = v
-            class_of[v] = reps[key]
-        self.class_reps = tuple(reps.values())
-        self.class_of = class_of
+        self._ids = [frozenset(f.universe) for f in factors]
+        self._core_key = itemgetter(*filt.core)
+        # the values a representative takes: any on the core, its factor's
+        # least element elsewhere
+        self._rep_values = [f.universe if n in filt.core else f.universe[:1]
+                            for n, f in enumerate(factors)]
+        self._vectors = self._class_reps = None
+
+    @property
+    def vectors(self):
+        """Every vector of the direct product, in product order."""
+        if self._vectors is None:
+            self._vectors = tuple(itertools.product(*(f.universe for f in self.factors)))
+        return self._vectors
+
+    @property
+    def class_reps(self):
+        """One representative per class, in product order."""
+        if self._class_reps is None:
+            self._class_reps = tuple(itertools.product(*self._rep_values))
+        return self._class_reps
+
+    def counts(self):
+        """(classes, vectors), from the factor sizes."""
+        return (math.prod(map(len, self._rep_values)),
+                math.prod(map(len, self.factors)))
+
+    def _check(self, v):
+        """v, if it is a vector of the product; DomainError otherwise (ids are
+        ints: 0.0 and True are refused)."""
+        if (len(v) != len(self._ids) or {*map(type, v)} != {int}
+                or not all(map(frozenset.__contains__, self._ids, v))):
+            raise DomainError(f"vector {list(v)} is not in the product")
+        return v
 
     def atomic_index_set(self, name, vectors):
         """Coordinates at which the factors satisfy the atomic relation."""
@@ -150,7 +180,8 @@ class ReducedProduct:
         return frozenset(out)
 
     def same_class(self, v, w):
-        return self.class_of[tuple(v)] == self.class_of[tuple(w)]
+        key = self._core_key
+        return key(self._check(tuple(v))) == key(self._check(tuple(w)))
 
     def holds(self, name, vectors):
         """Satisfaction of an atomic relation at classes (given by any
@@ -160,15 +191,7 @@ class ReducedProduct:
         arity = self.factors[0].arity(name)
         if len(vectors) != arity:
             raise ArityError(f"{name} expects {arity} arguments")
-        combo = []
-        for v in vectors:
-            try:
-                combo.append(self.class_of[v])
-            except (KeyError, TypeError):  # TypeError: an id that is a list
-                raise DomainError(f"vector {list(v)} is not in the product") from None
-            if not all(type(x) is int for x in v):  # 0.0 and True find the class of 0 and 1
-                raise DomainError(f"vector {list(v)} is not in the product")
-        return self.atomic_index_set(name, combo) in self.filt
+        return self.atomic_index_set(name, [self._check(v) for v in vectors]) in self.filt
 
 
 def reduced_product(factors, filt: FilterFamily) -> ReducedProduct:
@@ -213,14 +236,12 @@ def atomic_los_check(rp: ReducedProduct, phi, vectors):
 EXACT_SEARCH_BOUND = 10_000
 
 
-def _strict_pair_digraph(s: FiniteStructure, phi):
+def _pair_digraph(s: FiniteStructure, phi):
     xs, _ = pair_sorts(phi)
     tuples = list(itertools.product(s.universe, repeat=len(xs)))
     if len(tuples) > EXACT_SEARCH_BOUND:
         raise BudgetError(f"{len(tuples)} tuples exceed the exact-search bound")
-    ab = pair_rows(s, phi, tuples)
-    # the backward relation is the converse: phi holds of (tuples[j], tuples[i])
-    return tuples, [f & ~b for f, b in zip(ab, transpose(ab))]
+    return tuples, pair_rows(s, phi, tuples)
 
 
 def longest_op_chain(s: FiniteStructure, phi):
@@ -228,12 +249,21 @@ def longest_op_chain(s: FiniteStructure, phi):
     in the forward direction for every index pair.
 
     When the strict comparison relation is transitive it is a strict order
-    and a longest-chain sweep is exact; otherwise an exhaustive
-    candidate-set search runs.
+    and the longest-chain sweep, which tests transitivity as it goes, is
+    exact; otherwise an exhaustive candidate-set search runs.
     """
-    tuples, above = _strict_pair_digraph(s, phi)
-    if is_transitive(above):
-        return [tuples[i] for i in longest_chain_indices(above)]
+    tuples, ab = _pair_digraph(s, phi)
+    # an irreflexive relation that the sweep finds transitive is asymmetric,
+    # so it is its own strict comparison and needs no backward rows
+    chain = None
+    if not any(r >> i & 1 for i, r in enumerate(ab)):
+        chain = longest_chain_indices(ab)
+    if chain is None:
+        # the backward relation is the converse: phi holds of (tuples[j], tuples[i])
+        above = [f & ~b for f, b in zip(ab, transpose(ab))]
+        chain = longest_chain_indices(above)
+    if chain is not None:
+        return [tuples[i] for i in chain]
 
     # exhaustive: each extension must sit strictly above every chain member,
     # so candidate sets shrink by intersection and every chain is visited

@@ -2,8 +2,9 @@
 
 import itertools
 
-from orderlab.errors import CanonicalityError
+from orderlab.errors import ArityError, CanonicalityError, DomainError
 from orderlab.fol import FiniteStructure
+from orderlab.posets import int_ids
 from orderlab.universal import Rel
 
 
@@ -88,3 +89,92 @@ def check_antichain_pairwise(antichain):
                 raise CanonicalityError("antichain contains a prefix pair")
         if w and _sibling(w) in antichain:
             raise CanonicalityError("antichain contains a sibling pair")
+
+
+def load_structure_tuple_by_tuple(universe, relations):
+    """FiniteStructure's loading as one loop over the tuples: every tuple
+    through int_ids, then arity and membership tuple by tuple in set order,
+    the body before it checked in bulk passes.  Returns (universe,
+    relations) or raises the first fault."""
+    universe = tuple(sorted(int_ids(universe)))
+    uset = set(universe)
+    rels = {}
+    for name, (arity, tuples) in relations.items():
+        tset = set()
+        for t in tuples:
+            tset.add(tuple(int_ids(t)))
+        for t in tset:
+            if len(t) != arity:
+                raise ArityError(f"tuple {t} has wrong arity for {name}")
+            if not set(t) <= uset:
+                raise DomainError(f"tuple {t} leaves the universe")
+        rels[name] = (arity, frozenset(tset))
+    return universe, rels
+
+
+class MaterialisedProduct:
+    """ReducedProduct's classes as it formed them before they were read off
+    the core: the direct product and a map from every vector to the first
+    vector of its class, both built at construction.  The factors and the
+    filter are taken as valid."""
+
+    def __init__(self, factors, filt):
+        self.factors = tuple(factors)
+        self.filt = filt
+        self.vectors = tuple(itertools.product(*(f.universe for f in self.factors)))
+        core = sorted(filt.core)
+        reps = {}
+        self.class_of = {}
+        for v in self.vectors:
+            key = tuple(v[n] for n in core)
+            if key not in reps:
+                reps[key] = v
+            self.class_of[v] = reps[key]
+        self.class_reps = tuple(reps.values())
+
+    def same_class(self, v, w):
+        return self.class_of[tuple(v)] == self.class_of[tuple(w)]
+
+    def holds(self, name, vectors):
+        vectors = [tuple(v) for v in vectors]
+        arity = self.factors[0].arity(name)
+        if len(vectors) != arity:
+            raise ArityError(f"{name} expects {arity} arguments")
+        combo = []
+        for v in vectors:
+            try:
+                combo.append(self.class_of[v])
+            except (KeyError, TypeError):  # TypeError: an id that is a list
+                raise DomainError(f"vector {list(v)} is not in the product") from None
+            if not all(type(x) is int for x in v):
+                raise DomainError(f"vector {list(v)} is not in the product")
+        index_set = frozenset(n for n, f in enumerate(self.factors)
+                              if f.holds(name, tuple(v[n] for v in combo)))
+        return index_set in self.filt
+
+
+def longest_chain_of_a_strict_order(rows):
+    """posets.longest_chain_indices before it tested transitivity: the chain
+    lengths filled with a max per successor bit, for rows already known to
+    be a strict order."""
+    n = len(rows)
+    if n == 0:
+        return []
+    length = [1] * n
+    for i in sorted(range(n), key=lambda i: rows[i].bit_count()):
+        best = 0
+        r = rows[i]
+        while r:
+            low = r & -r
+            best = max(best, length[low.bit_length() - 1])
+            r ^= low
+        length[i] = 1 + best
+    level = [0] * (max(length) + 1)
+    for i, h in enumerate(length):
+        level[h] |= 1 << i
+    m = level[-1]
+    chain = [(m & -m).bit_length() - 1]
+    for need in range(len(level) - 2, 0, -1):
+        m = rows[chain[-1]] & level[need]
+        chain.append((m & -m).bit_length() - 1)
+    return chain

@@ -640,6 +640,42 @@ def test_chains_command(tmp_path, capsys):
 
 
 
+def test_product_counts_come_from_the_factor_sizes(tmp_path, capsys):
+    def factor(m):
+        return {"universe": list(range(m)),
+                "relations": {"R": {"arity": 2, "tuples": [[0, m - 1]] if m else []}}}
+    for sizes, core, classes, vectors in (((2, 3, 1), [1], 3, 6),
+                                          ((2, 3, 4), [0, 2], 8, 24),
+                                          ((3, 0, 2), [0], 0, 0),
+                                          ((3, 0, 2), [1], 0, 0),
+                                          ((1, 1), [0, 1], 1, 1)):
+        task = write(tmp_path, "p.json", {
+            "factors": [factor(m) for m in sizes],
+            "filter": {"ground": len(sizes), "core": core}})
+        code, out, _ = run_cli(capsys, ["product", "--in", task])
+        body = json.loads(out)
+        assert code == 0 and (body["classes"], body["vectors"]) == (classes, vectors)
+
+
+def test_chains_command_on_a_relation_that_is_not_transitive(tmp_path, capsys):
+    # the exhaustive branch: a 3-cycle among 0, 1, 2 under a chain 3 < 4 < 5
+    # that sits above all three, and 6 unrelated
+    r = [[0, 1], [1, 2], [2, 0]] + [[a, b] for a in range(6) for b in range(3, 6)
+                                    if a < b]
+    task = write(tmp_path, "chains.json", {
+        "structure": {"universe": list(range(7)),
+                      "relations": {"R": {"arity": 2, "tuples": r}}},
+        "formula": "(R x0 y0)"})
+    code, out, _ = run_cli(capsys, ["chains", "--in", task])
+    rel = {tuple(t) for t in r}
+    brute = max(len(seq) for k in range(1, 8) for seq in itertools.permutations(range(7), k)
+                if all((a, b) in rel and (b, a) not in rel
+                       for i, a in enumerate(seq) for b in seq[i + 1:]))
+    body = json.loads(out)
+    assert code == 0 and body["length"] == brute == 5
+    assert [tuple(t) for t in body["chain"]] == [(0,), (1,), (3,), (4,), (5,)]
+
+
 @pytest.mark.parametrize("formula,error", [("(S x0 y0)", "FormulaError"),
                                            ("(R x0)", "ArityError")])
 def test_chains_bad_formula_on_one_element_exits_two(tmp_path, capsys,

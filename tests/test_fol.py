@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -10,7 +11,7 @@ from orderlab.fol import (And, Atom, FiniteStructure, Not, Or, eval_pair,
                           eval_qf, pair_rows, pair_sorts, parse_formula)
 from orderlab.posets import transpose
 
-from oracles import linear_order_structure
+from oracles import linear_order_structure, load_structure_tuple_by_tuple
 
 
 def format_formula(phi):
@@ -44,6 +45,81 @@ def test_structure_validation():
         s.holds("R", (0,))
     with pytest.raises(FormulaError):
         s.holds("Q", (0, 1))
+
+
+BAD_IDS = [1.0, 0.0, True, False, "1", "a", [1], [0, 1], None, 2.5]
+
+
+def seeded_structure_input(rng):
+    """A universe and relations over it, with faults injected at random:
+    ids of other types, wrong arities, ids outside the universe and items
+    that are not tuples, alone or several at once; about one in five
+    inputs is clean."""
+    n = rng.randint(0, 5)
+    universe = list(range(n)) + rng.sample([7, -3, 12], rng.randint(0, 2))
+    rng.shuffle(universe)
+    relations = {}
+    for r in range(rng.randint(1, 3)):
+        arity = rng.randint(1, 3)
+        tuples = [list(rng.choice(universe) for _ in range(arity)) if universe
+                  else [] for _ in range(rng.randint(0, 8))]
+        tuples = [t for t in tuples if len(t) == arity]
+        relations[f"R{r}"] = (arity, tuples)
+    faults = 0 if rng.random() < 0.2 else rng.randint(1, 3)
+    for _ in range(faults):
+        arity, tuples = relations[rng.choice(sorted(relations))]
+        kind = rng.choice(["id", "id", "arity", "outside", "item"])
+        t = [rng.choice(universe) if universe else 0 for _ in range(arity)]
+        if kind == "id":
+            t[rng.randrange(arity)] = rng.choice(BAD_IDS)
+        elif kind == "arity":
+            t = t + [0] if rng.random() < 0.5 else t[:-1]
+        elif kind == "outside":
+            t[rng.randrange(arity)] = rng.choice([5, 6, 99, -1])
+        else:
+            t = rng.choice([5, None, 2.5])
+        tuples.insert(rng.randint(0, len(tuples)), t)
+    if rng.random() < 0.5:
+        relations = {name: (arity, [tuple(t) if isinstance(t, list) else t for t in ts])
+                     for name, (arity, ts) in relations.items()}
+    return universe, relations
+
+
+def outcome(load, universe, relations):
+    try:
+        return load(universe, relations)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def load_in_bulk(universe, relations):
+    s = FiniteStructure(universe, relations)
+    return s.universe, s.relations
+
+
+def test_bulk_loading_names_the_same_first_fault_as_the_tuple_loop():
+    rng = random.Random(2024)
+    kinds = collections.Counter()
+    for k in range(3000):
+        universe, relations = seeded_structure_input(rng)
+        want = outcome(load_structure_tuple_by_tuple, universe, relations)
+        if k % 3 == 0:  # the tuples as a one-shot iterator
+            relations = {name: (arity, iter(ts)) for name, (arity, ts) in relations.items()}
+        assert outcome(load_in_bulk, universe, relations) == want, (universe, relations)
+        kinds[want[0].__name__ if isinstance(want[0], type) else "ok"] += 1
+    assert set(kinds) == {"ok", "ArityError", "DomainError", "TypeError"}, kinds
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_bulk_loading_refuses_each_id_type_the_tuple_loop_refuses():
+    for bad in BAD_IDS:
+        for t in ([bad, 0], [0, bad], (bad, bad)):
+            with pytest.raises(DomainError) as got:
+                FiniteStructure([0, 1], {"R": (2, [[0, 1], t])})
+            with pytest.raises(DomainError) as want:
+                load_structure_tuple_by_tuple([0, 1], {"R": (2, [[0, 1], t])})
+            assert str(got.value) == str(want.value)
+            assert str(got.value) == f"element id {bad!r} is not an integer"
 
 
 def test_parse_and_format_round_trip():

@@ -20,8 +20,8 @@ from orderlab.forcing import (Condition, EMPTY_CONDITION, ExplicitChainFactor,
                               amalgamate, default_schedule, entry_op,
                               extend_into_D, extend_into_E, extends,
                               generic_build, pipeline_embed, projection,
-                              quotient_member, split_project, SplitInstance,
-                              verify_generic_embedding)
+                              quotient_member, shuffled_schedule, split_project,
+                              SplitInstance, verify_generic_embedding)
 from orderlab.fol import (And, Atom, FiniteStructure, Not, Or, eval_pair,
                           pair_sorts, parse_formula)
 from orderlab.posets import (enumerate_poset_isotypes, linear_extension,
@@ -909,6 +909,18 @@ def test_the_fold_compiles_an_op_only_for_a_request_p_does_not_meet(
             _, [verdict] = cli._cmd_forcing_generic(args, {})
             assert verdict["ok"]
     assert len(compiled) == 739
+
+
+def test_the_shuffled_schedule_is_the_shuffled_default_schedule():
+    # the shuffle of the schedule itself, with the level-0 domain requests
+    # first: the seeded build's schedule before it shuffled indices
+    for n in range(5):
+        for ground in enumerate_poset_isotypes(n):
+            for budget, seed in ((0, 1), (3, 7), (10, 99)):
+                schedule = default_schedule(ground, budget)
+                random.Random(seed).shuffle(schedule)
+                want = [("D", 0, a) for a in ground.elements] + schedule
+                assert list(shuffled_schedule(ground, budget, seed)) == want
 
 
 def frontier_schedules(ground, budget, rng):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import re
@@ -10,7 +11,10 @@ from orderlab.checks import chain_length_brute, check_poset_invariants
 from orderlab.errors import CycleError, DomainError, InputError
 from orderlab.posets import (Poset, RelStructure, enumerate_poset_isotypes,
                              is_transitive, linear_extension, list_pairs,
-                             load_pairs, longest_chain, make_poset, transpose)
+                             load_pairs, longest_chain, longest_chain_indices,
+                             make_poset, transpose)
+
+from oracles import longest_chain_of_a_strict_order
 
 
 def test_make_poset_closure_of_chain():
@@ -537,3 +541,43 @@ def test_malformed_pairs_raise_domain_error():
                 call()
     with pytest.raises(InputError, match=re.escape("poset: $.edges[0]: not a JSON array")):
         schema.load("poset", {"elements": [0, 1, 2], "edges": [5]})
+
+
+def strict_digraphs(rng, n):
+    """Irreflexive rows over n indices: a random digraph, the closure of a
+    random DAG (a strict order), and that order with one pair dropped or
+    one pair added against a chain, each of random density."""
+    p = rng.random()
+    digraph = [sum(1 << j for j in range(n) if j != i and rng.random() < p)
+               for i in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < p]
+    closed = list(make_poset(range(n), pairs)._rows) if n else []
+    out = [digraph, closed]
+    related = [(i, j) for i in range(n) for j in range(n) if closed[i] >> j & 1]
+    if related:
+        i, j = rng.choice(related)
+        out.append([r ^ (1 << j) if k == i else r for k, r in enumerate(closed)])
+    if n >= 3:
+        a, b = rng.sample(range(n), 2)
+        out.append([r | (1 << b) if k == a and not closed[b] >> a & 1 else r
+                    for k, r in enumerate(closed)])
+    return out
+
+
+def test_the_chain_sweep_tests_transitivity_as_it_goes():
+    rng = random.Random(15)
+    verdicts = collections.Counter()
+    for n in range(41):
+        for _ in range(12):
+            for rows in strict_digraphs(rng, n):
+                want = (longest_chain_of_a_strict_order(rows) if is_transitive(rows)
+                        else None)
+                assert longest_chain_indices(rows) == want, rows
+                verdicts[want is None] += 1
+    assert min(verdicts[True], verdicts[False]) > 400, verdicts
+    chain = [((1 << 1200) - 1) ^ ((1 << (i + 1)) - 1) for i in range(1200)]
+    assert longest_chain_indices(chain) == list(range(1200))
+    assert longest_chain_indices(chain[:-2] + [1 << 3, 0]) is None

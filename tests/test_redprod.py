@@ -4,7 +4,7 @@ from functools import reduce
 
 import pytest
 
-from orderlab import schema
+from orderlab import redprod, schema
 from orderlab.checks import check_product_congruence
 from orderlab.errors import (ArityError, BudgetError, DomainError, FilterError,
                              FormulaError)
@@ -12,7 +12,7 @@ from orderlab.fol import FiniteStructure, eval_pair, parse_formula
 from orderlab.redprod import (FilterFamily, ReducedProduct, atomic_los_check,
                               longest_op_chain, reduced_product)
 
-from oracles import linear_order_structure
+from oracles import MaterialisedProduct, linear_order_structure
 
 
 def rel_factor(edges, size=2):
@@ -124,6 +124,83 @@ def test_holds_names_a_vector_outside_the_product():
     for vector in ((0, 7, 0), (0, 0), ("a", 0, 0), (0.0, 0, 0), (0, True, 0)):
         with pytest.raises(DomainError, match=r"vector \[.*\] is not in the product"):
             rp.holds("R", [(0, 0, 0), vector])
+        with pytest.raises(DomainError, match=r"vector \[.*\] is not in the product"):
+            rp.same_class(vector, (0, 0, 0))
+
+
+def outcome(call):
+    try:
+        return call()
+    except DomainError as e:
+        return DomainError, str(e)
+
+
+def factors_of_sizes(rng, sizes):
+    return [FiniteStructure(range(m), {"R": (2, [t for t in itertools.product(range(m), repeat=2)
+                                                  if rng.random() < 0.4])})
+            for m in sizes]
+
+
+def bad_vectors(rng, sizes):
+    """Vectors outside the product: an id past its factor, a wrong length,
+    and ids that are bools, floats, strings or lists."""
+    k = len(sizes)
+    v = [rng.randrange(m) if m else 0 for m in sizes]
+    out = [tuple(v[:-1]), tuple(v + [0])]
+    for bad in (max(sizes) + 1, -1, True, False, 0.0, 1.0, "0", [0]):
+        w = list(v)
+        w[rng.randrange(k)] = bad
+        out.append(tuple(w))
+    return out
+
+
+def test_classes_match_the_materialising_oracle():
+    """Every core of every product of up to three factors of sizes 0..3, and
+    seeded four-factor products: the classes and the vectors in product
+    order, same_class, holds and the refusals of vectors outside the
+    product, against the product that built every class at construction."""
+    rng = random.Random(24)
+    cases = []
+    for k in (1, 2, 3):
+        for sizes in itertools.product(range(4), repeat=k):
+            cases += [(sizes, core) for r in range(1, k + 1)
+                      for core in itertools.combinations(range(k), r)]
+    for _ in range(200):
+        sizes = tuple(rng.randint(0, 3) for _ in range(4))
+        cases.append((sizes, tuple(rng.sample(range(4), rng.randint(1, 4)))))
+    for sizes, core in cases:
+        factors = factors_of_sizes(rng, sizes)
+        filt = FilterFamily.principal(len(sizes), core)
+        rp = reduced_product(factors, filt)
+        ref = MaterialisedProduct(factors, filt)
+        assert rp.class_reps == ref.class_reps, (sizes, core)
+        assert rp.vectors == ref.vectors, (sizes, core)
+        assert rp.counts() == (len(ref.class_reps), len(ref.vectors))
+        vectors = ref.vectors
+        pairs = (list(itertools.product(vectors, repeat=2)) if len(vectors) <= 9 else
+                 [(rng.choice(vectors), rng.choice(vectors)) for _ in range(40)])
+        for v, w in pairs:
+            assert rp.same_class(v, w) == ref.same_class(v, w)
+            assert rp.holds("R", [v, w]) == ref.holds("R", [v, w])
+        for bad in bad_vectors(rng, sizes):
+            other = rng.choice(vectors) if vectors else bad
+            for args in ([bad, other], [other, bad]):
+                want = outcome(lambda: ref.holds("R", args))
+                assert want[0] is DomainError
+                assert outcome(lambda: rp.holds("R", args)) == want
+    assert len(cases) == 700
+
+
+def test_classes_and_vectors_are_built_once_and_only_when_read(monkeypatch):
+    rp = reduced_product([F_EDGE] * 3, FilterFamily.principal(3, {1}))
+    calls = []
+    real = itertools.product
+    monkeypatch.setattr(itertools, "product", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    assert rp.holds("R", [(1, 0, 1), (0, 1, 0)])
+    assert not calls
+    assert rp.class_reps == ((0, 0, 0), (0, 1, 0)) and rp.class_reps is rp.class_reps
+    assert len(rp.vectors) == 8 and rp.vectors is rp.vectors
+    assert len(calls) == 2
 
 
 def test_trivial_filter_full_product_semantics():
@@ -281,6 +358,25 @@ def test_longest_op_chain_examples():
     assert len(longest_op_chain(linear_order_structure(6), phi)) == 6
     empty_rel = FiniteStructure([0, 1, 2], {"R": (2, [])})
     assert len(longest_op_chain(empty_rel, phi)) == 1
+    # reflexive and transitive: the strict part of "not after" is "before"
+    weak = parse_formula("(not (R y0 x0))")
+    assert longest_op_chain(linear_order_structure(5), weak) == [(i,) for i in range(5)]
+    assert len(longest_op_chain(empty_rel, weak)) == 1
+
+
+def test_the_backward_rows_are_built_only_when_the_forward_sweep_fails(monkeypatch):
+    calls = []
+    real = redprod.transpose
+    monkeypatch.setattr(redprod, "transpose", lambda rows: calls.append(1) or real(rows))
+    lo = linear_order_structure(6)
+    cycle = FiniteStructure(range(3), {"R": (2, [(0, 1), (1, 2), (2, 0)])})
+    for s, formula, transposed in ((lo, "(R x0 y0)", 0), (lo, "(R y0 x0)", 0),
+                                   (lo, "(not (R y0 x0))", 1),
+                                   (lo, "(or (R x0 y0) (R y0 x0))", 1),
+                                   (cycle, "(R x0 y0)", 1)):
+        calls.clear()
+        longest_op_chain(s, parse_formula(formula))
+        assert len(calls) == transposed, formula
 
 
 def test_longest_op_chain_is_a_chain():
