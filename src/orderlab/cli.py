@@ -24,6 +24,7 @@ from .errors import DepthError, InputError, OrderlabError
 from .fol import parse_formula
 from .forcing import (generic_build, pipeline_embed, shuffled_schedule,
                       verify_generic_embedding)
+from .posets import elements_of
 from .redprod import atomic_los_check, longest_op_chain, reduced_product
 from .seqspace import leq_from, lt_from, phi
 from .tiepoint import (bulk_probe_check, decomposition_invariant_failures,
@@ -102,7 +103,8 @@ def _cmd_walk(args, digests):
         start = args.x if ascending else args.y
         reach = frontier_sweep(inst, sorted(set(s)),
                                1 << inst.order.index_of(start), ascending)
-        body = {"walk": None, "frontier": [inst.members(m) for m in reach]}
+        body = {"walk": None,
+                "frontier": [elements_of(inst.order.elements, m) for m in reach]}
         return body, [{"name": "walk-search", "ok": True, "found": False}]
     body = {"walk": {"s": list(walk.s), "direction": walk.direction,
                      "steps": {str(k): v for k, v in walk.steps.items()}}}

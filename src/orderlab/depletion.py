@@ -10,7 +10,7 @@ Walks are found by layered reachability over bitsets: the instance keeps
 its core and each fiber as a mask over the order's element indices, and
 ``frontier_sweep`` propagates a frontier mask level by level, following the
 ambient order upward (ascending) or downward (descending).  Every walk
-question below is answered by that one routine.
+question from a single start is answered by that one routine.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexLabelError, LevelError, MembershipError
-from .posets import Poset, gather
+from .posets import Poset, elements_of, gather, reach
 
 
 class DepletionInstance:
@@ -70,16 +70,6 @@ class DepletionInstance:
         except KeyError:
             raise MembershipError(f"element {x!r} not in the instance") from None
 
-    def members(self, mask):
-        """The elements whose order indices are set in mask, ascending."""
-        els = self.order.elements
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(els[low.bit_length() - 1])
-            mask ^= low
-        return out
-
     def _check_subset(self, s):
         s = tuple(sorted(set(s)))
         for xi in s:
@@ -113,16 +103,9 @@ def frontier_sweep(inst, levels, start, ascending):
     """
     rows = inst.order._rows if ascending else inst.order._down_rows()
     fibers = inst._fiber_masks
-    cur = start
-    out = [cur]
+    out = [start]
     for xi in levels[1:]:
-        reach = 0
-        while cur:
-            low = cur & -cur
-            reach |= rows[low.bit_length() - 1]
-            cur ^= low
-        cur = reach & fibers[xi]
-        out.append(cur)
+        out.append(reach(rows, out[-1]) & fibers[xi])
     return out
 
 
@@ -134,15 +117,15 @@ def _walk_between(inst, levels, x, y, ascending):
     frontier that is related to the current one.
     """
     index = inst.order._index
-    reach = frontier_sweep(inst, levels, 1 << index[x], ascending)
-    if not reach[-1] >> index[y] & 1:
+    fronts = frontier_sweep(inst, levels, 1 << index[x], ascending)
+    if not fronts[-1] >> index[y] & 1:
         return None
     # the relation back to the previous level, opposite to the sweep
     back = inst.order._down_rows() if ascending else inst.order._rows
     steps = {levels[-1]: y}
     cur = y
     for pos in range(len(levels) - 1, 0, -1):
-        cand = reach[pos - 1] & back[index[cur]]
+        cand = fronts[pos - 1] & back[index[cur]]
         cur = next(p for p in inst.fibers[levels[pos - 1]] if cand >> index[p] & 1)
         steps[levels[pos - 1]] = cur
     return steps
@@ -201,10 +184,10 @@ def depletion_rel(inst: DepletionInstance, s, x, y) -> bool:
         return True
     i, j = s.index(lx), s.index(ly)
     if i < j:
-        reach = frontier_sweep(inst, s[i:j + 1], 1 << ix, True)
-        return bool(reach[-1] >> iy & 1)
-    reach = frontier_sweep(inst, s[j:i + 1], 1 << iy, False)
-    return bool(reach[-1] >> ix & 1)
+        fronts = frontier_sweep(inst, s[i:j + 1], 1 << ix, True)
+        return bool(fronts[-1] >> iy & 1)
+    fronts = frontier_sweep(inst, s[j:i + 1], 1 << iy, False)
+    return bool(fronts[-1] >> ix & 1)
 
 
 def depletion_order(inst: DepletionInstance, s) -> Poset:
@@ -212,7 +195,9 @@ def depletion_order(inst: DepletionInstance, s) -> Poset:
 
     Row x holds its own part and the core above it, the elements reached
     by the two upward sweeps from x (over the higher labels of s and over
-    the lower ones), and everything above a core element above x.  The
+    the lower ones), and everything above a core element above x.  A sweep
+    from x goes on as the sweeps from its first frontier, so each direction
+    fills in from its far end of s, one reach per element.  The
     construction validates the result, so any transitivity failure
     surfaces as an error rather than being silently closed over.
     """
@@ -225,28 +210,27 @@ def depletion_order(inst: DepletionInstance, s) -> Poset:
     dom_mask = core
     for xi in s:
         dom_mask |= fibers[xi]
-    dom = inst.members(dom_mask)
-    index = inst.order._index
-    full = [0] * len(dom)
-    for k, x in enumerate(dom):
-        ix = index[x]
-        lx = inst._level[x]
+    # walks[i]: what the two upward sweeps from order index i reach
+    walks = [0] * len(rows)
+    for seq in (s, s[::-1]):
+        walk = [0] * len(rows)
+        for here, ahead in zip(seq[-2::-1], seq[:0:-1]):
+            for i in elements_of(range(len(rows)), fibers[here]):
+                walk[i] = rows[i] & fibers[ahead]
+                walk[i] |= reach(walk, walk[i])
+                walks[i] |= walk[i]
+    els = inst.order.elements
+    idx = elements_of(range(len(els)), dom_mask)
+    full = []
+    for i in idx:
+        lx = inst._level[els[i]]
         if lx is None:
-            full[k] = rows[ix] & dom_mask
-            continue
-        row = rows[ix] & (core | fibers[lx])
-        above_core = rows[ix] & core
-        while above_core:
-            low = above_core & -above_core
-            row |= rows[low.bit_length() - 1] & dom_mask
-            above_core ^= low
-        i = s.index(lx)
-        for levels in (s[i:], s[i::-1]):
-            for frontier in frontier_sweep(inst, levels, 1 << ix, True)[1:]:
-                row |= frontier
-        full[k] = row
+            full.append(rows[i] & dom_mask)
+        else:
+            full.append(rows[i] & (core | fibers[lx]) | walks[i]
+                        | reach(rows, rows[i] & core) & dom_mask)
     # from order indices to positions in dom
-    return Poset(dom, gather(full, [index[x] for x in dom]))
+    return Poset([els[i] for i in idx], gather(full, idx))
 
 
 def star_condition(inst: DepletionInstance, xi, eta_label, exhaustive=False):

@@ -10,8 +10,7 @@ same sort.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, groupby
+from itertools import chain
 from operator import and_, itemgetter, or_
 
 from .errors import ArityError, DomainError, FormulaError
@@ -205,7 +204,7 @@ def pair_sorts(phi):
 
 
 def _getter(positions):
-    """Key function giving a relation tuple's values at ``positions``: the
+    """Key function giving a tuple's values at ``positions``: the
     value itself at one position, a tuple of values otherwise."""
     return itemgetter(*positions) if positions else lambda r: ()
 
@@ -215,10 +214,11 @@ def pair_rows(s: FiniteStructure, phi, tuples):
 
     Row i has bit j set iff ``phi`` holds with x0..x{k-1} bound to
     ``tuples[i]`` and y0..y{k-1} to ``tuples[j]``.  Each atom is compiled
-    once from its relation's tuples: those agreeing on the atom's x-values
-    form a group, whose rows (tuples matching the x-values) receive the OR
-    of the group's columns (tuples matching each member's y-values).  The
-    connectives are bit operations on whole rows.
+    once from its relation's tuples.  The tuple list is grouped by the
+    values it gives the atom's y-variables (its columns); each relation
+    tuple ORs the column group of its y-values into the row group of its
+    x-values, and row i is the row group of the x-values of ``tuples[i]``.
+    The connectives are bit operations on whole rows.
     """
     xs, ys = pair_sorts(phi)
     # the errors eval_qf raises, before any tuple is read
@@ -230,22 +230,6 @@ def pair_rows(s: FiniteStructure, phi, tuples):
     if any(len(t) != len(xs) for t in tuples):
         raise ArityError("tuple length differs from the formula sort")
     full = (1 << len(tuples)) - 1
-    # masks[p][v]: the tuples whose position p holds value v
-    masks = [{} for _ in xs]
-    for i, t in enumerate(tuples):
-        bit = 1 << i
-        for m, v in zip(masks, t):
-            m[v] = m.get(v, 0) | bit
-
-    def key_mask(coords, key):
-        """The tuples whose positions ``coords`` hold the values ``key``."""
-        if len(coords) == 1:
-            return masks[coords[0]].get(key, 0)
-        out = full
-        for c, v in zip(coords, key):
-            out &= masks[c].get(v, 0)
-        return out
-
     coord = {v: k for k, v in enumerate(xs)}
     coord.update((v, k) for k, v in enumerate(ys))
 
@@ -255,26 +239,23 @@ def pair_rows(s: FiniteStructure, phi, tuples):
             first.setdefault(v, q)
         xvars = [v for v in first if v[0] == "x"]
         yvars = [v for v in first if v[0] == "y"]
-        xcoords = [coord[v] for v in xvars]
-        ycoords = [coord[v] for v in yvars]
-        get_x = _getter([first[v] for v in xvars])
-        get_y = _getter([first[v] for v in yvars])
         rel = s.relations[atom.name][1]
         # a repeated variable needs equal values at each of its positions
         repeats = [(q, first[v]) for q, v in enumerate(atom.vars) if first[v] != q]
         if repeats:
             rel = [r for r in rel if all(r[q] == r[p] for q, p in repeats)]
-        col = {yk: key_mask(ycoords, yk) for yk in set(map(get_y, rel))}
-        rows = [0] * len(tuples)
-        # one group per x-key: its rows take the OR of its members' columns
-        for xk, group in groupby(sorted(rel, key=get_x), key=get_x):
-            m = key_mask(xcoords, xk)
-            cols = reduce(or_, map(col.__getitem__, map(get_y, group)))
-            while m:
-                low = m & -m
-                rows[low.bit_length() - 1] |= cols
-                m ^= low
-        return rows
+        # cols[w]: the tuples giving the y-variables the values w; rows[w]:
+        # the row of each tuple giving the x-variables the values w
+        cols = {}
+        for i, w in enumerate(map(_getter([coord[v] for v in yvars]), tuples)):
+            cols[w] = cols.get(w, 0) | 1 << i
+        get_x = _getter([first[v] for v in xvars])
+        get_y = _getter([first[v] for v in yvars])
+        rows = {}
+        for r in rel:
+            w = get_x(r)
+            rows[w] = rows.get(w, 0) | cols.get(get_y(r), 0)
+        return [rows.get(w, 0) for w in map(_getter([coord[v] for v in xvars]), tuples)]
 
     compiled = {}
 

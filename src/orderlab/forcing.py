@@ -23,7 +23,7 @@ from .errors import (AgreementError, AmalgamationError, ChainTooShortError,
                      DepthError, HypothesisError, PreconditionError,
                      ProfileError, RootError, ScheduleError)
 from .fol import FiniteStructure, pair_rows
-from .posets import Poset, int_ids, linear_extension
+from .posets import Poset, elements_of, int_ids, linear_extension
 from .seqspace import SeqFun, eta, leq_from, lt_from, phi, position_profile
 
 
@@ -105,14 +105,7 @@ def _monotone(ground, f, dom, lo, hi):
 def _lower_set(ground, a):
     """The elements at or below a, read off a's down-row."""
     i = ground.index_of(a)
-    r = ground._down_rows()[i] | 1 << i
-    els = ground.elements
-    out = []
-    while r:
-        low = r & -r
-        r ^= low
-        out.append(els[low.bit_length() - 1])
-    return out
+    return elements_of(ground.elements, ground._down_rows()[i] | 1 << i)
 
 
 def _entry_pad(f, below, depth):
@@ -386,24 +379,18 @@ def generic_build(ground: Poset, budget: int, schedule=None) -> GenericEmbedding
                 continue
             if a not in els or b not in els:
                 raise ScheduleError("strict-witness request outside the ground order")
-            # a request p meets already is read off p, with no op.  A request
-            # with b at or below a still reaches the op's check: the ops keep
-            # f monotone on every related pair, so such a pair has no witness
+            # scan down from the top for the last witness at or past n.  Below
+            # n, p does not meet the request: the op runs (it refuses b at or
+            # below a) and the scan restarts at the new top
             f = p._f
-            k = n - 1
-            if a in f and b in f:
-                fa, fb = f[a], f[b]
-                k = p.depth - 1
-                while k >= n and not fa[k] < fb[k]:
-                    k -= 1
-            if k < n:
-                p = entry_op(ground, req)(p)
-                entry_depth.setdefault(a, p.depth)
-                entry_depth.setdefault(b, p.depth)
-                fa, fb = p._f[a], p._f[b]
-                k = p.depth - 1
-                while not fa[k] < fb[k]:
-                    k -= 1
+            k = p.depth - 1 if a in f and b in f else -1
+            while not (k >= n and f[a][k] < f[b][k]):
+                if k < n:
+                    p = entry_op(ground, req)(p)
+                    entry_depth.setdefault(a, p.depth)
+                    entry_depth.setdefault(b, p.depth)
+                    f, k = p._f, p.depth
+                k -= 1
             last[(a, b)] = k
         elif kind == "D":
             _, n, a = req

@@ -31,6 +31,7 @@ class Poset:
         if len(self._index) != len(self.elements):
             raise DomainError("duplicate element ids")
         if not _validated:
+            _check_rows(self._rows, len(self.elements))
             _check_strict_order(self._rows)
 
     def __len__(self):
@@ -140,15 +141,29 @@ def is_transitive(rows):
     return True
 
 
+def elements_of(labels, mask):
+    """The labels[i] with bit i of mask set, by ascending i."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(labels[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
+def reach(rows, mask):
+    """The OR of the rows[i] with bit i of mask set."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def list_pairs(labels, rows):
     """The related pairs (labels[i], labels[j]), by ascending i, then j."""
-    out = []
-    for a, row in zip(labels, rows):
-        while row:
-            low = row & -row
-            out.append((a, labels[low.bit_length() - 1]))
-            row ^= low
-    return out
+    return [(a, b) for a, row in zip(labels, rows) if row for b in elements_of(labels, row)]
 
 
 def int_ids(ids):
@@ -200,6 +215,16 @@ def gather(rows, idx):
             row ^= low
         out.append(r)
     return out
+
+
+def _check_rows(rows, n):
+    """DomainError unless there is one row per element and every row is a
+    bitset over the n indices (r >> n is -1 for a negative r)."""
+    if len(rows) != n:
+        raise DomainError(f"{len(rows)} rows for {n} elements")
+    for r in rows:
+        if r >> n:
+            raise DomainError(f"row {rows.index(r)} is not a bitset over {n} elements")
 
 
 def _check_strict_order(rows):
@@ -284,6 +309,7 @@ class RelStructure:
         self.universe = tuple(sorted(universe))
         self._index = {e: i for i, e in enumerate(self.universe)}
         self._rows = tuple(rows)
+        _check_rows(self._rows, len(self.universe))
         for i, (r, d) in enumerate(zip(self._rows, transpose(self._rows))):
             if r >> i & 1:
                 raise AsymmetryError("relation is reflexive at some element")
@@ -381,13 +407,7 @@ def enumerate_poset_isotypes(n):
 def _up_sets(rows):
     """Every up-closed subset of the order, as a bitset."""
     for s in range(1 << len(rows)):
-        r = s
-        while r:
-            low = r & -r
-            if rows[low.bit_length() - 1] & ~s:
-                break
-            r ^= low
-        else:
+        if not reach(rows, s) & ~s:
             yield s
 
 

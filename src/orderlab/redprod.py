@@ -236,14 +236,6 @@ def atomic_los_check(rp: ReducedProduct, phi, vectors):
 EXACT_SEARCH_BOUND = 10_000
 
 
-def _pair_digraph(s: FiniteStructure, phi):
-    xs, _ = pair_sorts(phi)
-    tuples = list(itertools.product(s.universe, repeat=len(xs)))
-    if len(tuples) > EXACT_SEARCH_BOUND:
-        raise BudgetError(f"{len(tuples)} tuples exceed the exact-search bound")
-    return tuples, pair_rows(s, phi, tuples)
-
-
 def longest_op_chain(s: FiniteStructure, phi):
     """A maximum-length tuple sequence where the pair formula holds exactly
     in the forward direction for every index pair.
@@ -252,7 +244,11 @@ def longest_op_chain(s: FiniteStructure, phi):
     and the longest-chain sweep, which tests transitivity as it goes, is
     exact; otherwise an exhaustive candidate-set search runs.
     """
-    tuples, ab = _pair_digraph(s, phi)
+    xs, _ = pair_sorts(phi)
+    tuples = list(itertools.product(s.universe, repeat=len(xs)))
+    if len(tuples) > EXACT_SEARCH_BOUND:
+        raise BudgetError(f"{len(tuples)} tuples exceed the exact-search bound")
+    ab = pair_rows(s, phi, tuples)
     # an irreflexive relation that the sweep finds transitive is asymmetric,
     # so it is its own strict comparison and needs no backward rows
     chain = None

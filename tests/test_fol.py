@@ -288,6 +288,24 @@ def test_pair_rows_matches_eval_pair_property(case):
     assert_rows_match_eval_pair(s, swap_pair_vars(phi))
 
 
+@settings(deadline=None, max_examples=200)
+@given(structure_and_formula(), st.data())
+def test_pair_rows_matches_eval_pair_on_drawn_tuple_lists(case, data):
+    # an explicit chain factor compiles a designated tuple list, which may
+    # leave tuples out, repeat them, or name ids outside the universe
+    s, phi = case
+    try:
+        xs, _ = pair_sorts(phi)
+    except FormulaError:
+        return
+    tuple_of_ids = st.tuples(*[st.integers(-1, len(s) + 1)] * len(xs))
+    pool = data.draw(st.lists(st.one_of(tuple_of_ids, tuple_of_ids.map(list)),
+                              min_size=1, max_size=6))
+    tuples = data.draw(st.lists(st.sampled_from(pool), max_size=10))
+    assert pair_rows(s, phi, tuples) == [
+        sum(eval_pair(s, phi, a, b) << j for j, b in enumerate(tuples)) for a in tuples]
+
+
 @settings(deadline=None, max_examples=300)
 @given(structure_and_formula(), st.randoms(use_true_random=False))
 def test_transposed_rows_match_the_swapped_formula(case, rng):

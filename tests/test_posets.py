@@ -4,15 +4,16 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orderlab import schema
 from orderlab.checks import chain_length_brute, check_poset_invariants
 from orderlab.errors import CycleError, DomainError, InputError
-from orderlab.posets import (Poset, RelStructure, enumerate_poset_isotypes,
-                             is_transitive, linear_extension, list_pairs,
-                             load_pairs, longest_chain, longest_chain_indices,
-                             make_poset, transpose)
+from orderlab.posets import (Poset, RelStructure, elements_of,
+                             enumerate_poset_isotypes, is_transitive,
+                             linear_extension, list_pairs, load_pairs,
+                             longest_chain, longest_chain_indices, make_poset,
+                             reach, transpose)
 
 from oracles import longest_chain_of_a_strict_order
 
@@ -513,6 +514,40 @@ def test_transpose_and_transitivity_match_the_matrix(rows):
     assert pairs == [(labels[i], labels[j]) for i in range(n) for j in range(n)
                      if m[i][j]]
     assert load_pairs(reversed(labels), pairs) == (labels, rows)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 80).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+    st.integers(0, (1 << n) - 1))))
+@example(([6, 5], 0))
+@example(([6, 5], 1))
+@example(([0] * 70 + [9], 1 << 70))
+def test_elements_of_and_reach_match_the_bit_list(case):
+    rows, mask = case
+    bits = [i for i in range(len(rows)) if mask >> i & 1]
+    labels = [3 + 4 * i for i in range(len(rows))]
+    assert elements_of(labels, mask) == [labels[i] for i in bits]
+    union = 0
+    for i in bits:
+        union |= rows[i]
+    assert reach(rows, mask) == union
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poset([0, 1], [0]),
+    lambda: Poset([0, 1], [0, 0, 0]),
+    lambda: Poset([0, 1], [0b100, 0]),
+    lambda: Poset([0, 1], [-2, 0]),
+    lambda: RelStructure([0, 1], [0]),
+    lambda: RelStructure([0, 1], [0b100, 0]),
+    lambda: RelStructure([0, 1], [0, -1]),
+])
+def test_malformed_rows_raise_domain_error(build):
+    # one row per element, each a bitset over the elements; without the
+    # check these built, or raised IndexError from transpose
+    with pytest.raises(DomainError):
+        build()
 
 
 @settings(deadline=None, max_examples=100)
