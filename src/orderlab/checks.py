@@ -23,8 +23,8 @@ from .fol import Atom, FiniteStructure, Not
 from .forcing import (Condition, amalgamate, default_schedule, entry_op, extends,
                       generic_build, pipeline_embed, projection, quotient_member,
                       split_project, SplitInstance, verify_generic_embedding)
-from .posets import (Poset, RelStructure, enumerate_poset_isotypes, list_pairs,
-                     longest_chain, make_poset)
+from .posets import (Poset, RelStructure, enumerate_poset_isotypes, gather,
+                     list_pairs, longest_chain, make_poset, reach)
 from .redprod import FilterFamily, atomic_los_check, reduced_product
 from .seqspace import eta, phi, position_profile, position_seq
 from .tiepoint import (Clopen, Point, bulk_probe_check, clopen_to_mask,
@@ -46,14 +46,18 @@ def _result(name, failures, cases, t0, **extra):
 # --- random generators ---------------------------------------------------------
 
 def random_poset(rng, n, density=0.4):
+    """Edges a -> b, each with probability density, for a before b in a
+    shuffled order of range(n): a linear extension, so rows close in one pass back."""
     order = list(range(n))
     rng.shuffle(order)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
+    rows = [0] * n
+    for i, a in enumerate(order):
+        for b in order[i + 1:]:
             if rng.random() < density:
-                edges.append((order[i], order[j]))
-    return make_poset(range(n), edges)
+                rows[a] |= 1 << b
+    for a in reversed(order):
+        rows[a] |= reach(rows, rows[a])
+    return Poset(range(n), rows, _validated=True)
 
 
 def random_depletion_instance(rng, max_elems=10, max_labels=5):
@@ -266,11 +270,11 @@ def check_depletion_poset(trials=10000, seed=0):
         except OrderlabError as e:
             failures.append({"instance": inst.to_json_dict(), "s": s, "error": str(e)})
             continue
-        for a, b in dep.pairs():
-            if not inst.order.leq(a, b):
-                failures.append({"instance": inst.to_json_dict(), "s": s,
-                                 "pair": [a, b]})
-                break
+        ambient = gather(inst.order._rows, [inst.order._index[e] for e in dep.elements])
+        extra = [a & ~b for a, b in zip(dep._rows, ambient)]
+        if any(extra):  # the first pair of dep outside the ambient order
+            failures.append({"instance": inst.to_json_dict(), "s": s,
+                             "pair": list(list_pairs(dep.elements, extra)[0])})
     return _result("depletion-partial-order", failures, trials, t0)
 
 
@@ -291,8 +295,10 @@ def check_depletion_monotone(trials=4000, seed=1):
         conv = tset[lo:hi + 1]
         try:
             dep_t = depletion_order(inst, tset)
-            dep_s = depletion_order(inst, sset)
-            dep_c = depletion_order(inst, conv) if len(conv) >= 2 else None
+            # a subset drawn equal to t has t's depletion
+            dep_s = dep_t if sset == tset else depletion_order(inst, sset)
+            dep_c = dep_t if conv == tset else (
+                depletion_order(inst, conv) if len(conv) >= 2 else None)
         except OrderlabError as e:
             failures.append({"instance": inst.to_json_dict(), "t": tset,
                              "s": sset, "convex": conv, "error": str(e)})
@@ -300,15 +306,17 @@ def check_depletion_monotone(trials=4000, seed=1):
         # a pair of the t-depletion missing over s, then any pair on which
         # the convex subset and t disagree
         found = []
-        rows_t = dep_t.restrict(dep_s.elements)._rows
+        rows_t = gather(dep_t._rows, [dep_t._index[e] for e in dep_s.elements])
         extra = [a & ~b for a, b in zip(rows_t, dep_s._rows)]
-        found += [(sset, p, "shrink-monotonicity")
-                  for p in list_pairs(dep_s.elements, extra)]
+        if any(extra):
+            found += [(sset, p, "shrink-monotonicity")
+                      for p in list_pairs(dep_s.elements, extra)]
         if dep_c is not None:
-            rows_t = dep_t.restrict(dep_c.elements)._rows
+            rows_t = gather(dep_t._rows, [dep_t._index[e] for e in dep_c.elements])
             differ = [a ^ b for a, b in zip(rows_t, dep_c._rows)]
-            found += [(conv, p, "convex-agreement")
-                      for p in list_pairs(dep_c.elements, differ)]
+            if any(differ):
+                found += [(conv, p, "convex-agreement")
+                          for p in list_pairs(dep_c.elements, differ)]
         for sub, (x, y), kind in found:
             failures.append({"instance": inst.to_json_dict(), "t": tset,
                              "s": sub, "pair": [x, y], "kind": kind})
@@ -640,14 +648,23 @@ def chain_length_brute(p: Poset):
 
 
 def check_poset_invariants(trials=400, seed=10):
-    """Closure output is a strict order; the converse is an involution; the
-    longest chain matches the brute-force maximum."""
+    """Closure output is a strict order equal to random_poset's on the same
+    draws; the converse is an involution; longest chains match brute force."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
-        n = rng.randint(0, 7)
-        p = random_poset(rng, n, rng.uniform(0.1, 0.6))
+        n, density = rng.randint(0, 7), rng.uniform(0.1, 0.6)
+        # random_poset's draws as edges for make_poset, then drawn again
+        state = rng.getstate()
+        order = list(range(n))
+        rng.shuffle(order)
+        p = make_poset(range(n), [(a, b) for i, a in enumerate(order)
+                                  for b in order[i + 1:] if rng.random() < density])
+        rng.setstate(state)
+        if random_poset(rng, n, density) != p:
+            failures.append({"poset": p.to_json_dict(), "kind": "direct-closure"})
+            continue
         m = p.matrix()
         good = all(not m[i][i] for i in range(n)) and all(
             not (m[i][j] and m[j][i]) for i in range(n) for j in range(n)) and all(

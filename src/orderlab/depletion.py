@@ -45,22 +45,22 @@ class DepletionInstance:
         # the bitset view: the core and each fiber as a mask over the
         # order's element indices
         index = order._index
-        self._level = {}
+        self._level = level = {}
         self._core_mask = 0
         self._fiber_masks = {}
         for xi, part in [(None, self.core)] + [(xi, self.fibers[xi]) for xi in self.labels]:
             mask = 0
             for x in part:
-                if x in self._level:
+                if x in level:
                     raise MembershipError(f"element {x!r} occurs in two parts")
-                self._level[x] = xi
+                level[x] = xi
                 if x in index:  # otherwise the carrier check below fails
                     mask |= 1 << index[x]
             if xi is None:
                 self._core_mask = mask
             else:
                 self._fiber_masks[xi] = mask
-        if set(self._level) != set(order.elements):
+        if level.keys() != index.keys():
             raise MembershipError("order carrier differs from the union of parts")
 
     def level(self, x):
@@ -210,27 +210,29 @@ def depletion_order(inst: DepletionInstance, s) -> Poset:
     dom_mask = core
     for xi in s:
         dom_mask |= fibers[xi]
-    # walks[i]: what the two upward sweeps from order index i reach
-    walks = [0] * len(rows)
+    # full[i] gathers row i over order indices, the walks first
+    full = [0] * len(rows)
     for seq in (s, s[::-1]):
         walk = [0] * len(rows)
         for here, ahead in zip(seq[-2::-1], seq[:0:-1]):
-            for i in elements_of(range(len(rows)), fibers[here]):
-                walk[i] = rows[i] & fibers[ahead]
-                walk[i] |= reach(walk, walk[i])
-                walks[i] |= walk[i]
-    els = inst.order.elements
-    idx = elements_of(range(len(els)), dom_mask)
-    full = []
-    for i in idx:
-        lx = inst._level[els[i]]
-        if lx is None:
-            full.append(rows[i] & dom_mask)
-        else:
-            full.append(rows[i] & (core | fibers[lx]) | walks[i]
-                        | reach(rows, rows[i] & core) & dom_mask)
+            m, ahead = fibers[here], fibers[ahead]
+            while m:
+                i = (m & -m).bit_length() - 1
+                w = rows[i] & ahead
+                if w:
+                    walk[i] = w = w | reach(walk, w)
+                    full[i] |= w
+                m &= m - 1
+    # a core element's own part is all of dom: the core above it adds nothing
+    for m, own in [(core, dom_mask)] + [(fibers[xi], core | fibers[xi]) for xi in s]:
+        while m:
+            i = (m & -m).bit_length() - 1
+            up = rows[i] & core
+            full[i] |= rows[i] & own | (reach(rows, up) & dom_mask if up else 0)
+            m &= m - 1
     # from order indices to positions in dom
-    return Poset([els[i] for i in idx], gather(full, idx))
+    idx = elements_of(range(len(rows)), dom_mask)
+    return Poset([inst.order.elements[i] for i in idx], gather(full, idx))
 
 
 def star_condition(inst: DepletionInstance, xi, eta_label, exhaustive=False):

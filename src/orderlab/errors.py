@@ -98,6 +98,10 @@ class ScheduleError(OrderlabError):
     """A build schedule references elements outside the ground order."""
 
 
+class InvariantError(OrderlabError):
+    """A construction's result lacks a property that the construction guarantees."""
+
+
 class HypothesisError(OrderlabError):
     """A split instance fails its interpolation requirements."""
 

@@ -20,8 +20,8 @@ from itertools import compress
 from operator import lt
 
 from .errors import (AgreementError, AmalgamationError, ChainTooShortError,
-                     DepthError, HypothesisError, PreconditionError,
-                     ProfileError, RootError, ScheduleError)
+                     DepthError, HypothesisError, InvariantError,
+                     PreconditionError, ProfileError, RootError, ScheduleError)
 from .fol import FiniteStructure, pair_rows
 from .posets import Poset, elements_of, int_ids, linear_extension
 from .seqspace import SeqFun, eta, leq_from, lt_from, phi, position_profile
@@ -380,16 +380,19 @@ def generic_build(ground: Poset, budget: int, schedule=None) -> GenericEmbedding
             if a not in els or b not in els:
                 raise ScheduleError("strict-witness request outside the ground order")
             # scan down from the top for the last witness at or past n.  Below
-            # n, p does not meet the request: the op runs (it refuses b at or
-            # below a) and the scan restarts at the new top
+            # n, p does not meet the request: the op runs once (it refuses b
+            # at or below a) and the scan restarts at the new top
             f = p._f
             k = p.depth - 1 if a in f and b in f else -1
+            ran = False
             while not (k >= n and f[a][k] < f[b][k]):
                 if k < n:
+                    if ran:
+                        raise InvariantError(f"request {req!r} is unmet after its op")
                     p = entry_op(ground, req)(p)
                     entry_depth.setdefault(a, p.depth)
                     entry_depth.setdefault(b, p.depth)
-                    f, k = p._f, p.depth
+                    f, k, ran = p._f, p.depth, True
                 k -= 1
             last[(a, b)] = k
         elif kind == "D":

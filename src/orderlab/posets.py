@@ -102,7 +102,7 @@ class Poset:
         """Induced subposet on the given element subset."""
         sub = sorted(subset)
         pos = [self.index_of(e) for e in sub]
-        return Poset(sub, gather([self._rows[i] for i in pos], pos), _validated=True)
+        return Poset(sub, gather(self._rows, pos), _validated=True)
 
     # -- serialization -------------------------------------------------------
 
@@ -198,16 +198,15 @@ def load_pairs(carrier, pairs):
 
 
 def gather(rows, idx):
-    """The rows re-indexed onto the columns idx: bit k of out[p] is set iff
-    bit idx[k] of rows[p] is.  Bits outside idx are dropped."""
-    pos = {}
-    keep = 0
-    for k, j in enumerate(idx):
-        pos[j] = k
-        keep |= 1 << j
+    """The relation induced on the strictly ascending indices idx,
+    re-indexed: bit k of out[p] is set iff bit idx[k] of rows[idx[p]] is."""
+    if len(idx) == len(rows):
+        return list(rows)
+    pos = {j: k for k, j in enumerate(idx)}
+    keep = sum(1 << j for j in idx)
     out = []
-    for row in rows:
-        row &= keep
+    for j in idx:
+        row = rows[j] & keep
         r = 0
         while row:
             low = row & -row

@@ -2,9 +2,10 @@
 
 import itertools
 
-from orderlab.errors import ArityError, CanonicalityError, DomainError
+from orderlab.errors import (ArityError, CanonicalityError, DomainError,
+                             IndexLabelError)
 from orderlab.fol import FiniteStructure
-from orderlab.posets import int_ids
+from orderlab.posets import Poset, elements_of, gather, int_ids, make_poset, reach
 from orderlab.universal import Rel
 
 
@@ -178,3 +179,51 @@ def longest_chain_of_a_strict_order(rows):
         m = rows[chain[-1]] & level[need]
         chain.append((m & -m).bit_length() - 1)
     return chain
+
+
+def ref_random_poset(rng, n, density=0.4):
+    """checks.random_poset before it closed its rows directly: the drawn
+    pairs as an edge list, closed by make_poset."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                edges.append((order[i], order[j]))
+    return make_poset(range(n), edges)
+
+
+def ref_depletion_order(inst, s):
+    """depletion.depletion_order before it walked the fiber masks itself:
+    the walks through elements_of, a reach per walk step and per core-above
+    mask, and the level read off per element.  Its rows are listed by order
+    index, as gather now takes them."""
+    s = inst._check_subset(s)
+    if len(s) < 2:
+        raise IndexLabelError("the depletion needs at least two labels")
+    rows = inst.order._rows
+    core = inst._core_mask
+    fibers = inst._fiber_masks
+    dom_mask = core
+    for xi in s:
+        dom_mask |= fibers[xi]
+    walks = [0] * len(rows)
+    for seq in (s, s[::-1]):
+        walk = [0] * len(rows)
+        for here, ahead in zip(seq[-2::-1], seq[:0:-1]):
+            for i in elements_of(range(len(rows)), fibers[here]):
+                walk[i] = rows[i] & fibers[ahead]
+                walk[i] |= reach(walk, walk[i])
+                walks[i] |= walk[i]
+    els = inst.order.elements
+    idx = elements_of(range(len(els)), dom_mask)
+    full = [0] * len(els)
+    for i in idx:
+        lx = inst._level[els[i]]
+        if lx is None:
+            full[i] = rows[i] & dom_mask
+        else:
+            full[i] = (rows[i] & (core | fibers[lx]) | walks[i]
+                       | reach(rows, rows[i] & core) & dom_mask)
+    return Poset([els[i] for i in idx], gather(full, idx))

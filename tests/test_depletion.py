@@ -8,13 +8,15 @@ import pytest
 
 from orderlab import checks, schema
 from orderlab.checks import (REM0_FIXTURE, check_depletion_monotone,
-                             random_depletion_instance)
+                             check_depletion_poset, random_depletion_instance)
 from orderlab.depletion import (DepletionInstance, Walk, depletion_order,
                                 depletion_rel, find_walk, maximal_star_set,
                                 star_condition)
 from orderlab.errors import (DomainError, IndexLabelError, LevelError,
                              MembershipError, OrderlabError)
 from orderlab.posets import Poset, make_poset
+
+from oracles import ref_depletion_order
 
 
 def restrict_walk(walk, s):
@@ -262,6 +264,48 @@ def test_monotone_suite_reports_a_dropped_pair(monkeypatch):
         assert tuple(f["pair"]) in dropped
         kinds.add(f["kind"])
     assert kinds <= {"shrink-monotonicity", "convex-agreement"}
+
+
+def test_depletion_order_matches_the_oracle_on_the_suite_draws(monkeypatch):
+    # every instance and label subset that the partial-order suite draws at
+    # its budget-small count and seed 0
+    real = checks.depletion_order
+    seen = []
+
+    def compared(inst, s):
+        dep = real(inst, s)
+        assert dep == ref_depletion_order(inst, s), (inst.to_json_dict(), s)
+        seen.append(s)
+        return dep
+
+    monkeypatch.setattr(checks, "depletion_order", compared)
+    assert check_depletion_poset(10000, 0)["ok"]
+    assert len(seen) == 10000
+
+
+def test_partial_order_suite_reports_an_added_pair(monkeypatch):
+    assert check_depletion_poset(trials=300, seed=0)["ok"]
+    real = checks.depletion_order
+    added = set()
+
+    def loose(inst, s):
+        # one pair that the ambient order lacks, where there is one
+        dep = real(inst, s)
+        els = dep.elements
+        for a, b in itertools.permutations(els, 2):
+            if not inst.order.leq(a, b):
+                rows = list(dep._rows)
+                rows[dep.index_of(a)] |= 1 << dep.index_of(b)
+                added.add((a, b))
+                return Poset(els, rows, _validated=True)
+        return dep
+
+    monkeypatch.setattr(checks, "depletion_order", loose)
+    result = check_depletion_poset(trials=300, seed=0)
+    assert not result["ok"] and result["cases"] == 300
+    assert result["failures"]
+    for f in result["failures"]:
+        assert tuple(f["pair"]) in added
 
 
 def test_walk_restriction_stays_a_walk():

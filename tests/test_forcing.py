@@ -14,8 +14,9 @@ from orderlab.checks import (_conditions, _draw, check_dense_entries,
                              random_extension, random_poset, random_root_family)
 from orderlab.errors import (AgreementError, AmalgamationError,
                              ChainTooShortError, DepthError, DomainError,
-                             FormulaError, HypothesisError, PreconditionError,
-                             ProfileError, RootError, ScheduleError)
+                             FormulaError, HypothesisError, InvariantError,
+                             PreconditionError, ProfileError, RootError,
+                             ScheduleError)
 from orderlab.forcing import (Condition, EMPTY_CONDITION, ExplicitChainFactor,
                               amalgamate, default_schedule, entry_op,
                               extend_into_D, extend_into_E, extends,
@@ -909,6 +910,30 @@ def test_the_fold_compiles_an_op_only_for_a_request_p_does_not_meet(
             _, [verdict] = cli._cmd_forcing_generic(args, {})
             assert verdict["ok"]
     assert len(compiled) == 739
+
+
+@pytest.mark.parametrize("schedule", [None, "default"])
+def test_an_op_that_places_no_witness_stops_the_build_at_once(monkeypatch, schedule):
+    # the stub enters elements but places no strict witness; the build must
+    # run it once per unmet witness request and then refuse, not loop
+    ground = make_poset({0, 1}, set())
+    runs = []
+
+    def no_witness_op(ground, req):
+        def op(p):
+            if req[0] == "D":
+                return entry_op(ground, req)(p)
+            runs.append(req)
+            assert len(runs) == 1, "the op ran again for an unmet request"
+            return p
+        return op
+
+    monkeypatch.setattr(forcing, "entry_op", no_witness_op)
+    if schedule:
+        schedule = default_schedule(ground, 2)
+    with pytest.raises(InvariantError, match=r"request \('E', 0, 0, 1\)"):
+        generic_build(ground, 2, schedule)
+    assert runs == [("E", 0, 0, 1)]
 
 
 def test_the_shuffled_schedule_is_the_shuffled_default_schedule():

@@ -6,8 +6,9 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orderlab import schema
-from orderlab.checks import chain_length_brute, check_poset_invariants
+from orderlab import checks, schema
+from orderlab.checks import (chain_length_brute, check_poset_invariants,
+                             random_poset)
 from orderlab.errors import CycleError, DomainError, InputError
 from orderlab.posets import (Poset, RelStructure, elements_of,
                              enumerate_poset_isotypes, is_transitive,
@@ -15,7 +16,7 @@ from orderlab.posets import (Poset, RelStructure, elements_of,
                              longest_chain, longest_chain_indices, make_poset,
                              reach, transpose)
 
-from oracles import longest_chain_of_a_strict_order
+from oracles import longest_chain_of_a_strict_order, ref_random_poset
 
 
 def test_make_poset_closure_of_chain():
@@ -127,6 +128,33 @@ def test_poset_invariants_catches_a_short_chain(monkeypatch):
     result = check_poset_invariants(trials=60)
     assert not result["ok"]
     assert result["failures"][0]["kind"] == "chain-length"
+
+
+def test_poset_invariants_catches_a_wrong_direct_closure(monkeypatch):
+    # the generator's order cut down to its covering pairs, as a pass that
+    # never ORs in a successor's row leaves it: make_poset's closure of the
+    # same draws differs wherever a chain has three elements
+    real = checks.random_poset
+
+    def unclosed(rng, n, density):
+        rows = real(rng, n, density)._rows
+        return Poset(range(n), [r & ~reach(rows, r) for r in rows], _validated=True)
+
+    monkeypatch.setattr(checks, "random_poset", unclosed)
+    result = check_poset_invariants(trials=60)
+    assert not result["ok"] and result["cases"] == 60
+    assert {f["kind"] for f in result["failures"]} == {"direct-closure"}
+
+
+def test_random_poset_matches_the_edge_list_closure_draw_for_draw():
+    # the same Poset, and the same generator state after every draw, so the
+    # draw stream of every seeded suite stays where it was
+    drive = random.Random(3)
+    rng, ref = random.Random(4), random.Random(4)
+    for _ in range(2400):
+        n, density = drive.randint(0, 10), drive.uniform(0.1, 0.6)
+        assert random_poset(rng, n, density) == ref_random_poset(ref, n, density)
+        assert rng.getstate() == ref.getstate()
 
 
 def test_longest_chain_lex_tiebreak():
