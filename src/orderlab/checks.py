@@ -2,17 +2,17 @@
 randomized trials for every construction in the package.
 
 Each check returns a dict with "name", "ok", counters, and on failure a
-minimal reproducing input under "failures".  The command-line driver runs
-them as `check-all`; the acceptance tests pin the same functions at their
-contract budgets.
+minimal reproducing input under "failures".  A suite's keyword defaults are
+its `small` contract arguments; `SUITES` pins the cases each reports at
+them.  `check-all` runs the table; the acceptance tests run the same suites.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 import time
-from functools import partial
 from operator import lt
 
 from . import _kernels, schema
@@ -890,40 +890,57 @@ BUDGETS = {
 }
 
 
+# Each suite in report order, with the cases it reports at its defaults
+SUITES = (
+    (check_phi_strict_increase, 35970),
+    (check_salient, 522956325),
+    (check_universal_witness, 55250),
+    (check_depletion_poset, 10000),
+    (check_depletion_monotone, 4000),
+    (check_strictness_fixture, 2),
+    (check_star_equivalence, 3482),
+    (check_amalgamation, 1000),
+    (check_dense_entries, 2657486),
+    (check_reduction, 247228),
+    (check_generic_embedding, 406),
+    (check_pipeline, 50),
+    (check_atomic_los, 20463),
+    (check_tie_points, 16),
+    (check_split_density, 133),
+    (check_split_density_exhaustive, 4550),
+    (check_poset_invariants, 400),
+    (check_embed_roundtrip, 1000),
+    (check_clopen_ops, 600),
+    (check_product_congruence, 200),
+)
+
+
 def run_all(budget="small", seed=0):
-    """Every suite at the contract bounds, scaled by the budget for the
-    randomized trial counts.  A suite that raises is reported as failed,
-    with the exception, and the suites after it still run."""
+    """Every suite of `SUITES`, its default `trials` scaled by the budget and
+    its default `seed` shifted by seed; at small and seed 0, a suite off its
+    pin fails.  A suite that raises is reported as failed, with the
+    exception, and the suites after it still run."""
     scale = BUDGETS[budget]
-    suites = [
-        partial(check_phi_strict_increase),
-        partial(check_salient),
-        partial(check_universal_witness),
-        partial(check_depletion_poset, trials=int(10000 * scale), seed=seed),
-        partial(check_depletion_monotone, trials=int(4000 * scale), seed=seed + 1),
-        partial(check_strictness_fixture),
-        partial(check_star_equivalence, trials=int(500 * scale), seed=seed + 2),
-        partial(check_amalgamation, trials=int(1000 * scale), seed=seed + 3),
-        partial(check_dense_entries, trials=int(1000 * scale), seed=seed + 4),
-        partial(check_reduction, trials=int(1000 * scale), seed=seed + 5),
-        partial(check_generic_embedding),
-        partial(check_pipeline, trials=int(50 * scale), seed=seed + 6),
-        partial(check_atomic_los, trials=int(1000 * scale), seed=seed + 7),
-        partial(check_tie_points, seed=seed + 8),
-        partial(check_split_density, seed=seed + 9, trials=int(40 * scale)),
-        partial(check_split_density_exhaustive),
-        partial(check_poset_invariants, trials=int(400 * scale), seed=seed + 10),
-        partial(check_embed_roundtrip, trials=int(1000 * scale), seed=seed + 11),
-        partial(check_clopen_ops, trials=int(600 * scale), seed=seed + 12),
-        partial(check_product_congruence, trials=int(200 * scale), seed=seed + 13),
-    ]
+    pinned = budget == "small" and seed == 0
     results = []
-    for suite in suites:
+    for suite, cases in SUITES:
+        params = inspect.signature(suite).parameters
+        kwargs = {}
+        if "trials" in params:
+            kwargs["trials"] = int(params["trials"].default * scale)
+        if "seed" in params:
+            kwargs["seed"] = params["seed"].default + seed
         t0 = time.perf_counter()
         try:
-            results.append(suite())
+            result = suite(**kwargs)
         except Exception as e:
-            results.append({"name": suite.func.__name__, "ok": False,
-                            "error": f"{type(e).__name__}: {e}",
-                            "elapsed_s": round(time.perf_counter() - t0, 3)})
+            result = {"name": suite.__name__, "ok": False,
+                      "error": f"{type(e).__name__}: {e}",
+                      "elapsed_s": round(time.perf_counter() - t0, 3)}
+        else:
+            if pinned and result["cases"] != cases:
+                result["ok"] = False
+                result.setdefault("failures", []).append(
+                    {"kind": "cases", "expected": cases})
+        results.append(result)
     return results

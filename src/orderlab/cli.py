@@ -257,7 +257,7 @@ def _cmd_tiepoint(args, digests):
 def _cmd_check_all(args, digests):
     from . import checks  # loaded only by the request that runs the suites
 
-    results = checks.run_all(budget=args.budget, seed=args.seed or 0)
+    results = checks.run_all(budget=args.budget, seed=args.seed)
     for c in results:
         print(f"  {c['name']}: {c['elapsed_s']}s", file=sys.stderr)
     # wall times are volatile; the canonical report carries verdicts only

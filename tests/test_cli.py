@@ -1,6 +1,8 @@
 import argparse
 import contextlib
+import functools
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -983,35 +985,43 @@ RUN_ALL_CALLS = [
 ]
 
 
+def stub_suite(calls, suite, cases):
+    """A stand-in for suite with its signature: it records its call and
+    reports the given cases."""
+    @functools.wraps(suite)
+    def run(*args, **kwargs):
+        calls.append((suite.__name__, args, kwargs))
+        return {"name": suite.__name__, "ok": True, "cases": cases, "elapsed_s": 0.5}
+    return run
+
+
 @pytest.fixture
 def suite_stubs(monkeypatch):
     calls = []
-
-    def stub(name):
-        def run(*args, **kwargs):
-            calls.append((name, args, kwargs))
-            return {"name": name, "ok": True, "cases": 0, "elapsed_s": 0.5}
-        return run
-
-    for name in dir(checks):
-        if name.startswith("check_"):
-            monkeypatch.setattr(checks, name, stub(name))
+    monkeypatch.setattr(checks, "SUITES", tuple(
+        (stub_suite(calls, suite, cases), cases) for suite, cases in checks.SUITES))
     return calls
 
 
 def test_run_all_calls_every_suite_once_in_report_order(suite_stubs):
-    results = checks.run_all("medium", seed=5)
-    scale = checks.BUDGETS["medium"]
-    want = []
-    for name, trials, offset in RUN_ALL_CALLS:
-        kwargs = {}
-        if trials is not None:
-            kwargs["trials"] = int(trials * scale)
-        if offset is not None:
-            kwargs["seed"] = 5 + offset
-        want.append((name, (), kwargs))
-    assert suite_stubs == want
-    assert [r["name"] for r in results] == [name for name, _, _ in RUN_ALL_CALLS]
+    for budget, seed in (("medium", 5), ("small", 0)):
+        suite_stubs.clear()
+        results = checks.run_all(budget, seed=seed)
+        scale = checks.BUDGETS[budget]
+        want = []
+        for name, trials, offset in RUN_ALL_CALLS:
+            kwargs = {}
+            if trials is not None:
+                kwargs["trials"] = int(trials * scale)
+            if offset is not None:
+                kwargs["seed"] = seed + offset
+            want.append((name, (), kwargs))
+        assert suite_stubs == want
+        assert [r["name"] for r in results] == [name for name, _, _ in RUN_ALL_CALLS]
+    # at small and seed 0 every suite runs at exactly its own defaults
+    for name, _, kwargs in suite_stubs:
+        params = inspect.signature(getattr(checks, name)).parameters
+        assert kwargs == {k: params[k].default for k in ("trials", "seed") if k in params}
 
 
 def test_check_all_reports_a_suite_that_raises(suite_stubs, monkeypatch, capsys):
@@ -1019,7 +1029,9 @@ def test_check_all_reports_a_suite_that_raises(suite_stubs, monkeypatch, capsys)
         suite_stubs.append(("check_salient", args, kwargs))
         raise IndexError("list index out of range")
 
-    monkeypatch.setattr(checks, "check_salient", check_salient)
+    rows = list(checks.SUITES)
+    rows[1] = (check_salient, rows[1][1])
+    monkeypatch.setattr(checks, "SUITES", tuple(rows))
     code, out, err = run_cli(capsys, ["check-all"])
     assert code == 1 and "Traceback" not in err
     rep = json.loads(out)
@@ -1027,6 +1039,24 @@ def test_check_all_reports_a_suite_that_raises(suite_stubs, monkeypatch, capsys)
     assert rep["checks"][1] == {"name": "check_salient", "ok": False,
                                 "error": "IndexError: list index out of range"}
     assert not rep["ok"] and all(c["ok"] for i, c in enumerate(rep["checks"]) if i != 1)
+
+
+def test_check_all_fails_a_suite_off_its_pinned_cases_at_the_defaults(
+        suite_stubs, monkeypatch, capsys):
+    rows = list(checks.SUITES)
+    suite, cases = rows[8]  # the dense grid
+    rows[8] = (stub_suite(suite_stubs, suite, cases + 1), cases)
+    monkeypatch.setattr(checks, "SUITES", tuple(rows))
+    code, out, _ = run_cli(capsys, ["check-all"])
+    assert code == 1
+    rep = json.loads(out)
+    assert [i for i, c in enumerate(rep["checks"]) if not c["ok"]] == [8]
+    assert rep["checks"][8]["cases"] == cases + 1
+    assert rep["checks"][8]["failures"] == [{"kind": "cases", "expected": cases}]
+    # the pin holds only at the defaults
+    for argv in (["check-all", "--seed", "1"], ["check-all", "--budget", "medium"]):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and json.loads(out)["ok"], argv
 
 
 def test_check_all_command_drops_wall_times(suite_stubs, capsys):
