@@ -22,14 +22,15 @@ from __future__ import annotations
 # The sweep walks the range in blocks of SWEEP_BLOCK coefficients and reuses
 # preallocated block-sized work arrays, so the working set (about 1 MB)
 # stays in cache.  The sweep is memory-bound: with blocks of 2^24 values it
-# runs about four times slower and peaks above 500 MB.  Each block makes
-# five array passes: m*e as the precomputed row i*e plus start*e, then
-# (m+1)*e, s + m*e, the comparison and the count.
+# runs about four times slower and peaks above 500 MB, and blocks of 2^14 or
+# 2^16 are slower than 2^15.  Each block makes four array passes: (m+1)*e as
+# the precomputed row i*e plus the block constant (start+1)*e, s + m*e as the
+# same row plus the block constant start*e + s, the comparison and the count.
 #
 # The int64 arithmetic is exact as long as (m_max+1)*e and s + m_max*e fit,
-# since every value formed is at most one of the two: check_salient refuses
-# any term where (e+1)*e or s + e*e reaches 2^62 before it sweeps m up to
-# m_max = e.
+# since every value formed, the two block constants included, is at most one
+# of the two (start <= m_max): check_salient refuses any term where (e+1)*e
+# or s + e*e reaches 2^62 before it sweeps m up to m_max = e.
 
 SWEEP_BLOCK = 1 << 15
 
@@ -37,19 +38,17 @@ SWEEP_BLOCK = 1 << 15
 def salient_violations(e, s, m_max):
     import numpy as np
 
-    e64 = np.int64(e)
-    s64 = np.int64(s)
     width = min(SWEEP_BLOCK, m_max + 1)
-    row = np.arange(width, dtype=np.int64) * e64  # i*e for i < width
-    prod = np.empty(width, dtype=np.int64)
+    row = np.arange(width, dtype=np.int64) * np.int64(e)  # i*e for i < width
     lhs = np.empty(width, dtype=np.int64)
+    rhs = np.empty(width, dtype=np.int64)
     hit = np.empty(width, dtype=np.bool_)
     bad = 0
     for start in range(0, m_max + 1, SWEEP_BLOCK):
         k = min(SWEEP_BLOCK, m_max + 1 - start)
-        t = np.add(row[:k], np.int64(start * e), out=prod[:k])  # m*e
-        left = np.add(t, e64, out=lhs[:k])
-        right = np.add(t, s64, out=t)
+        i_e = row[:k]
+        left = np.add(i_e, np.int64((start + 1) * e), out=lhs[:k])  # (m+1)*e
+        right = np.add(i_e, np.int64(start * e + s), out=rhs[:k])  # s + m*e
         bad += int(np.count_nonzero(np.less_equal(left, right, out=hit[:k])))
     return bad
 

@@ -185,13 +185,18 @@ def check_phi_strict_increase(n_coords=6):
             for n in range(1, n_coords):
                 if f[n] < g[n] and not pf[n + 1] < pg[n + 1]:
                     failures.append({"f": f, "g": g, "n": n, "kind": "step"})
-            for m in range(n_coords + 1):
-                if all(f[j] <= g[j] for j in range(m, n_coords)):
-                    for n in range(max(m, 1), n_coords):
-                        if f[n] < g[n]:
-                            cases += 1
-                            if not all(pf[j] < pg[j] for j in range(n + 1, n_coords + 1)):
-                                failures.append({"f": f, "g": g, "m": m, "n": n})
+            # f <= g from m on exactly when m passes the last j with
+            # f[j] > g[j]; strict[n]: every lifted coordinate past n is strict
+            low = max([j + 1 for j in range(n_coords) if f[j] > g[j]], default=0)
+            strict = [True] * (n_coords + 1)
+            for n in range(n_coords - 1, 0, -1):
+                strict[n] = strict[n + 1] and pf[n + 1] < pg[n + 1]
+            for m in range(low, n_coords + 1):
+                for n in range(max(m, 1), n_coords):
+                    if f[n] < g[n]:
+                        cases += 1
+                        if not strict[n]:
+                            failures.append({"f": f, "g": g, "m": m, "n": n})
     return _result("phi-strict-increase", failures, cases, t0)
 
 
@@ -225,10 +230,14 @@ def check_universal_witness(universe=13, max_size=5):
     bound = 3 ** universe
     forward, backward, unrelated = Rel.FORWARD, Rel.BACKWARD, Rel.UNRELATED
     for k in range(1, max_size + 1):
+        # the member indices on the F and on the G side, per pick
+        splits = [([i for i in range(k) if pick >> i & 1],
+                   [i for i in range(k) if not pick >> i & 1])
+                  for pick in range(1 << k)]
         for members in itertools.combinations(base, k):
-            for pick in range(1 << k):
-                f_set = [m for i, m in enumerate(members) if pick >> i & 1]
-                g_set = [m for i, m in enumerate(members) if not pick >> i & 1]
+            for f_idx, g_idx in splits:
+                f_set = [members[i] for i in f_idx]
+                g_set = [members[i] for i in g_idx]
                 n = witness(f_set, g_set)
                 cases += 1
                 # digits above the universe vanish since n < 3**universe, so
@@ -240,12 +249,14 @@ def check_universal_witness(universe=13, max_size=5):
                     want[m] = forward
                 for m in g_set:
                     want[m] = backward
-                top = n if n < universe else universe
-                positions, expected = base[:top], want[:top]
-                if members[-1] >= top:  # a wrong witness: check the members above it too
-                    extra = [m for m in members if m >= top]
-                    positions += extra
-                    expected += [want[m] for m in extra]
+                if n >= universe:  # every position of the universe lies below n
+                    positions, expected = base, want
+                else:
+                    positions, expected = base[:n], want[:n]
+                    if members[-1] >= n:  # a wrong witness: check the members above it too
+                        extra = [m for m in members if m >= n]
+                        positions += extra
+                        expected += [want[m] for m in extra]
                 got = list(map(rel, positions, itertools.repeat(n)))
                 ok = n < bound and got == expected
                 for m in (universe, universe + 5, n - 1):

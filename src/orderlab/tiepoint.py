@@ -15,6 +15,7 @@ orthogonal to each other and avoiding the point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import pairwise
 
 from .errors import CanonicalityError, DepthError
@@ -150,8 +151,11 @@ def contains(u: Clopen, x: Point) -> bool:
     return any(x.expand(len(w)) == w for w in u.antichain)
 
 
+@lru_cache(maxsize=8)
 def _cells(d):
-    return [format(i, f"0{d}b") for i in range(1 << d)] if d else [""]
+    """The 2^d depth-d cell words in lexicographic order, built once per
+    depth: the mask views at the suites' depths (at most 5) reuse them."""
+    return tuple(format(i, f"0{d}b") for i in range(1 << d)) if d else ("",)
 
 
 # --- cell-mask views ----------------------------------------------------------

@@ -36,6 +36,7 @@ _SMALL_LIMIT = 1 << 63
 # witness() adds plain powers of 3 when every position is an int below
 # this: the sum stays below 3^40, and one of 2^63 or more goes the sparse way
 _INT_POSITIONS = 40
+_INT_RANGE = frozenset(range(_INT_POSITIONS))
 _HASH_MODULUS = sys.hash_info.modulus
 # direction of (m, n) by the digit of the larger at the smaller's position,
 # when m is the smaller and when m is the larger
@@ -246,15 +247,17 @@ def rel(m, n) -> Rel:
     if type(m) is int and type(n) is int:
         if m < 0 or n < 0:
             raise ValueError("naturals only")
-        # the digit read inline, as in ternary_digit: this is the hot call
+        # the digit read inline, as in ternary_digit: this is the hot call;
+        # below position 64 the table digit of a number under 3^m is 0
+        # already, so only a higher position needs the bit_length shortcut
         if m < n:
-            if m >= n.bit_length():
-                return Rel.UNRELATED
-            return _DIRS_UP[n // (_POW3[m] if m < 64 else 3 ** m) % 3]
+            if m < 64:
+                return _DIRS_UP[n // _POW3[m] % 3]
+            return _DIRS_UP[n // 3 ** m % 3] if m < n.bit_length() else Rel.UNRELATED
         if n < m:
-            if n >= m.bit_length():
-                return Rel.UNRELATED
-            return _DIRS_DOWN[m // (_POW3[n] if n < 64 else 3 ** n) % 3]
+            if n < 64:
+                return _DIRS_DOWN[m // _POW3[n] % 3]
+            return _DIRS_DOWN[m // 3 ** n % 3] if n < m.bit_length() else Rel.UNRELATED
         return Rel.UNRELATED
     _require_naturals(m, n)
     c = _compare(m, n)
@@ -270,15 +273,17 @@ def witness(f_set, g_set):
     g_set, and unrelated to every other smaller number: digit 1 at the
     f-positions and digit 2 at the g-positions."""
     f_set, g_set = list(f_set), list(g_set)
-    if all(type(x) is int and 0 <= x < _INT_POSITIONS for x in f_set + g_set):
+    # the types first, so that no bool or float hides in a set as its int
+    if set(map(type, f_set + g_set)) <= {int}:
         fs, gs = set(f_set), set(g_set)
-        if fs & gs:
-            raise DisjointnessError("the two prescribed sets overlap")
-        if len(fs) < len(f_set) or len(gs) < len(g_set):
-            raise ValueError("duplicate positions in the support")
-        n = sum([_POW3[x] for x in fs]) + 2 * sum([_POW3[x] for x in gs])
-        if n < _SMALL_LIMIT:
-            return n
+        if fs <= _INT_RANGE and gs <= _INT_RANGE:
+            if fs & gs:
+                raise DisjointnessError("the two prescribed sets overlap")
+            if len(fs) < len(f_set) or len(gs) < len(g_set):
+                raise ValueError("duplicate positions in the support")
+            n = sum([_POW3[x] for x in fs]) + 2 * sum([_POW3[x] for x in gs])
+            if n < _SMALL_LIMIT:
+                return n
     _require_naturals(*f_set, *g_set)
     for x in f_set:
         for y in g_set:

@@ -6,6 +6,7 @@ from orderlab.errors import (ArityError, CanonicalityError, DomainError,
                              IndexLabelError)
 from orderlab.fol import FiniteStructure
 from orderlab.posets import Poset, elements_of, gather, int_ids, make_poset, reach
+from orderlab.seqspace import position_seq
 from orderlab.universal import Rel
 
 
@@ -46,6 +47,31 @@ def universal_witness_failures(universe, max_size, witness, rel):
                         ok = False
                 if not ok:
                     failures.append({"F": sorted(f_set), "G": sorted(g_set), "n": n})
+    return cases, failures
+
+
+def phi_strict_increase_failures(n_coords, phi):
+    """The case count and the failures of check_phi_strict_increase, by its
+    loop before it read one domination threshold per pair: every m is
+    tested for f <= g from m on, and every n rescans the lifted suffix."""
+    space = list(itertools.product(*[range(max(k, 1)) for k in range(n_coords)]))
+    lifted = {v: phi(position_seq(v)).vals for v in space}
+    failures = []
+    cases = 0
+    for f in space:
+        pf = lifted[f]
+        for g in space:
+            pg = lifted[g]
+            for n in range(1, n_coords):
+                if f[n] < g[n] and not pf[n + 1] < pg[n + 1]:
+                    failures.append({"f": f, "g": g, "n": n, "kind": "step"})
+            for m in range(n_coords + 1):
+                if all(f[j] <= g[j] for j in range(m, n_coords)):
+                    for n in range(max(m, 1), n_coords):
+                        if f[n] < g[n]:
+                            cases += 1
+                            if not all(pf[j] < pg[j] for j in range(n + 1, n_coords + 1)):
+                                failures.append({"f": f, "g": g, "m": m, "n": n})
     return cases, failures
 
 

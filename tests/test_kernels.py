@@ -1,13 +1,15 @@
 """The blocked numpy inequality sweep against the plain-integer oracle.
 
 With e <= s every coefficient violates, so a coefficient dropped or
-counted twice at a block edge changes the count.
+counted twice at a block edge, or a block constant ((start+1)*e or
+start*e + s) off by one coefficient, changes the count.
 """
 
 import pytest
 
 from orderlab import _kernels, checks
 from orderlab.errors import BudgetError
+from orderlab.seqspace import eta
 
 BLOCK = _kernels.SWEEP_BLOCK
 
@@ -22,6 +24,9 @@ BLOCK = _kernels.SWEEP_BLOCK
     (7, 6, False),   # e > s: every m passes
     (7, 7, True),    # e == s: every m violates
     (3, 11, True),   # e < s: every m violates
+    (eta(12), sum(j * eta(j) for j in range(12)), False),  # the n = 12 term
+    (2 ** 40 + 1, 2 ** 40, False),  # e = s + 1 at a large e
+    (2 ** 40, 2 ** 40, True),
 ])
 def test_blocked_sweep_matches_bigint(width, e, s, all_violate):
     m_max = width - 1

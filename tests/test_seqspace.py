@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from orderlab import schema
+from orderlab import checks, schema
 from orderlab.errors import ProfileError
 from orderlab.seqspace import (SeqFun, eta, eta_profile, leq_from, lt_from,
                                phi, position_profile, position_seq)
+
+from oracles import phi_strict_increase_failures
 
 
 def eta_recursion(n_max):
@@ -127,6 +129,37 @@ def test_strict_increase_exhaustive_small():
                         if fv[n] < gv[n]:
                             assert all(pf[j] < pg[j]
                                        for j in range(n + 1, n_coords + 1))
+
+
+def phi_flat_at_the_top(f):
+    """phi with its last lifted coordinate pinned to 0, so that a strict
+    step at the last coordinate stops being strict there."""
+    vals = list(phi(f).vals)
+    vals[-1] = 0
+    return SeqFun(eta_profile(len(vals)), tuple(vals))
+
+
+@pytest.mark.parametrize("lift", [phi, phi_flat_at_the_top])
+@pytest.mark.parametrize("n_coords", range(2, 7))
+def test_phi_suite_matches_the_every_m_loop(monkeypatch, n_coords, lift):
+    seen = {}
+
+    def keep_all(name, failures, cases, t0, **extra):
+        seen["failures"] = failures
+        return result(name, failures, cases, t0, **extra)
+
+    result = checks._result
+    monkeypatch.setattr(checks, "_result", keep_all)
+    monkeypatch.setattr(checks, "phi", lift)
+    got = checks.check_phi_strict_increase(n_coords)
+    cases, failures = phi_strict_increase_failures(n_coords, lift)
+    assert got["cases"] == cases
+    assert seen["failures"] == failures  # content and order, step entries too
+    if lift is phi:
+        assert not failures
+    elif n_coords > 2:  # two coordinates allow no strict step
+        assert any("m" in x for x in failures)
+        assert any(x.get("kind") == "step" for x in failures)
 
 
 def test_strict_increase_randomized_wider():

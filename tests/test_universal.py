@@ -11,6 +11,7 @@ from orderlab import checks
 from orderlab.checks import check_embed_roundtrip
 from orderlab.errors import AsymmetryError, DisjointnessError
 from orderlab.posets import RelStructure
+from orderlab.universal import _INT_POSITIONS as INT_POSITIONS
 from orderlab.universal import (Rel, SparseNat, as_nat, embed_structure, rel,
                                 ternary_digit, verify_embedding, witness,
                                 witness_above)
@@ -124,9 +125,47 @@ def test_rel_and_witness_beyond_the_power_table():
             (([-1], []), ValueError, "naturals only"),
             (([1], [1]), DisjointnessError, "overlap"),
             (([1, 1], []), ValueError, "duplicate positions"),
-            (([], [2, 2]), ValueError, "duplicate positions")):
+            (([], [2, 2]), ValueError, "duplicate positions"),
+            # a bool or float equal to an int position is refused as such,
+            # not read as a duplicate of it or an overlap with it
+            (([1, True], []), ValueError, "naturals only"),
+            (([0], [False]), ValueError, "naturals only"),
+            (([2], [2.0]), ValueError, "naturals only"),
+            (([3, 3.0], [1]), ValueError, "naturals only")):
         with pytest.raises(error, match=message):
             witness(*args)
+
+
+def rel_by_digits(m, n):
+    """rel by its definition: the base-3 digit of the larger number at the
+    position of the smaller."""
+    if m < n:
+        return (Rel.UNRELATED, Rel.FORWARD, Rel.BACKWARD)[n // 3 ** m % 3]
+    if n < m:
+        return (Rel.UNRELATED, Rel.BACKWARD, Rel.FORWARD)[m // 3 ** n % 3]
+    return Rel.UNRELATED
+
+
+def test_rel_matches_the_digit_definition_around_powers_of_three():
+    # m + 1 and 2^m - 1 put m at or above n.bit_length(); m runs past the
+    # 3^m table, which ends at 63
+    for m in range(71):
+        for n in (3 ** m - 1, 3 ** m, 2 * 3 ** m, 3 ** (m + 1) - 1,
+                  m + 1, 2 ** m - 1):
+            assert rel(m, n) is rel_by_digits(m, n), (m, n)
+            assert rel(n, m) is rel_by_digits(n, m), (n, m)
+
+
+def test_witness_lanes_agree_around_the_int_positions():
+    edge = [0, INT_POSITIONS - 2, INT_POSITIONS - 1, INT_POSITIONS, INT_POSITIONS + 1]
+    for k in range(1, 4):
+        for members in itertools.combinations(edge, k):
+            for pick in range(1 << k):
+                f_set = [m for i, m in enumerate(members) if pick >> i & 1]
+                g_set = [m for m in members if m not in f_set]
+                want = witness([SparseNat.from_int(x) for x in f_set],
+                               [SparseNat.from_int(x) for x in g_set])
+                assert witness(f_set, g_set) == want, (f_set, g_set)
 
 
 def test_sparse_nat_agrees_with_ints():
