@@ -359,14 +359,14 @@ def check_strictness_fixture():
     return _result("shrink-strictness-fixture", failures, 2, t0)
 
 
-def check_star_equivalence(trials=500, seed=2, max_labels=6):
+def check_star_equivalence(trials=500, seed=2):
     """The full-interval criterion agrees with the exhaustive subset search."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     cases = 0
     for t in range(trials):
-        inst = random_depletion_instance(rng, 10, max_labels)
+        inst = random_depletion_instance(rng, 10, 6)
         for i, xi in enumerate(inst.labels):
             for eta_lab in inst.labels[i + 1:]:
                 cases += 1
@@ -547,14 +547,14 @@ def check_generic_embedding(max_n=6, budget=16):
     return _result("generic-embedding", failures, cases, t0, budget=budget)
 
 
-def check_pipeline(trials=50, seed=6, max_n=5):
+def check_pipeline(trials=50, seed=6):
     """Random posets compose through the full pipeline with chain factors of
     the exact recursion lengths."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for t in range(trials):
-        ground = random_poset(rng, rng.randint(1, max_n))
+        ground = random_poset(rng, rng.randint(1, 5))
         rep = pipeline_embed(ground, 3)
         if not rep["ok"]:
             failures.append({"poset": ground.to_json_dict(),

@@ -43,7 +43,7 @@ def _load(kind, path, digests):
         raise InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     try:
         doc = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as e:  # bad JSON, too many digits, too deep
         raise InputError(f"{path}: not a JSON document ({e})") from None
     return schema.load(kind, doc)
 

@@ -106,12 +106,17 @@ class Or:
     args: tuple
 
 
+# parentheses a formula may nest; the parser and the formula walkers recurse
+# once per level, and this keeps them well inside the recursion limit
+MAX_NESTING = 200
+
+
 def parse_formula(text):
     """Parse an s-expression into a formula tree."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
-    def read():
+    def read(depth):
         nonlocal pos
         if pos >= len(tokens):
             raise FormulaError("unexpected end of formula")
@@ -121,6 +126,10 @@ def parse_formula(text):
             raise FormulaError("unexpected ')'")
         if tok != "(":
             raise FormulaError(f"expected '(', got {tok!r}")
+        if pos == len(tokens):
+            raise FormulaError("unexpected end of formula")
+        if depth == MAX_NESTING:
+            raise FormulaError(f"formula nested deeper than {MAX_NESTING}")
         head = tokens[pos]
         pos += 1
         if head == "(" or head == ")":
@@ -128,7 +137,7 @@ def parse_formula(text):
         items = []
         while pos < len(tokens) and tokens[pos] != ")":
             if tokens[pos] == "(":
-                items.append(read())
+                items.append(read(depth + 1))
             else:
                 items.append(tokens[pos])
                 pos += 1
@@ -147,7 +156,7 @@ def parse_formula(text):
             raise FormulaError("atom arguments must be variables")
         return Atom(head, tuple(items))
 
-    node = read()
+    node = read(0)
     if pos != len(tokens):
         raise FormulaError("trailing tokens after formula")
     return node

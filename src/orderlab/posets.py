@@ -180,7 +180,8 @@ def load_pairs(carrier, pairs):
     """The sorted carrier and the row bitsets over it of the given pairs.
 
     Raises DomainError on a carrier id that is not an int, and on an item
-    that is not a pair of carrier elements.
+    that is not a pair of carrier elements (a bool or a float is not one,
+    even where it equals one).
     """
     carrier = sorted(set(int_ids(carrier)))
     index = {e: i for i, e in enumerate(carrier)}
@@ -193,6 +194,8 @@ def load_pairs(carrier, pairs):
             raise DomainError(f"pair {pair!r} mentions unknown elements") from None
         except (TypeError, ValueError):
             raise DomainError(f"{pair!r} is not a pair of elements") from None
+        if type(a) is not int or type(b) is not int:
+            raise DomainError(f"pair {pair!r} has an id that is not an integer")
         rows[i] |= 1 << j
     return carrier, rows
 

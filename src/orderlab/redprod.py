@@ -211,13 +211,18 @@ def atomic_los_check(rp: ReducedProduct, phi, vectors):
     """Double-evaluate an atomic or negated-atomic formula.
 
     Compares satisfaction in the product against filter membership of the
-    coordinatewise satisfaction set at the given representatives.  Returns
-    (equivalence holds, that index set).
+    coordinatewise satisfaction set at the given representatives, one per
+    distinct variable in order of first appearance.  Returns (equivalence
+    holds, that index set).
     """
     name, vars_, negated = _literal_parts(phi)
     vectors = [tuple(v) for v in vectors]
-    if len(vectors) != len(vars_):
+    distinct = len(set(vars_))
+    if len(vectors) != distinct:
         raise ArityError("one representative vector per formula variable")
+    if distinct < len(vars_):  # a repeated variable takes its vector again
+        bound = dict(zip(dict.fromkeys(vars_), vectors))
+        vectors = [bound[x] for x in vars_]
     product_truth = rp.holds(name, vectors)
     if negated:
         product_truth = not product_truth

@@ -328,10 +328,13 @@ def labels(command):
         "depletion instance"]), "--s", "a,b"] + extra
 
 
-def latin1(tmp_path):
-    path = tmp_path / "latin1.json"
-    path.write_bytes('{"bounds": [1], "vals": [0], "note": "\xe9"}'.encode("latin-1"))
-    return ["phi", "--in", str(path)]
+def raw(kind, data):
+    """The request reading the bytes data as its document of the kind."""
+    def argv(tmp_path):
+        args = request(tmp_path, kind, None)
+        (tmp_path / "doc.json").write_bytes(data)
+        return args
+    return argv
 
 
 # inputs that printed a traceback (the 16 shape faults), or exited 2 only as
@@ -381,7 +384,11 @@ BAD_INPUTS = {
                             "InputError: depletion instance: $.F: key 'x' is not an integer"),
     "depletion-labels": (labels("depletion"), "InputError: --s 'a,b'"),
     "walk-labels": (labels("walk"), "InputError: --s 'a,b'"),
-    "not-utf-8": (latin1, "InputError: "),
+    "not-utf-8": (raw("sequence", b'{"bounds": [1], "vals": [0], "note": "\xe9"}'),
+                  "InputError: "),
+    # JSON nested past the decoder's recursion limit
+    "json-too-deep": (raw("poset", b'{"elements": [0, 1], "edges": ' + b"[" * 3000
+                          + b"]" * 3000 + b"}"), "InputError: "),
     # float and boolean ids, which exited 0 as the ints they equal
     "product-float-ids": (fault("product request", "literals", 0, "vectors",
                                 value=[[0.0, False], [True, 1]]),
@@ -389,6 +396,19 @@ BAD_INPUTS = {
     "filter-float-ids": (fault("product request", "filter",
                                value={"ground": 2, "members": [[0, True], [0.0]]}),
                          "FilterError: filter id True is not an integer"),
+    "poset-bool-edge": (fault("poset", "edges", value=[[True, 1]]),
+                        "DomainError: pair [True, 1] has an id that is not an integer"),
+    "structure-float-pair": (fault("relation structure", "pairs", value=[[0, 1.0]]),
+                             "DomainError: pair [0, 1.0] has an id that is not an integer"),
+    "depletion-bool-edge": (fault("depletion instance", "edges", value=[[False, 1]]),
+                            "DomainError: pair [False, 1] has an id that is not an integer"),
+    # formulas that read past their last token, or nest past the parser's bound
+    **{f"formula-open-{i}": (fault("chains request", "formula", value=text),
+                             "FormulaError: unexpected end of formula")
+       for i, text in enumerate(["(", "(R x0 (", "(and (R x0 y0) ("])},
+    "formula-too-deep": (fault("chains request", "formula",
+                               value="(not " * 1199 + "(R x0 y0)" + ")" * 1199),
+                         "FormulaError: formula nested deeper than 200"),
 }
 
 
@@ -398,8 +418,9 @@ def test_bad_input_exits_two_with_a_named_error(tmp_path, capsys, case):
     code, out, err = run_cli(capsys, argv(tmp_path))
     assert code == 2 and out == ""
     assert f"error: {named}" in err and "Traceback" not in err
-    if case == "not-utf-8":
-        assert "not UTF-8" in err
+    # the decode faults name the document's path before the fault
+    assert {"not-utf-8": "not UTF-8",
+            "json-too-deep": "not a JSON document (maximum recursion"}.get(case, "") in err
 
 
 def test_a_misspelt_key_is_refused_not_skipped(tmp_path, capsys):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from orderlab import schema
 from orderlab.errors import ArityError, DomainError, FormulaError
-from orderlab.fol import (And, Atom, FiniteStructure, Not, Or, eval_pair,
-                          eval_qf, pair_rows, pair_sorts, parse_formula)
+from orderlab.fol import (MAX_NESTING, And, Atom, FiniteStructure, Not, Or,
+                          eval_pair, eval_qf, pair_rows, pair_sorts, parse_formula)
 from orderlab.posets import transpose
 
 from oracles import linear_order_structure, load_structure_tuple_by_tuple
@@ -135,6 +135,16 @@ def test_parse_errors():
                 "(and foo)", "((R x))"]:
         with pytest.raises(FormulaError):
             parse_formula(bad)
+
+
+def test_parse_refuses_nesting_past_its_bound_and_evaluates_up_to_it():
+    def nested(depth):
+        return "(not " * (depth - 1) + "(R a b)" + ")" * (depth - 1)
+
+    phi = parse_formula(nested(MAX_NESTING))
+    assert eval_qf(edge_structure(), phi, {"a": 1, "b": 0}) == (MAX_NESTING % 2 == 0)
+    with pytest.raises(FormulaError, match="nested deeper"):
+        parse_formula(nested(MAX_NESTING + 1))
 
 
 def test_eval_atomic_negation_conjunction():

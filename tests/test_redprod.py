@@ -279,6 +279,21 @@ def test_atomic_los_examples():
                          [(0, 0, 0), (1, 1, 1)])
 
 
+def test_atomic_los_binds_one_vector_per_distinct_variable():
+    # (R x x) holds of x at the coordinates where R is reflexive on x's value
+    rp = reduced_product([rel_factor([(0, 0)])] * 3, FilterFamily(3, [range(3)]))
+    phi = parse_formula("(R x x)")
+    assert atomic_los_check(rp, phi, [(0, 0, 0)]) == (True, frozenset({0, 1, 2}))
+    assert atomic_los_check(rp, phi, [(0, 1, 0)]) == (True, frozenset({0, 2}))
+    # a second vector would bind positions, not variables: R((0,0,0), (1,1,1))
+    with pytest.raises(ArityError):
+        atomic_los_check(rp, phi, [(0, 0, 0), (1, 1, 1)])
+    # the order of first appearance binds y before x
+    rp = reduced_product([F_EDGE] * 3, FilterFamily(3, [range(3)]))
+    assert atomic_los_check(rp, parse_formula("(R y x)"), [(0, 0, 0), (1, 1, 1)]) == (
+        True, frozenset({0, 1, 2}))
+
+
 def test_atomic_los_random_equivalence():
     rng = random.Random(2)
     for _ in range(300):
