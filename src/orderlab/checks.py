@@ -1,10 +1,11 @@
 """Batch verification suites: exhaustive small-instance sweeps and seeded
 randomized trials for every construction in the package.
 
-Each check returns a dict with "name", "ok", counters, and on failure a
-minimal reproducing input under "failures".  A suite's keyword defaults are
-its `small` contract arguments; `SUITES` pins the cases each reports at
-them.  `check-all` runs the table; the acceptance tests run the same suites.
+Each check returns a dict with "ok", its "cases", and on failure a minimal
+reproducing input under "failures".  A suite's keyword defaults are its
+`small` contract arguments; `SUITES` names each suite and pins the cases it
+reports at them.  `check-all` runs the table through `run_all`, which names
+and times each entry; the acceptance tests run the same suites.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from .tiepoint import (Clopen, Point, bulk_probe_check, clopen_to_mask,
 from .universal import Rel, embed_structure, rel, verify_embedding, witness
 
 
-def _result(name, failures, cases, t0, **extra):
-    out = {"name": name, "ok": not failures, "cases": cases,
-           "elapsed_s": round(time.perf_counter() - t0, 3)}
+def _result(failures, cases, **extra):
+    out = {"ok": not failures, "cases": cases}
     if failures:
         out["failures"] = failures[:5]
     out.update(extra)
@@ -173,7 +173,6 @@ def check_phi_strict_increase(n_coords=6):
     coordinates: domination from m plus one strict coordinate past max(m, 1)
     forces strict domination of the lifted sequences past it; and every
     single strict coordinate n >= 1 lifts to a strict step at n+1."""
-    t0 = time.perf_counter()
     space = list(itertools.product(*map(range, position_profile(n_coords))))
     lifted = {v: phi(position_seq(v)).vals for v in space}
     failures = []
@@ -197,14 +196,13 @@ def check_phi_strict_increase(n_coords=6):
                         cases += 1
                         if not strict[n]:
                             failures.append({"f": f, "g": g, "m": m, "n": n})
-    return _result("phi-strict-increase", failures, cases, t0)
+    return _result(failures, cases)
 
 
 def check_salient(n_max=12):
     """The recursion inequality at every coefficient m up to the bound
     itself, for each 1 <= n <= n_max.  A sweep whose terms would leave int64
     (n >= 13, about 6.2e9 coefficients) is refused before any sweep runs."""
-    t0 = time.perf_counter()
     failures = []
     cases = 0
     terms = [(n, eta(n), sum(j * eta(j) for j in range(n)))
@@ -217,13 +215,12 @@ def check_salient(n_max=12):
         cases += e + 1
         if bad:
             failures.append({"n": n, "violations": bad})
-    return _result("salient-inequality", failures, cases, t0)
+    return _result(failures, cases)
 
 
 def check_universal_witness(universe=13, max_size=5):
     """Exhaustive witness verification for all disjoint prescribed sets
     inside the universe with at most max_size members in total."""
-    t0 = time.perf_counter()
     failures = []
     cases = 0
     base = list(range(universe))
@@ -264,12 +261,11 @@ def check_universal_witness(universe=13, max_size=5):
                         ok = False
                 if not ok:
                     failures.append({"F": f_set, "G": g_set, "n": n})
-    return _result("universal-witness", failures, cases, t0)
+    return _result(failures, cases)
 
 
 def check_depletion_poset(trials=10000, seed=0):
     """The depleted relation is a strict order contained in the ambient one."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for t in range(trials):
@@ -286,13 +282,12 @@ def check_depletion_poset(trials=10000, seed=0):
         if any(extra):  # the first pair of dep outside the ambient order
             failures.append({"instance": inst.to_json_dict(), "s": s,
                              "pair": list(list_pairs(dep.elements, extra)[0])})
-    return _result("depletion-partial-order", failures, trials, t0)
+    return _result(failures, trials)
 
 
 def check_depletion_monotone(trials=4000, seed=1):
     """Shrinking the index set only adds comparabilities; convex subsets
     agree with the restriction."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for t in range(trials):
@@ -331,7 +326,7 @@ def check_depletion_monotone(trials=4000, seed=1):
         for sub, (x, y), kind in found:
             failures.append({"instance": inst.to_json_dict(), "t": tset,
                              "s": sub, "pair": [x, y], "kind": kind})
-    return _result("depletion-monotone-and-convex", failures, trials, t0)
+    return _result(failures, trials)
 
 
 # The smallest instance exhibiting extra comparabilities after shrinking the
@@ -349,19 +344,17 @@ REM0_FIXTURE = {
 def check_strictness_fixture():
     """The frozen instance shows a pair related over the two extreme labels
     but not over the full label set."""
-    t0 = time.perf_counter()
     inst = schema.load("depletion instance", REM0_FIXTURE)
     failures = []
     if not depletion_rel(inst, (0, 2), 0, 2):
         failures.append({"kind": "sub-relation-missing"})
     if depletion_rel(inst, (0, 1, 2), 0, 2):
         failures.append({"kind": "full-relation-unexpected"})
-    return _result("shrink-strictness-fixture", failures, 2, t0)
+    return _result(failures, 2)
 
 
 def check_star_equivalence(trials=500, seed=2):
     """The full-interval criterion agrees with the exhaustive subset search."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     cases = 0
@@ -376,12 +369,11 @@ def check_star_equivalence(trials=500, seed=2):
                     failures.append({"instance": inst.to_json_dict(),
                                      "pair": [xi, eta_lab],
                                      "fast": fast, "slow": slow})
-    return _result("star-criterion-equivalence", failures, cases, t0)
+    return _result(failures, cases)
 
 
 def check_amalgamation(trials=1000, seed=3):
     """The constructed amalgam extends every part, over valid families."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for t in range(trials):
@@ -397,7 +389,7 @@ def check_amalgamation(trials=1000, seed=3):
             if not extends(ground, q, p):
                 failures.append({"poset": ground.to_json_dict(),
                                  "part": p.to_json_dict(), "q": q.to_json_dict()})
-    return _result("amalgamation", failures, trials, t0)
+    return _result(failures, trials)
 
 
 def _conditions(ground: Poset, carrier, depth, base=None, fixed=None):
@@ -437,7 +429,6 @@ def _conditions(ground: Poset, carrier, depth, base=None, fixed=None):
 def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
     """Entry operations land in their target sets and extend their input:
     exhaustively on small posets and shallow conditions, randomized beyond."""
-    t0 = time.perf_counter()
     failures = []
     cases = 0
 
@@ -478,13 +469,12 @@ def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
         if a != b and not ground.leq(b, a):
             req = ("E", n, a, b)
             entry(ground, p, req, entry_op(ground, req))
-    return _result("dense-set-entry", failures, cases, t0)
+    return _result(failures, cases)
 
 
 def check_reduction(exhaustive_n=4, max_depth=3, trials=1000, seed=5):
     """Projection is a reduction: anything below the projection amalgamates
     with the original condition."""
-    t0 = time.perf_counter()
     failures = []
     cases = 0
 
@@ -528,12 +518,11 @@ def check_reduction(exhaustive_n=4, max_depth=3, trials=1000, seed=5):
         extra = [e for e in sub - pi.domain if rng.random() < 0.5]
         q = random_extension(rng, ground, pi, extra)
         check_pair(ground, sub, p, q)
-    return _result("projection-reduction", failures, cases, t0)
+    return _result(failures, cases)
 
 
 def check_generic_embedding(max_n=6, budget=16):
     """Every poset isomorphism type up to max_n embeds with certificates."""
-    t0 = time.perf_counter()
     failures = []
     cases = 0
     for n in range(max_n + 1):
@@ -544,13 +533,12 @@ def check_generic_embedding(max_n=6, budget=16):
             if not rep["ok"]:
                 failures.append({"poset": ground.to_json_dict(),
                                  "failures": rep["failures"]})
-    return _result("generic-embedding", failures, cases, t0, budget=budget)
+    return _result(failures, cases, budget=budget)
 
 
 def check_pipeline(trials=50, seed=6):
     """Random posets compose through the full pipeline with chain factors of
     the exact recursion lengths."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for t in range(trials):
@@ -559,7 +547,7 @@ def check_pipeline(trials=50, seed=6):
         if not rep["ok"]:
             failures.append({"poset": ground.to_json_dict(),
                              "pairs": [p for p in rep["pairs"] if not p["ok"]]})
-    return _result("pipeline-embedding", failures, trials, t0)
+    return _result(failures, trials)
 
 
 def check_atomic_los(trials=1000, seed=7):
@@ -569,7 +557,6 @@ def check_atomic_los(trials=1000, seed=7):
     negated atomics are additionally checked over ultrafilters, where
     complementation makes the equivalence two-sided as well.
     """
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     cases = 0
@@ -605,7 +592,7 @@ def check_atomic_los(trials=1000, seed=7):
                                 "filter": filt_now.to_json_dict(),
                                 "formula": str(phi_lit), "combo": [list(c) for c in combo],
                                 "witness": sorted(wit)})
-    return _result("atomic-los", failures, cases, t0)
+    return _result(failures, cases)
 
 
 def check_tie_points(depth=4, seed=8):
@@ -615,7 +602,6 @@ def check_tie_points(depth=4, seed=8):
     antichain operations, and the expansion facts."""
     if 1 << depth > 32:
         raise BudgetError(f"the depth-{depth} probe sweep leaves 32-bit masks")
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     cases = 0
@@ -641,7 +627,7 @@ def check_tie_points(depth=4, seed=8):
             continue
         if not expansion_axiom_check(td, depth):
             failures.append({"point": str(x), "kind": "expansion-axioms"})
-    return _result("true-tie-points", failures, cases, t0, depth=depth)
+    return _result(failures, cases, depth=depth)
 
 
 def chain_length_brute(p: Poset):
@@ -661,7 +647,6 @@ def chain_length_brute(p: Poset):
 def check_poset_invariants(trials=400, seed=10):
     """Closure output is a strict order equal to random_poset's on the same
     draws; the converse is an involution; longest chains match brute force."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
@@ -686,13 +671,12 @@ def check_poset_invariants(trials=400, seed=10):
             continue
         if len(longest_chain(p)) != chain_length_brute(p):
             failures.append({"poset": p.to_json_dict(), "kind": "chain-length"})
-    return _result("poset-invariants", failures, trials, t0)
+    return _result(failures, trials)
 
 
 def check_embed_roundtrip(trials=1000, seed=11):
     """Embedding a random asymmetric structure reproduces its relation
     matrix exactly."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
@@ -707,13 +691,12 @@ def check_embed_roundtrip(trials=1000, seed=11):
         s = RelStructure.from_pairs(range(n), pairs)
         if not verify_embedding(s, embed_structure(s)):
             failures.append({"structure": s.to_json_dict()})
-    return _result("universal-embedding-roundtrip", failures, trials, t0)
+    return _result(failures, trials)
 
 
 def check_clopen_ops(trials=600, seed=12):
     """The antichain operations agree with plain cell-set arithmetic, and
     every nonempty clopen strictly contains a nonempty smaller one."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     depth = 4
@@ -731,13 +714,12 @@ def check_clopen_ops(trials=600, seed=12):
             ok = leq(smaller, u) and smaller != u and not smaller.is_empty
         if not ok:
             failures.append({"u": sorted(u.antichain), "v": sorted(v.antichain)})
-    return _result("clopen-operations", failures, trials, t0)
+    return _result(failures, trials)
 
 
 def check_product_congruence(trials=200, seed=13):
     """Class formation is an equivalence compatible with every relation, and
     the one-point-core product collapses onto its chosen factor."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
@@ -772,14 +754,13 @@ def check_product_congruence(trials=200, seed=13):
         if bad:
             failures.append({"factors": [f.to_json_dict() for f in factors],
                              "filter": filt.to_json_dict()})
-    return _result("product-congruence-and-collapse", failures, trials, t0)
+    return _result(failures, trials)
 
 
 def check_split_density(seed=9, trials=40):
     """Projection pairs: side projections preserve extension, and pairs of
     side conditions below a projected condition that agree with a fixed
     overlap embedding amalgamate back, with side projections below the pair."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     cases = 0
@@ -844,7 +825,7 @@ def check_split_density(seed=9, trials=40):
             if not (extends(ground, wa, u) and extends(ground, wb, v)):
                 failures.append({"kind": "density", "u": u.to_json_dict(),
                                  "v": v.to_json_dict(), "w": w.to_json_dict()})
-    return _result("split-projection-density", failures, cases, t0)
+    return _result(failures, cases)
 
 
 def check_split_density_exhaustive():
@@ -852,7 +833,6 @@ def check_split_density_exhaustive():
     condition agreeing with the overlap embedding and every pair of side
     conditions below its projections (same agreement, bounded depth), the
     amalgam's side projections land below the pair."""
-    t0 = time.perf_counter()
     failures = []
     cases = 0
     instances = []
@@ -889,7 +869,7 @@ def check_split_density_exhaustive():
                         failures.append({"u": u.to_json_dict(),
                                          "v": v.to_json_dict(),
                                          "w": w.to_json_dict()})
-    return _result("split-density-exhaustive", failures, cases, t0)
+    return _result(failures, cases)
 
 
 # --- suite registry ---------------------------------------------------------------
@@ -901,40 +881,43 @@ BUDGETS = {
 }
 
 
-# Each suite in report order, with the cases it reports at its defaults
+# Each suite in report order: its report name, the suite, and the cases it
+# reports at its defaults
 SUITES = (
-    (check_phi_strict_increase, 35970),
-    (check_salient, 522956325),
-    (check_universal_witness, 55250),
-    (check_depletion_poset, 10000),
-    (check_depletion_monotone, 4000),
-    (check_strictness_fixture, 2),
-    (check_star_equivalence, 3482),
-    (check_amalgamation, 1000),
-    (check_dense_entries, 2657486),
-    (check_reduction, 247228),
-    (check_generic_embedding, 406),
-    (check_pipeline, 50),
-    (check_atomic_los, 20463),
-    (check_tie_points, 16),
-    (check_split_density, 133),
-    (check_split_density_exhaustive, 4550),
-    (check_poset_invariants, 400),
-    (check_embed_roundtrip, 1000),
-    (check_clopen_ops, 600),
-    (check_product_congruence, 200),
+    ("phi-strict-increase", check_phi_strict_increase, 35970),
+    ("salient-inequality", check_salient, 522956325),
+    ("universal-witness", check_universal_witness, 55250),
+    ("depletion-partial-order", check_depletion_poset, 10000),
+    ("depletion-monotone-and-convex", check_depletion_monotone, 4000),
+    ("shrink-strictness-fixture", check_strictness_fixture, 2),
+    ("star-criterion-equivalence", check_star_equivalence, 3482),
+    ("amalgamation", check_amalgamation, 1000),
+    ("dense-set-entry", check_dense_entries, 2657486),
+    ("projection-reduction", check_reduction, 247228),
+    ("generic-embedding", check_generic_embedding, 406),
+    ("pipeline-embedding", check_pipeline, 50),
+    ("atomic-los", check_atomic_los, 20463),
+    ("true-tie-points", check_tie_points, 16),
+    ("split-projection-density", check_split_density, 133),
+    ("split-density-exhaustive", check_split_density_exhaustive, 4550),
+    ("poset-invariants", check_poset_invariants, 400),
+    ("universal-embedding-roundtrip", check_embed_roundtrip, 1000),
+    ("clopen-operations", check_clopen_ops, 600),
+    ("product-congruence-and-collapse", check_product_congruence, 200),
 )
 
 
 def run_all(budget="small", seed=0):
     """Every suite of `SUITES`, its default `trials` scaled by the budget and
-    its default `seed` shifted by seed; at small and seed 0, a suite off its
-    pin fails.  A suite that raises is reported as failed, with the
-    exception, and the suites after it still run."""
+    its default `seed` shifted by seed, as (entry, seconds) pairs in report
+    order: the suite's verdict under the row's report name, and the wall
+    time of the call.  At small and seed 0, a suite off its pin fails.  A
+    suite that raises is reported as failed, with the exception, and the
+    suites after it still run."""
     scale = BUDGETS[budget]
     pinned = budget == "small" and seed == 0
     results = []
-    for suite, cases in SUITES:
+    for name, suite, cases in SUITES:
         params = inspect.signature(suite).parameters
         kwargs = {}
         if "trials" in params:
@@ -943,15 +926,13 @@ def run_all(budget="small", seed=0):
             kwargs["seed"] = params["seed"].default + seed
         t0 = time.perf_counter()
         try:
-            result = suite(**kwargs)
+            entry = {"name": name, **suite(**kwargs)}
         except Exception as e:
-            result = {"name": suite.__name__, "ok": False,
-                      "error": f"{type(e).__name__}: {e}",
-                      "elapsed_s": round(time.perf_counter() - t0, 3)}
+            entry = {"name": name, "ok": False, "error": f"{type(e).__name__}: {e}"}
         else:
-            if pinned and result["cases"] != cases:
-                result["ok"] = False
-                result.setdefault("failures", []).append(
+            if pinned and entry["cases"] != cases:
+                entry["ok"] = False
+                entry.setdefault("failures", []).append(
                     {"kind": "cases", "expected": cases})
-        results.append(result)
+        results.append((entry, time.perf_counter() - t0))
     return results

@@ -20,7 +20,7 @@ import time
 from . import schema
 from .depletion import (depletion_order, find_walk, frontier_sweep,
                         maximal_star_set, star_condition)
-from .errors import DepthError, InputError, OrderlabError
+from .errors import DepthError, InputError, OrderlabError, brief
 from .fol import parse_formula
 from .forcing import (generic_build, pipeline_embed, shuffled_schedule,
                       verify_generic_embedding)
@@ -81,7 +81,7 @@ def _parse_labels(text):
     try:
         return tuple(int(t) for t in text.split(",") if t != "")
     except ValueError:
-        raise InputError(f"--s {text!r}: labels must be comma-separated integers") from None
+        raise InputError(f"--s {brief(text)}: labels must be comma-separated integers") from None
 
 
 def _cmd_depletion(args, digests):
@@ -257,14 +257,11 @@ def _cmd_tiepoint(args, digests):
 def _cmd_check_all(args, digests):
     from . import checks  # loaded only by the request that runs the suites
 
+    # wall times are volatile: stderr shows them, the report carries verdicts only
     results = checks.run_all(budget=args.budget, seed=args.seed)
-    for c in results:
-        print(f"  {c['name']}: {c['elapsed_s']}s", file=sys.stderr)
-    # wall times are volatile; the canonical report carries verdicts only
-    stripped = [{k: v for k, v in c.items() if k != "elapsed_s"}
-                for c in results]
-    body = {"budget": args.budget}
-    return body, stripped
+    for entry, seconds in results:
+        print(f"  {entry['name']}: {seconds:.3f}s", file=sys.stderr)
+    return {"budget": args.budget}, [entry for entry, _ in results]
 
 
 @functools.cache

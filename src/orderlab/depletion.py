@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndexLabelError, LevelError, MembershipError
+from .errors import IndexLabelError, LevelError, MembershipError, brief
 from .posets import Poset, elements_of, gather, reach
 
 
@@ -52,7 +52,7 @@ class DepletionInstance:
             mask = 0
             for x in part:
                 if x in level:
-                    raise MembershipError(f"element {x!r} occurs in two parts")
+                    raise MembershipError(f"element {brief(x)} occurs in two parts")
                 level[x] = xi
                 if x in index:  # otherwise the carrier check below fails
                     mask |= 1 << index[x]
@@ -68,13 +68,13 @@ class DepletionInstance:
         try:
             return self._level[x]
         except KeyError:
-            raise MembershipError(f"element {x!r} not in the instance") from None
+            raise MembershipError(f"element {brief(x)} not in the instance") from None
 
     def _check_subset(self, s):
         s = tuple(sorted(set(s)))
         for xi in s:
             if xi not in self.fibers:
-                raise IndexLabelError(f"unknown index label {xi!r}")
+                raise IndexLabelError(f"unknown index label {brief(xi)}")
         return s
 
     def to_json_dict(self):
@@ -249,7 +249,7 @@ def star_condition(inst: DepletionInstance, xi, eta_label, exhaustive=False):
         raise IndexLabelError("the two labels must be distinct")
     for lab in (xi, eta_label):
         if lab not in inst.fibers:
-            raise IndexLabelError(f"unknown index label {lab!r}")
+            raise IndexLabelError(f"unknown index label {brief(lab)}")
     lo, hi = min(xi, eta_label), max(xi, eta_label)
     interval = [l for l in inst.labels if lo <= l <= hi]
     if exhaustive:

@@ -1,8 +1,33 @@
 """Exception types shared across the package.
 
 Every operation raises a subclass of OrderlabError so callers can catch
-library failures without masking programming errors.
+library failures without masking programming errors.  A message that quotes
+an item the caller supplied quotes it through `brief`.
 """
+
+import reprlib
+
+
+class _Brief(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            return f"<int of {x.bit_length()} bits>"
+
+
+_BRIEF = _Brief()
+_BRIEF.maxlevel = 3
+_BRIEF.maxstring = _BRIEF.maxother = 40
+BRIEF_LEN = 100
+
+
+def brief(item):
+    """repr(item), with long arrays, strings and nesting elided by "..." and
+    the whole cut to BRIEF_LEN characters, so that an error message stays
+    short whatever the size of the item it quotes."""
+    text = _BRIEF.repr(item)
+    return text if len(text) <= BRIEF_LEN else text[:BRIEF_LEN - 3] + "..."
 
 
 class OrderlabError(Exception):

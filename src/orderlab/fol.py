@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import and_, itemgetter, or_
 
-from .errors import ArityError, DomainError, FormulaError
+from .errors import ArityError, DomainError, FormulaError, brief
 from .posets import int_ids
 
 
@@ -24,9 +24,9 @@ def _first_fault(name, arity, items, uset):
     tset = {tuple(int_ids(t)) for t in items}
     for t in tset:
         if len(t) != arity:
-            raise ArityError(f"tuple {t} has wrong arity for {name}")
+            raise ArityError(f"tuple {brief(t)} has wrong arity for {brief(name)}")
         if not set(t) <= uset:
-            raise DomainError(f"tuple {t} leaves the universe")
+            raise DomainError(f"tuple {brief(t)} leaves the universe")
 
 
 class FiniteStructure:
@@ -59,15 +59,15 @@ class FiniteStructure:
         try:
             arity, tuples = self.relations[name]
         except KeyError:
-            raise FormulaError(f"unknown relation {name!r}") from None
+            raise FormulaError(f"unknown relation {brief(name)}") from None
         args = tuple(args)
         if len(args) != arity:
-            raise ArityError(f"{name} expects {arity} arguments, got {len(args)}")
+            raise ArityError(f"{brief(name)} expects {arity} arguments, got {len(args)}")
         return args in tuples
 
     def arity(self, name):
         if name not in self.relations:
-            raise FormulaError(f"unknown relation {name!r}")
+            raise FormulaError(f"unknown relation {brief(name)}")
         return self.relations[name][0]
 
     def __len__(self):
@@ -125,7 +125,7 @@ def parse_formula(text):
         if tok == ")":
             raise FormulaError("unexpected ')'")
         if tok != "(":
-            raise FormulaError(f"expected '(', got {tok!r}")
+            raise FormulaError(f"expected '(', got {brief(tok)}")
         if pos == len(tokens):
             raise FormulaError("unexpected end of formula")
         if depth == MAX_NESTING:
@@ -172,7 +172,7 @@ def _atoms(phi):
         for a in phi.args:
             yield from _atoms(a)
     else:
-        raise FormulaError(f"not a formula node: {phi!r}")
+        raise FormulaError(f"not a formula node: {brief(phi)}")
 
 
 def formula_vars(phi):
@@ -185,7 +185,7 @@ def eval_qf(s: FiniteStructure, phi, assignment) -> bool:
         try:
             args = [assignment[v] for v in phi.vars]
         except KeyError as e:
-            raise DomainError(f"assignment misses variable {e.args[0]!r}") from None
+            raise DomainError(f"assignment misses variable {brief(e.args[0])}") from None
         return s.holds(phi.name, args)
     if isinstance(phi, Not):
         return not eval_qf(s, phi.arg, assignment)
@@ -193,7 +193,7 @@ def eval_qf(s: FiniteStructure, phi, assignment) -> bool:
         return all(eval_qf(s, a, assignment) for a in phi.args)
     if isinstance(phi, Or):
         return any(eval_qf(s, a, assignment) for a in phi.args)
-    raise FormulaError(f"not a formula node: {phi!r}")
+    raise FormulaError(f"not a formula node: {brief(phi)}")
 
 
 def pair_sorts(phi):
@@ -234,7 +234,7 @@ def pair_rows(s: FiniteStructure, phi, tuples):
     for atom in _atoms(phi):
         arity = s.arity(atom.name)
         if len(atom.vars) != arity:
-            raise ArityError(f"{atom.name} expects {arity} arguments, got {len(atom.vars)}")
+            raise ArityError(f"{brief(atom.name)} expects {arity} arguments, got {len(atom.vars)}")
     tuples = [tuple(t) for t in tuples]
     if any(len(t) != len(xs) for t in tuples):
         raise ArityError("tuple length differs from the formula sort")

@@ -21,7 +21,8 @@ from operator import lt
 
 from .errors import (AgreementError, AmalgamationError, ChainTooShortError,
                      DepthError, HypothesisError, InvariantError,
-                     PreconditionError, ProfileError, RootError, ScheduleError)
+                     PreconditionError, ProfileError, RootError, ScheduleError,
+                     brief)
 from .fol import FiniteStructure, pair_rows
 from .posets import Poset, elements_of, int_ids, linear_extension
 from .seqspace import SeqFun, eta, leq_from, lt_from, phi, position_profile
@@ -153,7 +154,7 @@ def amalgamate(ground: Poset, parts, root) -> Condition:
             d = min(p.depth, q.depth)
             for a in root:
                 if p._f[a][:d] != q._f[a][:d]:
-                    raise AgreementError(f"parts disagree on root element {a!r}")
+                    raise AgreementError(f"parts disagree on root element {brief(a)}")
     depth = deep.depth
     on_root = {a: deep._f[a] for a in root}
     f = dict(on_root)
@@ -199,7 +200,7 @@ def entry_op(ground: Poset, req):
     if kind == "D":
         _, n, a = req
         if a not in ground:
-            raise ScheduleError(f"element {a!r} not in the ground order")
+            raise ScheduleError(f"element {brief(a)} not in the ground order")
         lower = {}
 
         def op(p):
@@ -215,7 +216,7 @@ def entry_op(ground: Poset, req):
             return Condition._trusted(p.domain | {a}, max(n, depth), f)
         return op
     if kind != "E":
-        raise ScheduleError(f"unknown request kind {kind!r}")
+        raise ScheduleError(f"unknown request kind {brief(kind)}")
     _, n, a, b = req
     if a == b or ground.lt(b, a):
         raise PreconditionError("defined only when b is not below a")
@@ -280,7 +281,7 @@ def quotient_member(sub_elements, upsilon, p: Condition) -> bool:
     for a in p.domain & sub:
         y = upsilon[a]
         if len(y) < p.depth:
-            raise DepthError(f"embedding value at {a!r} shallower than the condition")
+            raise DepthError(f"embedding value at {brief(a)} shallower than the condition")
         if tuple(y[k] for k in range(p.depth)) != p.seq(a):
             return False
     return True
@@ -388,7 +389,7 @@ def generic_build(ground: Poset, budget: int, schedule=None) -> GenericEmbedding
             while not (k >= n and f[a][k] < f[b][k]):
                 if k < n:
                     if ran:
-                        raise InvariantError(f"request {req!r} is unmet after its op")
+                        raise InvariantError(f"request {brief(req)} is unmet after its op")
                     p = entry_op(ground, req)(p)
                     entry_depth.setdefault(a, p.depth)
                     entry_depth.setdefault(b, p.depth)
@@ -404,10 +405,10 @@ def generic_build(ground: Poset, budget: int, schedule=None) -> GenericEmbedding
             p = entry_op(ground, req)(p)  # ScheduleError outside ground
             entry_depth.setdefault(a, p.depth)
         else:
-            raise ScheduleError(f"unknown request kind {kind!r}")
+            raise ScheduleError(f"unknown request kind {brief(kind)}")
     missing = els - p.domain
     if missing:
-        raise ScheduleError(f"schedule never introduced elements {sorted(missing)}")
+        raise ScheduleError(f"schedule never introduced elements {brief(sorted(missing))}")
     f = p._f
     profile = position_profile(p.depth)
     values = {a: SeqFun(profile, f[a]) for a in ground.elements}
@@ -473,7 +474,7 @@ class SplitInstance:
                 for x, y, way in ((a, b, "upward"), (b, a, "downward")):
                     if leq(x, y) != any(leq(x, d) and leq(d, y) for d in self.overlap):
                         raise HypothesisError(
-                            f"pair ({a!r}, {b!r}) fails {way} interpolation")
+                            f"pair ({brief(a)}, {brief(b)}) fails {way} interpolation")
 
 
 def split_project(inst: SplitInstance, p: Condition):

@@ -8,7 +8,7 @@ scans cheap for the enumeration-heavy verification suites.
 
 from __future__ import annotations
 
-from .errors import AsymmetryError, CycleError, DomainError
+from .errors import AsymmetryError, CycleError, DomainError, brief
 
 
 class Poset:
@@ -54,7 +54,7 @@ class Poset:
         try:
             return self._index[a]
         except KeyError:
-            raise DomainError(f"element {a!r} not in poset") from None
+            raise DomainError(f"element {brief(a)} not in poset") from None
 
     def __contains__(self, a):
         return a in self._index
@@ -64,7 +64,7 @@ class Poset:
         try:
             return bool(self._rows[index[a]] >> index[b] & 1)
         except KeyError as e:
-            raise DomainError(f"element {e.args[0]!r} not in poset") from None
+            raise DomainError(f"element {brief(e.args[0])} not in poset") from None
 
     def leq(self, a, b):
         return a == b or self.lt(a, b)
@@ -172,7 +172,7 @@ def int_ids(ids):
     ids = list(ids)
     for e in ids:
         if type(e) is not int:
-            raise DomainError(f"element id {e!r} is not an integer")
+            raise DomainError(f"element id {brief(e)} is not an integer")
     return ids
 
 
@@ -191,11 +191,11 @@ def load_pairs(carrier, pairs):
             a, b = pair
             i, j = index[a], index[b]
         except KeyError:
-            raise DomainError(f"pair {pair!r} mentions unknown elements") from None
+            raise DomainError(f"pair {brief(pair)} mentions unknown elements") from None
         except (TypeError, ValueError):
-            raise DomainError(f"{pair!r} is not a pair of elements") from None
+            raise DomainError(f"{brief(pair)} is not a pair of elements") from None
         if type(a) is not int or type(b) is not int:
-            raise DomainError(f"pair {pair!r} has an id that is not an integer")
+            raise DomainError(f"pair {brief(pair)} has an id that is not an integer")
         rows[i] |= 1 << j
     return carrier, rows
 
@@ -350,7 +350,7 @@ def linear_extension(p: Poset, subset=None, before=None):
             for e in subset:
                 left |= 1 << index[e]
         except KeyError:
-            raise DomainError(f"element {e!r} not in poset") from None
+            raise DomainError(f"element {brief(e)} not in poset") from None
     below = p._down_rows()
     if before is not None:
         a, b = before

@@ -14,7 +14,7 @@ from functools import reduce
 from operator import itemgetter
 
 from .errors import (ArityError, BudgetError, DomainError, FilterError,
-                     FormulaError)
+                     FormulaError, brief)
 from .fol import Atom, FiniteStructure, Not, pair_rows, pair_sorts
 from .posets import longest_chain_indices, transpose
 
@@ -22,7 +22,7 @@ from .posets import longest_chain_indices, transpose
 def _ground(ground):
     """The ground size; raises FilterError when it is not an int."""
     if type(ground) is not int:
-        raise FilterError(f"filter ground {ground!r} is not an integer")
+        raise FilterError(f"filter ground {brief(ground)} is not an integer")
     return ground
 
 
@@ -32,10 +32,10 @@ def _id_set(ids):
     try:
         ids = list(ids)
     except TypeError:
-        raise FilterError(f"{ids!r} is not a set of ids") from None
+        raise FilterError(f"{brief(ids)} is not a set of ids") from None
     for i in ids:
         if type(i) is not int:
-            raise FilterError(f"filter id {i!r} is not an integer")
+            raise FilterError(f"filter id {brief(i)} is not an integer")
     return frozenset(ids)
 
 
@@ -128,7 +128,7 @@ class ReducedProduct:
                 raise FormulaError("factors must share a relation signature")
             for name in names:
                 if f.arity(name) != factors[0].arity(name):
-                    raise ArityError(f"factors disagree on the arity of {name}")
+                    raise ArityError(f"factors disagree on the arity of {brief(name)}")
         total = 1
         for f in factors:
             total *= max(len(f), 1)
@@ -168,7 +168,7 @@ class ReducedProduct:
         ints: 0.0 and True are refused)."""
         if (len(v) != len(self._ids) or {*map(type, v)} != {int}
                 or not all(map(frozenset.__contains__, self._ids, v))):
-            raise DomainError(f"vector {list(v)} is not in the product")
+            raise DomainError(f"vector {brief(list(v))} is not in the product")
         return v
 
     def atomic_index_set(self, name, vectors):
@@ -190,7 +190,7 @@ class ReducedProduct:
         vectors = [tuple(v) for v in vectors]
         arity = self.factors[0].arity(name)
         if len(vectors) != arity:
-            raise ArityError(f"{name} expects {arity} arguments")
+            raise ArityError(f"{brief(name)} expects {arity} arguments")
         return self.atomic_index_set(name, [self._check(v) for v in vectors]) in self.filt
 
 

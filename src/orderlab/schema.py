@@ -10,7 +10,7 @@ arities, bounds), or the name of a kind.
 """
 
 from .depletion import DepletionInstance
-from .errors import InputError
+from .errors import InputError, brief
 from .fol import FiniteStructure, parse_formula
 from .forcing import ExplicitChainFactor
 from .posets import RelStructure, int_ids, make_poset
@@ -47,6 +47,8 @@ def _depletion_instance(d):
 
 
 def _filter(d):
+    if "members" in d and "core" in d:
+        raise _Fault('a filter takes "members" or "core", not both')
     if "members" in d:
         return FilterFamily(d["ground"], d["members"])
     if "core" in d:
@@ -56,9 +58,11 @@ def _filter(d):
 
 def _chain_factors(d):
     if d["kind"] == "eta":
+        if "factors" in d:
+            raise _Fault('kind "eta" takes no "factors"')
         return None
     if d["kind"] != "explicit" or "factors" not in d:
-        raise _Fault(f'kind {d["kind"]!r} is neither "eta" nor "explicit" with factors')
+        raise _Fault(f'kind {brief(d["kind"])} is neither "eta" nor "explicit" with factors')
     return [ExplicitChainFactor(f["structure"], parse_formula(f["formula"]), f["chain"])
             for f in d["factors"]]
 
@@ -98,7 +102,7 @@ def _key(key_type, k):
     try:
         return key_type(k)
     except ValueError:
-        raise _Fault(f"key {k!r} is not an integer") from None
+        raise _Fault(f"key {brief(k)} is not an integer") from None
 
 
 def _walk(shape, value):
@@ -130,7 +134,7 @@ def _walk(shape, value):
         elif name == key:
             raise _Fault(f"missing key {name!r}")
     if len(out) < len(value):  # a key that no shape key read
-        raise _Fault(f"unknown key {next(k for k in value if k not in out)!r}")
+        raise _Fault(f"unknown key {brief(next(k for k in value if k not in out))}")
     return out
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ProfileError
+from .errors import ProfileError, brief
 
 
 def position_profile(n):
@@ -41,14 +41,14 @@ class SeqFun:
             for k, x in enumerate(seq):
                 if type(x) is not int:
                     raise ProfileError(
-                        f"{what} {x!r} at coordinate {k} is not an integer")
+                        f"{what} {brief(x)} at coordinate {k} is not an integer")
         if any(b < 1 for b in self.profile):
             raise ProfileError("all coordinate bounds must be >= 1")
         if len(self.vals) != len(self.profile):
             raise ProfileError("value count differs from profile length")
         for k, v in enumerate(self.vals):
             if not 0 <= v < self.profile[k]:
-                raise ProfileError(f"value {v} out of bounds at coordinate {k}")
+                raise ProfileError(f"value {brief(v)} out of bounds at coordinate {k}")
 
     def __len__(self):
         return len(self.vals)

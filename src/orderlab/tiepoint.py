@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise
 
-from .errors import CanonicalityError, DepthError
+from .errors import CanonicalityError, DepthError, brief
 
 
 def _check_word(w):
     if not isinstance(w, str) or w.strip("01"):  # a character other than 0 and 1
-        raise CanonicalityError(f"not a binary word: {w!r}")
+        raise CanonicalityError(f"not a binary word: {brief(w)}")
 
 
 def canonical_antichain(words):

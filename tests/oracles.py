@@ -3,7 +3,7 @@
 import itertools
 
 from orderlab.errors import (ArityError, CanonicalityError, DomainError,
-                             IndexLabelError)
+                             IndexLabelError, brief)
 from orderlab.fol import FiniteStructure
 from orderlab.posets import Poset, elements_of, gather, int_ids, make_poset, reach
 from orderlab.seqspace import position_seq
@@ -132,9 +132,9 @@ def load_structure_tuple_by_tuple(universe, relations):
             tset.add(tuple(int_ids(t)))
         for t in tset:
             if len(t) != arity:
-                raise ArityError(f"tuple {t} has wrong arity for {name}")
+                raise ArityError(f"tuple {brief(t)} has wrong arity for {brief(name)}")
             if not set(t) <= uset:
-                raise DomainError(f"tuple {t} leaves the universe")
+                raise DomainError(f"tuple {brief(t)} leaves the universe")
         rels[name] = (arity, frozenset(tset))
     return universe, rels
 
@@ -166,7 +166,7 @@ class MaterialisedProduct:
         vectors = [tuple(v) for v in vectors]
         arity = self.factors[0].arity(name)
         if len(vectors) != arity:
-            raise ArityError(f"{name} expects {arity} arguments")
+            raise ArityError(f"{brief(name)} expects {arity} arguments")
         combo = []
         for v in vectors:
             try:

@@ -18,8 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderlab import checks, cli, errors
+from orderlab import checks, cli, errors, posets, schema
 from orderlab.cli import main
+from orderlab.fol import FiniteStructure
+from orderlab.redprod import FilterFamily
+from orderlab.tiepoint import Clopen, parse_point
 
 from oracles import linear_order_structure
 
@@ -409,6 +412,12 @@ BAD_INPUTS = {
     "formula-too-deep": (fault("chains request", "formula",
                                value="(not " * 1199 + "(R x0 y0)" + ")" * 1199),
                          "FormulaError: formula nested deeper than 200"),
+    # keys that contradict each other, where one of them was silently ignored
+    "filter-members-and-core": (fault("product request", "filter", value={
+        "ground": 2, "members": [[0, 1]], "core": [0]}),
+        'InputError: product request: $.filter: a filter takes "members" or "core", not both'),
+    "eta-with-factors": (fault("chain factors", "kind", value="eta"),
+                         'InputError: chain factors: $: kind "eta" takes no "factors"'),
 }
 
 
@@ -421,6 +430,56 @@ def test_bad_input_exits_two_with_a_named_error(tmp_path, capsys, case):
     # the decode faults name the document's path before the fault
     assert {"not-utf-8": "not UTF-8",
             "json-too-deep": "not a JSON document (maximum recursion"}.get(case, "") in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (fault("poset", "edges", value=[list(range(5000))]), "is not a pair of elements"),
+    (fault("product request", "literals", 0, "vectors", value=[list(range(4000)), [0, 0]]),
+     "is not in the product"),
+], ids=["generic-edge", "product-vector"])
+def test_an_error_line_quotes_a_long_item_briefly(tmp_path, capsys, argv, reason):
+    code, out, err = run_cli(capsys, argv(tmp_path))
+    assert code == 2 and out == "" and "Traceback" not in err
+    [line] = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(line.encode()) <= 300 and line.endswith(reason), line[:400]
+
+
+LONG = list(range(5000))
+
+
+@pytest.mark.parametrize("call, reason", [
+    (lambda: posets.int_ids([LONG]), "is not an integer"),
+    (lambda: posets.load_pairs([0, 1], [[0, 1], LONG]), "is not a pair of elements"),
+    (lambda: posets.load_pairs([0, 1], [[0, 2 + 10 ** 4000]]), "mentions unknown elements"),
+    (lambda: FiniteStructure([0, 1], {"R": (2, [LONG])}), "has wrong arity for 'R'"),
+    (lambda: FiniteStructure([0, 1], {"R" * 5000: (2, [[0]])}), "has wrong arity for 'RRRRR"),
+    (lambda: FilterFamily.principal(2, 10 ** 4000), "is not a set of ids"),
+    (lambda: FilterFamily("g" * 5000, []), "is not an integer"),
+    (lambda: Clopen.from_strings(["0" * 5000 + "2"]), "not a binary word: " + "'0" + "0" * 16),
+    (lambda: parse_point("0" * 5000 + "2^omega"), "not a binary word"),
+    (lambda: schema.load("depletion instance", dict(
+        VALID["depletion instance"], F={"x" * 5000: [0]})), "is not an integer"),
+    (lambda: schema.load("poset", dict(VALID["poset"], **{"y" * 5000: 0})), "'"),
+    (lambda: schema.load("chain factors", {"kind": "z" * 5000}),
+     'is neither "eta" nor "explicit" with factors'),
+], ids=["int-ids", "pair", "pair-ids", "tuple", "relation-name", "id-set", "ground",
+        "word", "point", "key", "unknown-key", "kind"])
+def test_an_error_message_quotes_a_long_item_briefly(call, reason):
+    with pytest.raises(errors.OrderlabError) as e:
+        call()
+    message = str(e.value)
+    assert len(message) <= errors.BRIEF_LEN + 80 and reason in message, message[:400]
+
+
+def test_brief_is_repr_for_a_short_item_and_bounded_for_any():
+    for item in ([True, 1], (0, 1.0), "a,b", "", 5, None, {"a": [0]}, [[0, 1], [2]]):
+        assert errors.brief(item) == repr(item)
+    deep = []
+    for _ in range(900):
+        deep = [deep]
+    for item in (deep, "x" * 5000, [[list(range(9))] * 9] * 9, 10 ** 4000, [0, 10 ** 5000],
+                 {i: i for i in LONG}):
+        assert len(errors.brief(item)) <= errors.BRIEF_LEN
 
 
 def test_a_misspelt_key_is_refused_not_skipped(tmp_path, capsys):
@@ -947,9 +1006,7 @@ def test_suite_results_deterministic_modulo_wall_time():
         out = [checks.check_depletion_poset(trials=60, seed=5),
                checks.check_amalgamation(trials=40, seed=6),
                checks.check_pipeline(trials=5, seed=7)]
-        runs.append(json.dumps(
-            [{k: v for k, v in c.items() if k != "elapsed_s"} for c in out],
-            sort_keys=True))
+        runs.append(json.dumps(out, sort_keys=True))
     assert runs[0] == runs[1]
 
 
@@ -980,29 +1037,29 @@ def test_tiepoint_golden(capsys):
         "64385120a67abbee7bef3e9aff15ad73d071e7109fe1847704b74500c16ae6d3"
 
 
-# run_all's calls in report order: (suite, base trial count, seed offset),
-# None where the suite takes no such argument
+# run_all's calls in report order: (report name, suite, base trial count,
+# seed offset), None where the suite takes no such argument
 RUN_ALL_CALLS = [
-    ("check_phi_strict_increase", None, None),
-    ("check_salient", None, None),
-    ("check_universal_witness", None, None),
-    ("check_depletion_poset", 10000, 0),
-    ("check_depletion_monotone", 4000, 1),
-    ("check_strictness_fixture", None, None),
-    ("check_star_equivalence", 500, 2),
-    ("check_amalgamation", 1000, 3),
-    ("check_dense_entries", 1000, 4),
-    ("check_reduction", 1000, 5),
-    ("check_generic_embedding", None, None),
-    ("check_pipeline", 50, 6),
-    ("check_atomic_los", 1000, 7),
-    ("check_tie_points", None, 8),
-    ("check_split_density", 40, 9),
-    ("check_split_density_exhaustive", None, None),
-    ("check_poset_invariants", 400, 10),
-    ("check_embed_roundtrip", 1000, 11),
-    ("check_clopen_ops", 600, 12),
-    ("check_product_congruence", 200, 13),
+    ("phi-strict-increase", "check_phi_strict_increase", None, None),
+    ("salient-inequality", "check_salient", None, None),
+    ("universal-witness", "check_universal_witness", None, None),
+    ("depletion-partial-order", "check_depletion_poset", 10000, 0),
+    ("depletion-monotone-and-convex", "check_depletion_monotone", 4000, 1),
+    ("shrink-strictness-fixture", "check_strictness_fixture", None, None),
+    ("star-criterion-equivalence", "check_star_equivalence", 500, 2),
+    ("amalgamation", "check_amalgamation", 1000, 3),
+    ("dense-set-entry", "check_dense_entries", 1000, 4),
+    ("projection-reduction", "check_reduction", 1000, 5),
+    ("generic-embedding", "check_generic_embedding", None, None),
+    ("pipeline-embedding", "check_pipeline", 50, 6),
+    ("atomic-los", "check_atomic_los", 1000, 7),
+    ("true-tie-points", "check_tie_points", None, 8),
+    ("split-projection-density", "check_split_density", 40, 9),
+    ("split-density-exhaustive", "check_split_density_exhaustive", None, None),
+    ("poset-invariants", "check_poset_invariants", 400, 10),
+    ("universal-embedding-roundtrip", "check_embed_roundtrip", 1000, 11),
+    ("clopen-operations", "check_clopen_ops", 600, 12),
+    ("product-congruence-and-collapse", "check_product_congruence", 200, 13),
 ]
 
 
@@ -1012,7 +1069,7 @@ def stub_suite(calls, suite, cases):
     @functools.wraps(suite)
     def run(*args, **kwargs):
         calls.append((suite.__name__, args, kwargs))
-        return {"name": suite.__name__, "ok": True, "cases": cases, "elapsed_s": 0.5}
+        return {"ok": True, "cases": cases}
     return run
 
 
@@ -1020,7 +1077,8 @@ def stub_suite(calls, suite, cases):
 def suite_stubs(monkeypatch):
     calls = []
     monkeypatch.setattr(checks, "SUITES", tuple(
-        (stub_suite(calls, suite, cases), cases) for suite, cases in checks.SUITES))
+        (name, stub_suite(calls, suite, cases), cases)
+        for name, suite, cases in checks.SUITES))
     return calls
 
 
@@ -1030,15 +1088,18 @@ def test_run_all_calls_every_suite_once_in_report_order(suite_stubs):
         results = checks.run_all(budget, seed=seed)
         scale = checks.BUDGETS[budget]
         want = []
-        for name, trials, offset in RUN_ALL_CALLS:
+        for _, suite, trials, offset in RUN_ALL_CALLS:
             kwargs = {}
             if trials is not None:
                 kwargs["trials"] = int(trials * scale)
             if offset is not None:
                 kwargs["seed"] = seed + offset
-            want.append((name, (), kwargs))
+            want.append((suite, (), kwargs))
         assert suite_stubs == want
-        assert [r["name"] for r in results] == [name for name, _, _ in RUN_ALL_CALLS]
+        assert [entry for entry, _ in results] == [
+            {"name": name, "ok": True, "cases": cases} for name, _, cases in checks.SUITES]
+        assert all(0 <= seconds < 1 for _, seconds in results)
+    assert [name for name, _, _, _ in RUN_ALL_CALLS] == [name for name, _, _ in checks.SUITES]
     # at small and seed 0 every suite runs at exactly its own defaults
     for name, _, kwargs in suite_stubs:
         params = inspect.signature(getattr(checks, name)).parameters
@@ -1051,22 +1112,25 @@ def test_check_all_reports_a_suite_that_raises(suite_stubs, monkeypatch, capsys)
         raise IndexError("list index out of range")
 
     rows = list(checks.SUITES)
-    rows[1] = (check_salient, rows[1][1])
+    name, _, cases = rows[1]
+    rows[1] = (name, check_salient, cases)
     monkeypatch.setattr(checks, "SUITES", tuple(rows))
     code, out, err = run_cli(capsys, ["check-all"])
     assert code == 1 and "Traceback" not in err
     rep = json.loads(out)
-    assert [name for name, _, _ in suite_stubs] == [name for name, _, _ in RUN_ALL_CALLS]
-    assert rep["checks"][1] == {"name": "check_salient", "ok": False,
+    assert [suite for suite, _, _ in suite_stubs] == [suite for _, suite, _, _ in RUN_ALL_CALLS]
+    # the entry carries the row's report name, as it would had the suite returned
+    assert rep["checks"][1] == {"name": "salient-inequality", "ok": False,
                                 "error": "IndexError: list index out of range"}
+    assert "  salient-inequality: " in err and "[FAIL] salient-inequality" in err
     assert not rep["ok"] and all(c["ok"] for i, c in enumerate(rep["checks"]) if i != 1)
 
 
 def test_check_all_fails_a_suite_off_its_pinned_cases_at_the_defaults(
         suite_stubs, monkeypatch, capsys):
     rows = list(checks.SUITES)
-    suite, cases = rows[8]  # the dense grid
-    rows[8] = (stub_suite(suite_stubs, suite, cases + 1), cases)
+    name, suite, cases = rows[8]  # the dense grid
+    rows[8] = (name, stub_suite(suite_stubs, suite, cases + 1), cases)
     monkeypatch.setattr(checks, "SUITES", tuple(rows))
     code, out, _ = run_cli(capsys, ["check-all"])
     assert code == 1
@@ -1083,6 +1147,27 @@ def test_check_all_fails_a_suite_off_its_pinned_cases_at_the_defaults(
 def test_check_all_command_drops_wall_times(suite_stubs, capsys):
     code, out, err = run_cli(capsys, ["check-all"])
     assert code == 0
-    assert "elapsed_s" not in out and "0.5s" in err
     rep = json.loads(out)
     assert rep["budget"] == "small" and len(rep["checks"]) == len(RUN_ALL_CALLS)
+    # one time line per suite on stderr, from run_all's clock
+    times = [line for line in err.splitlines() if line.startswith("  ")]
+    assert [line.split(":")[0].strip() for line in times] == [
+        name for name, _, _, _ in RUN_ALL_CALLS]
+    assert all(line.endswith("s") and float(line.split(": ")[1][:-1]) >= 0
+               for line in times)
+
+
+def test_no_entry_carries_a_wall_time(monkeypatch, capsys):
+    direct = [checks.check_strictness_fixture(), checks.check_pipeline(trials=2),
+              checks.check_tie_points(depth=2)]
+    assert [sorted(r) for r in direct] == [["cases", "ok"], ["cases", "ok"],
+                                           ["cases", "depth", "ok"]]
+    rows = [row for row in checks.SUITES if row[0] in (
+        "shrink-strictness-fixture", "true-tie-points")]
+    monkeypatch.setattr(checks, "SUITES", tuple(rows))
+    code, out, _ = run_cli(capsys, ["check-all"])
+    assert code == 0
+    assert [sorted(c) for c in json.loads(out)["checks"]] == [
+        ["cases", "name", "ok"], ["cases", "depth", "name", "ok"]]
+
+

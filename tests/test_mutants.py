@@ -26,7 +26,7 @@ def test_every_mutant_snippet_occurs_once_in_src():
 
 def test_every_mutant_names_a_suite_row_or_why_none():
     catalogue = load_tool("mutants")
-    rows = {suite.__name__ for suite, _ in checks.SUITES}
+    rows = {suite.__name__ for _, suite, _ in checks.SUITES}
     for m in catalogue.MUTANTS:
         if m.suite is None:
             assert m.reason.split(":")[0] in catalogue.UNSEEN, m.reason

@@ -144,9 +144,9 @@ def phi_flat_at_the_top(f):
 def test_phi_suite_matches_the_every_m_loop(monkeypatch, n_coords, lift):
     seen = {}
 
-    def keep_all(name, failures, cases, t0, **extra):
+    def keep_all(failures, cases, **extra):
         seen["failures"] = failures
-        return result(name, failures, cases, t0, **extra)
+        return result(failures, cases, **extra)
 
     result = checks._result
     monkeypatch.setattr(checks, "_result", keep_all)

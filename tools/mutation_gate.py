@@ -45,8 +45,8 @@ TIMEOUT_S = 60
 RUN_SUITE = """
 import sys
 from orderlab import checks
-checks.SUITES = tuple(row for row in checks.SUITES if row[0].__name__ == sys.argv[1])
-[result] = checks.run_all()
+checks.SUITES = tuple(row for row in checks.SUITES if row[1].__name__ == sys.argv[1])
+[(result, _)] = checks.run_all()
 print(result.get("error") or f"ok={result['ok']} cases={result['cases']}")
 sys.exit(0 if result["ok"] else 3)
 """
