@@ -24,8 +24,8 @@ from .fol import Atom, FiniteStructure, Not
 from .forcing import (Condition, amalgamate, default_schedule, entry_op, extends,
                       generic_build, pipeline_embed, projection, quotient_member,
                       split_project, SplitInstance, verify_generic_embedding)
-from .posets import (Poset, RelStructure, enumerate_poset_isotypes, gather,
-                     list_pairs, longest_chain, make_poset, reach)
+from .posets import (Poset, RelStructure, _isotype_levels, gather, list_pairs,
+                     longest_chain, make_poset, reach)
 from .redprod import FilterFamily, atomic_los_check, reduced_product
 from .seqspace import eta, phi, position_profile, position_seq
 from .tiepoint import (Clopen, Point, bulk_probe_check, clopen_to_mask,
@@ -426,17 +426,10 @@ def _conditions(ground: Poset, carrier, depth, base=None, fixed=None):
                     yield q
 
 
-def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
-    """Entry operations land in their target sets and extend their input:
-    exhaustively on small posets and shallow conditions, randomized beyond."""
-    failures = []
-    cases = 0
-
-    def entry(ground, p, req, op):
-        """Apply req's op, ("D", n, a) or ("E", n, a, b), to p and check the
-        result."""
-        nonlocal cases
-        cases += 1
+def _judge_entries(ground, p, ops, failures):
+    """Apply each compiled (req, op) to p and record each result that does
+    not extend p or misses req's set; returns the cases, one per op."""
+    for req, op in ops:
         q = op(p)
         if req[0] == "D":
             _, n, a = req
@@ -447,29 +440,76 @@ def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
         if not (extends(ground, q, p) and landed):
             failures.append({"poset": ground.to_json_dict(),
                              "p": p.to_json_dict(), "req": list(req)})
+    return len(ops)
 
-    for size in range(1, exhaustive_n + 1):
-        for ground in enumerate_poset_isotypes(size):
+
+def check_dense_entries(exhaustive_n=4, max_depth=4, trials=1000, seed=4):
+    """Entry operations land in their target sets and extend their input:
+    exhaustively on small posets and shallow conditions, randomized beyond."""
+    failures = []
+    cases = 0
+    for level in itertools.islice(_isotype_levels(exhaustive_n), 1, None):
+        for ground in level:
             # the isotype's requests, each compiled once
             ops = [(req, entry_op(ground, req))
                    for req in default_schedule(ground, max_depth)]
             for d in range(max_depth + 1):
                 for p in _conditions(ground, ground.elements, d):
-                    for req, op in ops:
-                        entry(ground, p, req, op)
+                    cases += _judge_entries(ground, p, ops, failures)
     rng = random.Random(seed)
     for t in range(trials):
         ground = random_poset(rng, rng.randint(1, 6))
         p = random_condition(rng, ground, max_depth=6)
         n = rng.randint(0, 8)
         a = rng.choice(ground.elements)
-        req = ("D", n, a)
-        entry(ground, p, req, entry_op(ground, req))
+        reqs = [("D", n, a)]
         b = rng.choice(ground.elements)
         if a != b and not ground.leq(b, a):
-            req = ("E", n, a, b)
-            entry(ground, p, req, entry_op(ground, req))
+            reqs.append(("E", n, a, b))
+        ops = [(req, entry_op(ground, req)) for req in reqs]
+        cases += _judge_entries(ground, p, ops, failures)
     return _result(failures, cases)
+
+
+def _judge_pairs(ground, sub, p, qs, failures):
+    """Amalgamate p with each q over p's part of sub and record each amalgam
+    that raises or does not extend both; returns the cases, one per q."""
+    root = p.domain & sub
+    for q in qs:
+        try:
+            w = amalgamate(ground, [p, q], root)
+        except OrderlabError as e:
+            failures.append({"poset": ground.to_json_dict(), "sub": sorted(sub),
+                             "p": p.to_json_dict(), "q": q.to_json_dict(),
+                             "error": str(e)})
+            continue
+        if not (extends(ground, w, p) and extends(ground, w, q)):
+            failures.append({"poset": ground.to_json_dict(), "sub": sorted(sub),
+                             "p": p.to_json_dict(), "q": q.to_json_dict()})
+    return len(qs)
+
+
+def _reduction_grid(ground, max_depth, failures):
+    """check_reduction's grid on one isotype; returns its cases."""
+    subsets = [frozenset(c) for r in range(len(ground) + 1)
+               for c in itertools.combinations(ground.elements, r)]
+    below = {}  # each projection's extensions into its sub, enumerated once
+    cases = 0
+    for d in range(max_depth + 1):
+        for p in _conditions(ground, ground.elements, d):
+            for sub in subsets:
+                pi = projection(sub, p)
+                if not extends(ground, p, pi):
+                    failures.append({"kind": "projection-not-weaker",
+                                     "poset": ground.to_json_dict(),
+                                     "p": p.to_json_dict(), "sub": sorted(sub)})
+                qs = below.get((sub, pi.key()))
+                if qs is None:
+                    qs = below[sub, pi.key()] = [
+                        q for dq in range(pi.depth, max_depth + 1)
+                        for q in _conditions(ground, sub, dq, base=pi)]
+                cases += _judge_pairs(ground, sub, p, qs, failures)
+    return cases
 
 
 def check_reduction(exhaustive_n=4, max_depth=3, trials=1000, seed=5):
@@ -477,37 +517,9 @@ def check_reduction(exhaustive_n=4, max_depth=3, trials=1000, seed=5):
     with the original condition."""
     failures = []
     cases = 0
-
-    def check_pair(ground, sub, p, q):
-        nonlocal cases
-        cases += 1
-        root = p.domain & frozenset(sub)
-        try:
-            w = amalgamate(ground, [p, q], root)
-        except OrderlabError as e:
-            failures.append({"poset": ground.to_json_dict(), "sub": sorted(sub),
-                             "p": p.to_json_dict(), "q": q.to_json_dict(),
-                             "error": str(e)})
-            return
-        if not (extends(ground, w, p) and extends(ground, w, q)):
-            failures.append({"poset": ground.to_json_dict(), "sub": sorted(sub),
-                             "p": p.to_json_dict(), "q": q.to_json_dict()})
-
-    for n in range(1, exhaustive_n + 1):
-        for ground in enumerate_poset_isotypes(n):
-            subsets = [frozenset(c) for r in range(n + 1)
-                       for c in itertools.combinations(ground.elements, r)]
-            for d in range(max_depth + 1):
-                for p in _conditions(ground, ground.elements, d):
-                    for sub in subsets:
-                        pi = projection(sub, p)
-                        if not extends(ground, p, pi):
-                            failures.append({"kind": "projection-not-weaker",
-                                             "p": p.to_json_dict(),
-                                             "sub": sorted(sub)})
-                        for dq in range(pi.depth, max_depth + 1):
-                            for q in _conditions(ground, sub, dq, base=pi):
-                                check_pair(ground, sub, p, q)
+    for level in itertools.islice(_isotype_levels(exhaustive_n), 1, None):
+        for ground in level:
+            cases += _reduction_grid(ground, max_depth, failures)
     rng = random.Random(seed)
     for t in range(trials):
         ground = random_poset(rng, rng.randint(1, 6))
@@ -517,7 +529,7 @@ def check_reduction(exhaustive_n=4, max_depth=3, trials=1000, seed=5):
         pi = projection(sub, p)
         extra = [e for e in sub - pi.domain if rng.random() < 0.5]
         q = random_extension(rng, ground, pi, extra)
-        check_pair(ground, sub, p, q)
+        cases += _judge_pairs(ground, sub, p, [q], failures)
     return _result(failures, cases)
 
 
@@ -525,8 +537,8 @@ def check_generic_embedding(max_n=6, budget=16):
     """Every poset isomorphism type up to max_n embeds with certificates."""
     failures = []
     cases = 0
-    for n in range(max_n + 1):
-        for ground in enumerate_poset_isotypes(n):
+    for level in _isotype_levels(max_n):
+        for ground in level:
             cases += 1
             ge = generic_build(ground, budget)
             rep = verify_generic_embedding(ge)

@@ -393,17 +393,21 @@ def enumerate_poset_isotypes(n):
     such one-point extension; the canonical labelling of each candidate
     removes the duplicates.
     """
-    types = [()]
-    for _ in range(n):
-        found = set()
-        for rows in types:
-            old = [r << 1 for r in rows]
-            for up in _up_sets(rows):
-                found.add(_canonical_key([up << 1] + old))
+    return list(_isotype_levels(n))[-1]
+
+
+def _isotype_levels(max_n):
+    """enumerate_poset_isotypes(n) for n = 0, 1, ..., max_n in turn, each
+    level grown once from the one before."""
+    types = [Poset((), (), _validated=True)]
+    yield types
+    for n in range(1, max_n + 1):
+        found = {_canonical_key([up << 1] + [r << 1 for r in g._rows])
+                 for g in types for up in _up_sets(g._rows)}
         # the mask weights the rows from the last down to the first, so
         # ascending keys are ascending masks
-        types = [key[::-1] for key in sorted(found)]
-    return [Poset(range(n), rows, _validated=True) for rows in types]
+        types = [Poset(range(n), key[::-1], _validated=True) for key in sorted(found)]
+        yield types
 
 
 def _up_sets(rows):

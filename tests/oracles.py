@@ -1,11 +1,15 @@
 """Fixtures and reference loops for the tests; nothing under src/ uses them."""
 
 import itertools
+from operator import lt
 
+from orderlab.checks import _conditions
 from orderlab.errors import (ArityError, CanonicalityError, DomainError,
-                             IndexLabelError, brief)
+                             IndexLabelError, OrderlabError, brief)
 from orderlab.fol import FiniteStructure
-from orderlab.posets import Poset, elements_of, gather, int_ids, make_poset, reach
+from orderlab.forcing import default_schedule, extends, projection
+from orderlab.posets import (Poset, elements_of, enumerate_poset_isotypes, gather,
+                             int_ids, make_poset, reach)
 from orderlab.seqspace import position_seq
 from orderlab.universal import Rel
 
@@ -72,6 +76,79 @@ def phi_strict_increase_failures(n_coords, phi):
                             cases += 1
                             if not all(pf[j] < pg[j] for j in range(n + 1, n_coords + 1)):
                                 failures.append({"f": f, "g": g, "m": m, "n": n})
+    return cases, failures
+
+
+def dense_entry_grid_failures(exhaustive_n, max_depth, entry_op):
+    """The case count and the failures of check_dense_entries' grid (its
+    trials=0 run), by the suite's loop before it judged each condition's
+    ops in one loop: one closure call per case, and the isotypes of each
+    size enumerated afresh."""
+    failures = []
+    cases = 0
+
+    def entry(ground, p, req, op):
+        nonlocal cases
+        cases += 1
+        q = op(p)
+        if req[0] == "D":
+            _, n, a = req
+            landed = q.depth >= n and a in q.domain
+        else:
+            _, n, a, b = req
+            landed = any(map(lt, q.seq(a)[n:], q.seq(b)[n:]))
+        if not (extends(ground, q, p) and landed):
+            failures.append({"poset": ground.to_json_dict(),
+                             "p": p.to_json_dict(), "req": list(req)})
+
+    for size in range(1, exhaustive_n + 1):
+        for ground in enumerate_poset_isotypes(size):
+            ops = [(req, entry_op(ground, req))
+                   for req in default_schedule(ground, max_depth)]
+            for d in range(max_depth + 1):
+                for p in _conditions(ground, ground.elements, d):
+                    for req, op in ops:
+                        entry(ground, p, req, op)
+    return cases, failures
+
+
+def reduction_grid_failures(exhaustive_n, max_depth, amalgamate):
+    """The case count and the failures of check_reduction's grid (its
+    trials=0 run), by the suite's loop before it kept each projection's
+    extensions: they are enumerated afresh for every (p, sub) pair, and
+    every pair is judged by its own call."""
+    failures = []
+    cases = 0
+
+    def check_pair(ground, sub, p, q):
+        nonlocal cases
+        cases += 1
+        record = {"poset": ground.to_json_dict(), "sub": sorted(sub),
+                  "p": p.to_json_dict(), "q": q.to_json_dict()}
+        try:
+            w = amalgamate(ground, [p, q], p.domain & sub)
+        except OrderlabError as e:
+            failures.append({**record, "error": str(e)})
+            return
+        if not (extends(ground, w, p) and extends(ground, w, q)):
+            failures.append(record)
+
+    for n in range(1, exhaustive_n + 1):
+        for ground in enumerate_poset_isotypes(n):
+            subsets = [frozenset(c) for r in range(n + 1)
+                       for c in itertools.combinations(ground.elements, r)]
+            for d in range(max_depth + 1):
+                for p in _conditions(ground, ground.elements, d):
+                    for sub in subsets:
+                        pi = projection(sub, p)
+                        if not extends(ground, p, pi):
+                            failures.append({"kind": "projection-not-weaker",
+                                             "poset": ground.to_json_dict(),
+                                             "p": p.to_json_dict(),
+                                             "sub": sorted(sub)})
+                        for dq in range(pi.depth, max_depth + 1):
+                            for q in _conditions(ground, sub, dq, base=pi):
+                                check_pair(ground, sub, p, q)
     return cases, failures
 
 

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -8,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderlab import cli, forcing
+from orderlab import checks, cli, forcing
 from orderlab.checks import (_conditions, _draw, check_dense_entries,
                              check_reduction, random_condition,
                              random_extension, random_poset, random_root_family)
@@ -31,7 +32,9 @@ from orderlab.redprod import longest_op_chain
 from orderlab.seqspace import (eta, leq_from, phi, position_profile,
                                position_seq)
 
-from oracles import linear_order_structure
+from oracles import (dense_entry_grid_failures, linear_order_structure,
+                     reduction_grid_failures)
+from test_mutants import load_tool
 
 
 E3 = make_poset({0, 1, 2}, {(0, 1)})
@@ -330,6 +333,59 @@ def test_exhaustive_suite_case_counts():
     assert entry["ok"] and entry["cases"] == 75420, entry
     reduction = check_reduction(3, 3, trials=0)
     assert reduction["ok"] and reduction["cases"] == 12077, reduction
+
+
+def catalogued_mutant(fn, reason):
+    """fn recompiled in a copy of its module's globals, with the edit of
+    the tools/mutants.py entry whose reason starts with reason: the broken
+    calculus the mutation gate runs, inside this process."""
+    [m] = [m for m in load_tool("mutants").MUTANTS if m.reason.startswith(reason)]
+    source = inspect.getsource(fn)
+    assert source.count(m.old) == 1, reason
+    namespace = dict(fn.__globals__)
+    exec(source.replace(m.old, m.new), namespace)
+    return namespace[fn.__name__]
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("amalgamate", "amalgamate pads a shallow private element"),
+    ("entry_op", "the witness op takes an equal coordinate")])
+def test_grid_suites_match_their_per_case_loops_on_a_broken_calculus(
+        monkeypatch, name, reason):
+    monkeypatch.setattr(checks, name, catalogued_mutant(getattr(forcing, name), reason))
+    verdicts = []
+    for suite, oracle, args in (
+            (check_dense_entries, dense_entry_grid_failures, (3, 4, checks.entry_op)),
+            (check_reduction, reduction_grid_failures, (3, 3, checks.amalgamate))):
+        got = suite(*args[:2], trials=0)
+        cases, failures = oracle(*args)
+        assert (got["ok"], got["cases"], got.get("failures", [])) == \
+            (not failures, cases, failures[:5])
+        verdicts.append(got["ok"])
+    # the mutant breaks the grid that runs it, and only that one
+    assert verdicts == [name != "entry_op", name != "amalgamate"]
+
+
+def test_projection_not_weaker_names_its_poset(monkeypatch):
+    # a projection one coordinate deeper than p is not weaker than p
+    monkeypatch.setattr(checks, "projection", lambda sub, p: Condition._trusted(
+        frozenset(), p.depth + 1, {}))
+    got = check_reduction(1, 0, trials=0)
+    assert got["failures"][0] == {"kind": "projection-not-weaker",
+                                  "poset": {"elements": [0], "edges": []},
+                                  "p": EMPTY_CONDITION.to_json_dict(), "sub": []}
+
+
+@pytest.mark.parametrize("name, broken", [
+    ("amalgamate", lambda ground, parts, root: parts[0]),
+    ("extends", lambda ground, p, q: False)])
+def test_no_enumeration_outlives_its_suite_call(monkeypatch, name, broken):
+    clean = check_reduction(2, 2, trials=0)
+    assert clean["ok"]
+    with monkeypatch.context() as m:
+        m.setattr(checks, name, broken)
+        assert not check_reduction(2, 2, trials=0)["ok"]
+    assert check_reduction(2, 2, trials=0) == clean
 
 
 def test_condition_report_form():
